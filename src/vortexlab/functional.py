@@ -10,7 +10,16 @@ machine-level tolerance and strict convexity survives discretization.
 
 Exponential-minus-one terms are evaluated with ``expm1`` so small fields
 do not lose precision, and an exponent cap (default 300) rejects fields
-that could only arise from a diverging outer iteration.
+that could only arise from a diverging outer iteration.  The energy
+*change* along a step is evaluated directly, without subtracting two
+totals, so a line search can resolve decreases far below the rounding of
+the energy itself.
+
+The Hessian's far-field part (curvature frozen at ``exp(2*u0) = 1``,
+``w = 0``) has constant coefficients, so an orthonormal DST-I
+diagonalizes it; its inverse is the fast-Poisson preconditioner of Concus
+& Golub (1973), applied with the direct sine-transform solve of Buzbee,
+Golub & Nielson (1970).
 """
 
 from __future__ import annotations
@@ -114,6 +123,26 @@ def _edge_energy(w: np.ndarray) -> float:
     return float(np.sum(dx * dx) + np.sum(dy * dy))
 
 
+def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
+    # (dw + dd)^2 - dw^2 = dd * (2*dw + dd) per edge, with no cancellation.
+    total = 0.0
+    for axis in (0, 1):
+        dw = np.diff(w, axis=axis)
+        dd = np.diff(step, axis=axis)
+        dw *= 2.0
+        dw += dd
+        total += float(np.vdot(dd, dw))
+    return total
+
+
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of order ``m``: symmetric and its own inverse."""
+    k = np.arange(1, m + 1)
+    # Reduce j*k modulo 2(m+1) in integers so every sine argument is in [0, 2*pi).
+    phase = np.outer(k, k) % (2 * (m + 1))
+    return np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
+
+
 def _neighbor_sum(w: np.ndarray) -> np.ndarray:
     # 4*w - sum of neighbors on interior nodes.
     return 4.0 * w[1:-1, 1:-1] - w[:-2, 1:-1] - w[2:, 1:-1] - w[1:-1, :-2] - w[1:-1, 2:]
@@ -148,6 +177,10 @@ class DiscreteFunctional:
     def _exponents(self, fp: FieldPair) -> tuple[np.ndarray, np.ndarray]:
         s1 = 2.0 * fp.w1
         s2 = 2.0 * (self.fc.a_mix * fp.w1 + fp.w2)
+        self._check_cap(s1, s2)
+        return s1, s2
+
+    def _check_cap(self, s1: np.ndarray, s2: np.ndarray) -> None:
         cap = self.exp_cap
         m1 = float(np.max(np.abs(s1)))
         m2 = float(np.max(np.abs(s2)))
@@ -156,7 +189,16 @@ class DiscreteFunctional:
                 f"exponent argument {max(m1, m2):.3g} exceeds cap {cap:.3g}; "
                 "the outer iteration is diverging"
             )
-        return s1, s2
+
+    def _curvature(self, S, T):
+        """Entries ``c11, c12, c22`` of the exponential terms' 2x2 curvature.
+
+        ``S = 4*exp(2*u0_2)*exp(s2)`` and ``T = 4*c_exp1*exp(2*u0_1)*exp(s1)``
+        are node arrays at a field, or scalars for the frozen far field.
+        """
+        fc = self.fc
+        h2 = self.grid.cell_area
+        return h2 * (fc.a_mix**2 * S + T), h2 * (fc.a_mix * S), h2 * S
 
     # -- operations --------------------------------------------------------
 
@@ -171,6 +213,29 @@ class DiscreteFunctional:
             + (fc.c_psi2 * self.psi2 - 2.0) * fp.w2
         )
         grad = fc.c_grad1 * _edge_energy(fp.w1) + fc.c_grad2 * _edge_energy(fp.w2)
+        return grad + self.grid.cell_area * float(np.sum(pot))
+
+    def energy_change(self, fp: FieldPair, step: FieldPair) -> float:
+        """``energy(fp + step) - energy(fp)``, evaluated without cancellation.
+
+        Edge terms are expanded as ``dd * (2*dw + dd)`` and exponentials as
+        ``exp(s) * expm1(ds)``, so the result is accurate relative to the
+        change itself, not to the total energy.  Raises
+        :class:`FieldOverflowError` if ``fp`` or ``fp + step`` exceeds the
+        exponent cap.  Boundary entries of ``step`` must be zero.
+        """
+        fc = self.fc
+        s1, s2 = self._exponents(fp)
+        ds1 = 2.0 * step.w1
+        ds2 = 2.0 * (fc.a_mix * step.w1 + step.w2)
+        self._check_cap(s1 + ds1, s2 + ds2)
+        pot = self.e2u02 * np.exp(s2) * np.expm1(ds2)
+        pot += fc.c_exp1 * self.e2u01 * np.exp(s1) * np.expm1(ds1)
+        pot += (fc.c_psi1 * self.psi1 - fc.c_lin1) * step.w1
+        pot += (fc.c_psi2 * self.psi2 - 2.0) * step.w2
+        grad = fc.c_grad1 * _edge_energy_change(fp.w1, step.w1) + fc.c_grad2 * _edge_energy_change(
+            fp.w2, step.w2
+        )
         return grad + self.grid.cell_area * float(np.sum(pot))
 
     def gradient(self, fp: FieldPair) -> FieldPair:
@@ -202,13 +267,10 @@ class DiscreteFunctional:
         Input direction arrays must carry zero boundary entries; outputs do.
         """
         fc = self.fc
-        h2 = self.grid.cell_area
         s1, s2 = self._exponents(fp)
-        S = 4.0 * self.e2u02 * np.exp(s2)
-        Tdiag = 4.0 * fc.c_exp1 * self.e2u01 * np.exp(s1)
-        c11 = h2 * (fc.a_mix**2 * S + Tdiag)
-        c12 = h2 * (fc.a_mix * S)
-        c22 = h2 * S
+        c11, c12, c22 = self._curvature(
+            4.0 * self.e2u02 * np.exp(s2), 4.0 * fc.c_exp1 * self.e2u01 * np.exp(s1)
+        )
 
         def apply(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             out1 = np.zeros_like(d1)
@@ -220,6 +282,52 @@ class DiscreteFunctional:
                 c12[1:-1, 1:-1] * d1[1:-1, 1:-1] + c22[1:-1, 1:-1] * d2[1:-1, 1:-1]
             )
             return out1, out2
+
+        return apply
+
+    def far_field_preconditioner(self):
+        """Inverse of the Hessian's far-field operator as a callable on array pairs.
+
+        The operator is ``diag(2*c_grad1, 2*c_grad2) (x) K_h`` plus the
+        curvature frozen at ``exp(2*u0) = 1``, ``w = 0``; with a flat
+        background it is the Hessian at ``w = 0``.  The orthonormal DST-I
+        ``S`` diagonalizes the 5-point stencil ``K_h`` (eigenvalues
+        ``mu_j + mu_k``), leaving one 2x2 solve per mode, so the inverse is
+        ``S (M_jk^-1 (S r S)) S`` on interior nodes: symmetric positive
+        definite.  Inputs are full node arrays; outputs carry zero boundary
+        entries.
+        """
+        fc = self.fc
+        m = self.grid.points_per_side - 2
+        S = _sine_matrix(m)
+        mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+        lam = mu[:, None] + mu[None, :]
+        c11, c12, c22 = self._curvature(4.0, 4.0 * fc.c_exp1)
+        # Per-mode symbol [[a11, c12], [c12, a22]]; the off-diagonal is constant.
+        a11 = 2.0 * fc.c_grad1 * lam + c11
+        a22 = 2.0 * fc.c_grad2 * lam + c22
+        inv_det = a11 * a22
+        inv_det -= c12 * c12
+        np.reciprocal(inv_det, out=inv_det)
+
+        def apply(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # In-place updates keep at most four interior-sized temporaries.
+            x1 = S @ r1[1:-1, 1:-1] @ S
+            x2 = S @ r2[1:-1, 1:-1] @ S
+            y1 = a22 * x1
+            y1 -= c12 * x2
+            y1 *= inv_det
+            x1 *= c12
+            x2 *= a11
+            x2 -= x1
+            x2 *= inv_det
+            del x1
+            z1 = np.zeros_like(r1)
+            np.matmul(S @ y1, S, out=z1[1:-1, 1:-1])
+            del y1
+            z2 = np.zeros_like(r2)
+            np.matmul(S @ x2, S, out=z2[1:-1, 1:-1])
+            return z1, z2
 
         return apply
 

@@ -214,6 +214,62 @@ class TestHessian:
         assert left == pytest.approx(right, rel=1e-12)
 
 
+class TestEnergyChange:
+    def test_matches_difference_of_energies(self):
+        func, grid, _ = make_problem()
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            fp = random_pair(grid, rng)
+            step = random_pair(grid, rng, scale=1.0)
+            trial = FieldPair(fp.w1 + step.w1, fp.w2 + step.w2)
+            expected = func.energy(trial) - func.energy(fp)
+            assert func.energy_change(fp, step) == pytest.approx(expected, rel=1e-10)
+
+    def test_overflowing_step_raises(self):
+        func, grid, _ = make_problem()
+        step = FieldPair.zeros(grid)
+        step.w1[5, 5] = 200.0
+        with pytest.raises(FieldOverflowError):
+            func.energy_change(FieldPair.zeros(grid), step)
+
+
+class TestFarFieldPreconditioner:
+    """With a flat background the Hessian at w = 0 is the far-field operator."""
+
+    @staticmethod
+    def interior_pair(n, rng):
+        x = FieldPair(np.zeros((n, n)), np.zeros((n, n)))
+        x.w1[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
+        x.w2[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
+        return x
+
+    @pytest.mark.parametrize("N", [2, 5])
+    @pytest.mark.parametrize("n", [64, 67])
+    def test_inverts_vacuum_hessian(self, N, n):
+        func, grid, _ = make_problem(N=N, n1=0, n2=0, n=n)
+        precond = func.far_field_preconditioner()
+        hess = func.hessian_operator(FieldPair.zeros(grid))
+        x = self.interior_pair(n, np.random.default_rng(41))
+        z1, z2 = precond(*hess(x.w1, x.w2))
+        assert FieldPair(z1, z2).sup_diff(x) < 1e-12
+
+    def test_symmetric_positive_with_zero_boundary(self):
+        func, grid, _ = make_problem(N=3, n1=0, n2=0, n=67)
+        precond = func.far_field_preconditioner()
+        rng = np.random.default_rng(43)
+        a = self.interior_pair(67, rng)
+        b = self.interior_pair(67, rng)
+        pa = precond(a.w1, a.w2)
+        pb = precond(b.w1, b.w2)
+        left = float(np.vdot(b.w1, pa[0]) + np.vdot(b.w2, pa[1]))
+        right = float(np.vdot(a.w1, pb[0]) + np.vdot(a.w2, pb[1]))
+        assert left == pytest.approx(right, rel=1e-12)
+        assert float(np.vdot(a.w1, pa[0]) + np.vdot(a.w2, pa[1])) > 0.0
+        for z in pa:
+            edge = np.concatenate([z[0, :], z[-1, :], z[:, 0], z[:, -1]])
+            assert np.all(edge == 0.0)
+
+
 class TestModuleLevelOps:
     def test_wrappers_match_class(self):
         from vortexlab.functional import energy, gradient, hessian_apply

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
-from vortexlab.functional import FieldPair, PlanarGrid
-from vortexlab.model import ModelParams, background, coupling_matrix
-from vortexlab.planar import boundary_values, extract_radial_slice, solve_planar
+from vortexlab.functional import DiscreteFunctional, FieldPair, PlanarGrid
+from vortexlab.model import ModelParams, background, coupling_matrix, functional_coefficients
+from vortexlab.planar import _newton_direction, boundary_values, extract_radial_slice, solve_planar
 from vortexlab.radial import radial_mesh, solve_radial_P
 
 
@@ -97,6 +97,44 @@ class TestSolve:
         init.w1[10, 10] = 400.0
         with pytest.raises(FieldOverflowError):
             solve_planar(params, cd, bg, grid, initial=init)
+
+    def test_overflowing_trial_step_is_backtracked(self):
+        # The first full Newton step from this start drives an exponent past
+        # the cap of 5; the line search must reject it and backtrack.
+        params = make()
+        cd = coupling_matrix(params)
+        bg = background(params)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        init = FieldPair.zeros(grid)
+        init.w1[1:-1, 1:-1] = -1.2
+        init.w2[1:-1, 1:-1] = 1.0
+        sol = solve_planar(params, cd, bg, grid, tol=1e-8, initial=init, exp_cap=5.0)
+        assert sol.converged
+        assert sol.w.sup_diff(solve_planar(params, cd, bg, grid, tol=1e-8).w) < 1e-6
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_cg_iterations_independent_of_grid(self, n):
+        params = make()
+        cd = coupling_matrix(params)
+        bg = background(params)
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        sol = solve_planar(params, cd, bg, grid, tol=1e-8)
+        assert sol.cg_iterations <= 5 * sol.iterations
+
+    def test_energy_change_resolves_last_newton_decrease(self, default_solution):
+        params, cd, bg, grid, sol = default_solution
+        func = DiscreteFunctional(grid, bg, functional_coefficients(cd))
+        g = func.gradient(sol.w)
+        d1, d2, _ = _newton_direction(
+            func, func.far_field_preconditioner(), sol.w, g, 1e-6, 100, 0, sol.final_gradient_norm
+        )
+        # Along a Newton direction the quadratic model predicts slope / 2.
+        predicted = 0.5 * float(np.vdot(g.w1, d1) + np.vdot(g.w2, d2))
+        energy = func.energy(sol.w)
+        assert abs(predicted) < np.spacing(abs(energy))  # below rounding of the total
+        change = func.energy_change(sol.w, FieldPair(d1, d2))
+        assert change < 0.0
+        assert change == pytest.approx(predicted, rel=1e-3)
 
     def test_max_iter_exhaustion(self):
         params = make()
