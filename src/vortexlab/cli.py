@@ -16,7 +16,8 @@ configuration.  Reports are JSON text with all reals printed to 17
 significant digits, so parsing an emitted report reproduces it exactly.
 
 The environment variable ``VORTEXLAB_THREADS`` (integer >= 1) caps the
-worker threads of the underlying linear-algebra libraries; all
+worker threads of the underlying linear-algebra libraries when
+threadpoolctl is installed; without it the value is only validated.  All
 orchestration here is sequential.
 """
 
@@ -177,12 +178,9 @@ def _apply_thread_cap() -> None:
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(cap)
     except ImportError:
-        # Best effort for libraries that read the environment lazily.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
+        return
+    threadpoolctl.threadpool_limits(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +251,12 @@ def _load_radial_csv(path: str) -> tuple[ModelParams, RadialSolution]:
             meta[key] = value
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    missing = [k for k in ("N", "n1", "n2", "tau") if k not in meta]
+    missing += [c for c in ("r", "u1", "u2") if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {len(header)} header names for {data.shape[1]} data columns")
     params = ModelParams(
         N=int(meta["N"]),
         n1=float(meta["n1"]),
@@ -273,8 +277,8 @@ def _load_radial_csv(path: str) -> tuple[ModelParams, RadialSolution]:
         P2=P2,
         u1=col["u1"],
         u2=col["u2"],
-        E1=col["E1"],
-        E2=col["E2"],
+        E1=np.expm1(2.0 * col["u1"]),
+        E2=np.expm1(2.0 * col["u2"]),
         iterations=int(float(meta.get("iterations", "0"))),
         residual=float(meta.get("residual", "nan")),
     )

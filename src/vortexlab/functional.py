@@ -31,7 +31,7 @@ import numpy as np
 from .errors import FieldOverflowError
 from .model import BackgroundField, FunctionalCoefficients
 
-__all__ = ["PlanarGrid", "FieldPair", "DiscreteFunctional", "energy", "gradient", "hessian_apply"]
+__all__ = ["PlanarGrid", "FieldPair", "DiscreteFunctional"]
 
 DEFAULT_EXP_CAP = 300.0
 
@@ -343,24 +343,3 @@ class DiscreteFunctional:
         d2[1:-1, 1:-1] = direction.w2[1:-1, 1:-1]
         out1, out2 = self.hessian_operator(fp)(d1, d2)
         return FieldPair(out1, out2)
-
-
-def energy(fp: FieldPair, grid: PlanarGrid, bg: BackgroundField, fc: FunctionalCoefficients) -> float:
-    """Discrete action functional; see :class:`DiscreteFunctional`."""
-    return DiscreteFunctional(grid, bg, fc).energy(fp)
-
-
-def gradient(fp: FieldPair, grid: PlanarGrid, bg: BackgroundField, fc: FunctionalCoefficients) -> FieldPair:
-    """Exact gradient of the discrete energy; boundary entries zero."""
-    return DiscreteFunctional(grid, bg, fc).gradient(fp)
-
-
-def hessian_apply(
-    fp: FieldPair,
-    direction: FieldPair,
-    grid: PlanarGrid,
-    bg: BackgroundField,
-    fc: FunctionalCoefficients,
-) -> FieldPair:
-    """Hessian-vector product of the discrete energy."""
-    return DiscreteFunctional(grid, bg, fc).hessian_apply(fp, direction)

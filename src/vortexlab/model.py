@@ -378,5 +378,4 @@ class BackgroundField:
 
 def background(params: ModelParams) -> BackgroundField:
     """Background field evaluators for a problem instance."""
-    alpha = 1.5 - 1.0 / (2.0 * params.N)
-    return BackgroundField(params, alpha)
+    return BackgroundField(params, coupling_matrix(params).alpha)

@@ -14,8 +14,11 @@ on the unpreconditioned residual.  The Armijo test compares the energy
 *change* along the step, evaluated without cancellation, so the line
 search still resolves the last Newton decreases, which lie below the
 rounding of the total energy.  A trial step that overflows the exponent
-cap is rejected and halved like any other.  Strict convexity makes the minimizer unique and the iteration globally
-convergent from any finite initial field.
+cap is rejected and halved like any other.  Strict convexity makes the
+minimizer unique.  With the default cap of 60 Newton steps the iteration
+was measured to converge from the zero start and from uniform random
+interior starts of amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at
+most 40 steps); random starts of amplitude 20 reach the cap.
 
 The physical fields must vanish at infinity; on the truncated box this is
 imposed at the edge, so the boundary values of ``w`` are the lifted data
@@ -114,9 +117,10 @@ def solve_planar(
 
     ``tol`` bounds the sup norm of the per-node Euler-Lagrange residual
     (gradient divided by cell area).  The initial field defaults to zero
-    interior values; any finite initial field converges to the same
-    minimizer (strict convexity), with its boundary entries overwritten by
-    the lifted Dirichlet data.
+    interior values, and its boundary entries are overwritten by the lifted
+    Dirichlet data.  Every start that converges reaches the same minimizer
+    (strict convexity); the module docstring lists the starts measured to
+    converge within the default ``max_iter``.
 
     Each Newton system is solved by CG preconditioned with the far-field
     fast-Poisson operator, to ``||r||_2 <= eta * ||g||_2`` with

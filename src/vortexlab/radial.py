@@ -217,7 +217,11 @@ def apply_radial_laplacian(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The last entry is not meaningful (Dirichlet row) and is returned as 0.
     """
-    sub, dia, sup = _laplacian_coefficients(r)
+    return _apply_stencil(_laplacian_coefficients(r), y)
+
+
+def _apply_stencil(stencil, y: np.ndarray) -> np.ndarray:
+    sub, dia, sup = stencil
     out = np.zeros_like(y)
     out[0] = dia[0] * y[0] + sup[0] * y[1]
     out[1:-1] = sub[1:-1] * y[:-2] + dia[1:-1] * y[1:-1] + sup[1:-1] * y[2:]
@@ -254,6 +258,116 @@ def discrete_source(bg: BackgroundField, mesh: RadialMesh) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
+class _RegularizedSystem:
+    """Discrete regularized radial system on interleaved unknowns.
+
+    The unknowns are ``z = (P1_0, P2_0, P1_1, P2_1, ...)``, so the Jacobian
+    is banded with widths (2, 2).  The residual is ``lap_h(P) - A @ E -
+    Phi_h`` with the finite-volume stencil and the scheme-consistent
+    source; the outer node carries the Dirichlet mismatch ``P_i +
+    u0_i(r_max)``.  Background, source and stencil are evaluated once, on
+    construction.
+    """
+
+    def __init__(self, cd: CouplingData, bg: BackgroundField, mesh: RadialMesh):
+        r = mesh.r
+        n = r.size
+        r2 = r * r
+        self.A = cd.A
+        self.u01 = bg.u0_1(r2)
+        self.u02 = bg.u0_2(r2)
+        self.phi1, self.phi2 = discrete_source(bg, mesh)
+        self.stencil = _laplacian_coefficients(r)
+        sub, self.dia, sup = self.stencil
+        # Stencil bands of the Jacobian; the last node's coefficients are zero.
+        self.bands = np.zeros((5, 2 * n))
+        self.bands[0, 2:] = np.repeat(sup[: n - 1], 2)
+        self.bands[4, : 2 * n - 2] = np.repeat(sub[1:], 2)
+
+    def fields(self, z):
+        with np.errstate(over="ignore"):
+            E1 = np.expm1(2.0 * (self.u01 + z[0::2]))
+            E2 = np.expm1(2.0 * (self.u02 + z[1::2]))
+        return E1, E2
+
+    def residual(self, z):
+        A = self.A
+        E1, E2 = self.fields(z)
+        F = np.empty(z.size)
+        F[0::2] = _apply_stencil(self.stencil, z[0::2]) - (A[0, 0] * E1 + A[0, 1] * E2 + self.phi1)
+        F[1::2] = _apply_stencil(self.stencil, z[1::2]) - (A[1, 0] * E1 + A[1, 1] * E2 + self.phi2)
+        F[-2] = z[-2] + self.u01[-1]
+        F[-1] = z[-1] + self.u02[-1]
+        return F
+
+    def jacobian(self, z):
+        A, dia = self.A, self.dia
+        E1, E2 = self.fields(z)
+        dE1 = 2.0 * (E1 + 1.0)
+        dE2 = 2.0 * (E2 + 1.0)
+        dE1[-1] = dE2[-1] = 0.0  # Dirichlet rows carry no coupling
+        ab = self.bands.copy()
+        ab[1, 1::2] = -A[0, 1] * dE2  # dF1/dP2 at the same node
+        ab[2, 0::2] = dia - A[0, 0] * dE1
+        ab[2, 1::2] = dia - A[1, 1] * dE2
+        ab[2, -2:] = 1.0
+        ab[3, 0::2] = -A[1, 0] * dE1  # dF2/dP1 at the same node
+        return ab
+
+    def floor(self, z):
+        # Evaluation floor of the residual: the stencil rows cancel to
+        # rounding of the stored fields.
+        scale = max(1.0, float(np.max(np.abs(z))))
+        return 4.0 * np.finfo(float).eps * float(np.max(np.abs(self.dia))) * scale
+
+
+def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None):
+    """Residual-norm damped Newton with a banded Jacobian.
+
+    Each step solves ``J(z) d = -F(z)`` and halves ``t`` from 1 until the
+    sup norm of the residual drops below ``(1 - 1e-4 t)`` times its current
+    value (Dennis & Schnabel 1983).  When halving reaches ``2**-30`` the
+    iterate is accepted if its norm is within ``max(tol, floor(z))``, the
+    evaluation floor of the residual; otherwise the line search has
+    stalled.  Returns ``(z, iterations, norm)``; a failure raises
+    :class:`NonConvergenceError` carrying the last accepted ``z``.
+    """
+    F = system(z)
+    norm = float(np.max(np.abs(F)))
+    for iteration in range(1, max_iter + 1):
+        if norm < tol:
+            return z, iteration - 1, norm
+        step = solve_banded(bands, jacobian(z), -F)
+        t = 1.0
+        while True:
+            trial = z + t * step
+            tF = system(trial)
+            tnorm = float(np.max(np.abs(tF)))
+            if math.isfinite(tnorm) and tnorm < (1.0 - 1e-4 * t) * norm:
+                break
+            t *= 0.5
+            if t < 2.0**-30:
+                if floor is not None and norm <= max(tol, floor(z)):
+                    return z, iteration, norm
+                raise NonConvergenceError(
+                    f"{label} Newton line search stalled",
+                    iterations=iteration,
+                    residual=norm,
+                    last_iterate=z,
+                )
+        z, F, norm = trial, tF, tnorm
+
+    if norm < tol:
+        return z, max_iter, norm
+    raise NonConvergenceError(
+        f"{label} solve did not reach tol={tol:g} in {max_iter} iterations "
+        f"(last residual {norm:.3e})",
+        iterations=max_iter,
+        residual=norm,
+        last_iterate=z,
+    )
+
+
 def solve_radial_P(
     params: ModelParams,
     cd: CouplingData,
@@ -267,136 +381,25 @@ def solve_radial_P(
     Boundary conditions: ``P'(r_min) = 0`` (the smooth parts have zero
     slope at the axis) and ``P_i(r_max) = -u0_i(r_max)`` so the physical
     fields vanish at the outer radius.  Converges when the sup norm of the
-    discrete residual drops below ``tol``.
+    discrete residual drops below ``tol``.  A :class:`NonConvergenceError`
+    carries the last iterate interleaved as ``(P1_0, P2_0, P1_1, ...)``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    r = mesh.r
-    n = r.size
-    r2 = r * r
-    A = cd.A
-    u01 = bg.u0_1(r2)
-    u02 = bg.u0_2(r2)
-    phi1, phi2 = discrete_source(bg, mesh)
-    bc1 = -u01[-1]
-    bc2 = -u02[-1]
-
-    sub, dia, sup = _laplacian_coefficients(r)
-
-    def fields(P1, P2):
-        with np.errstate(over="ignore"):
-            E1 = np.expm1(2.0 * (u01 + P1))
-            E2 = np.expm1(2.0 * (u02 + P2))
-        return E1, E2
-
-    def residual(P1, P2, E1, E2):
-        F1 = np.empty(n)
-        F2 = np.empty(n)
-        rhs1 = A[0, 0] * E1 + A[0, 1] * E2 + phi1
-        rhs2 = A[1, 0] * E1 + A[1, 1] * E2 + phi2
-        F1[0] = dia[0] * P1[0] + sup[0] * P1[1] - rhs1[0]
-        F2[0] = dia[0] * P2[0] + sup[0] * P2[1] - rhs2[0]
-        F1[1:-1] = sub[1:-1] * P1[:-2] + dia[1:-1] * P1[1:-1] + sup[1:-1] * P1[2:] - rhs1[1:-1]
-        F2[1:-1] = sub[1:-1] * P2[:-2] + dia[1:-1] * P2[1:-1] + sup[1:-1] * P2[2:] - rhs2[1:-1]
-        F1[-1] = P1[-1] - bc1
-        F2[-1] = P2[-1] - bc2
-        out = np.empty(2 * n)
-        out[0::2] = F1
-        out[1::2] = F2
-        return out
-
-    def jacobian_banded(E1, E2):
-        # Interleaved unknowns (P1_0, P2_0, P1_1, ...): bandwidth (2, 2).
-        dE1 = 2.0 * (E1 + 1.0)
-        dE2 = 2.0 * (E2 + 1.0)
-        dE1[-1] = dE2[-1] = 0.0  # Dirichlet rows carry no coupling
-        ab = np.zeros((5, 2 * n))
-        main = np.empty(2 * n)
-        main[0::2] = dia - A[0, 0] * dE1
-        main[1::2] = dia - A[1, 1] * dE2
-        main[-2] = main[-1] = 1.0
-        ab[2] = main
-        sup1 = np.zeros(2 * n)
-        sup1[1::2] = -A[0, 1] * dE2  # dF1/dP2 at the same node
-        ab[1] = sup1
-        sub1 = np.zeros(2 * n)
-        sub1[0::2] = -A[1, 0] * dE1  # dF2/dP1 at the same node
-        ab[3] = sub1
-        sup2 = np.zeros(2 * n)
-        sup2[2:] = np.repeat(sup[: n - 1], 2)
-        ab[0] = sup2
-        sub2 = np.zeros(2 * n)
-        sub_for_rows = sub.copy()
-        sub_for_rows[-1] = 0.0  # Dirichlet row
-        sub2[: 2 * n - 2] = np.repeat(sub_for_rows[1:], 2)
-        ab[4] = sub2
-        return ab
-
-    P1 = np.zeros(n)
-    P2 = np.zeros(n)
-    E1, E2 = fields(P1, P2)
-    F = residual(P1, P2, E1, E2)
-    norm = float(np.max(np.abs(F)))
-
-    def fp_floor(P1, P2):
-        # Evaluation floor of the residual: the stencil rows cancel to
-        # rounding of the stored fields.
-        scale = max(1.0, float(np.max(np.abs(P1))), float(np.max(np.abs(P2))))
-        return 4.0 * np.finfo(float).eps * float(np.max(np.abs(dia))) * scale
-
-    for iteration in range(1, max_iter + 1):
-        if norm < tol:
-            return _finish_radial(params, mesh, P1, P2, u01, u02, iteration - 1, norm, fields)
-        ab = jacobian_banded(E1, E2)
-        step = solve_banded((2, 2), ab, -F)
-        d1 = step[0::2]
-        d2 = step[1::2]
-        t = 1.0
-        stalled = False
-        while True:
-            trial1 = P1 + t * d1
-            trial2 = P2 + t * d2
-            tE1, tE2 = fields(trial1, trial2)
-            tF = residual(trial1, trial2, tE1, tE2)
-            tnorm = float(np.max(np.abs(tF)))
-            if math.isfinite(tnorm) and tnorm < (1.0 - 1e-4 * t) * norm:
-                break
-            t *= 0.5
-            if t < 2.0**-30:
-                stalled = True
-                break
-        if stalled:
-            if norm <= max(tol, fp_floor(P1, P2)):
-                # Converged to the floating-point evaluation floor.
-                return _finish_radial(params, mesh, P1, P2, u01, u02, iteration, norm, fields)
-            raise NonConvergenceError(
-                "radial Newton line search stalled",
-                iterations=iteration,
-                residual=norm,
-                last_iterate=(P1, P2),
-            )
-        P1, P2, E1, E2, F, norm = trial1, trial2, tE1, tE2, tF, tnorm
-
-    if norm < tol:
-        return _finish_radial(params, mesh, P1, P2, u01, u02, max_iter, norm, fields)
-    raise NonConvergenceError(
-        f"radial solve did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {norm:.3e})",
-        iterations=max_iter,
-        residual=norm,
-        last_iterate=(P1, P2),
+    system = _RegularizedSystem(cd, bg, mesh)
+    z, iterations, norm = _damped_newton(
+        system.residual, system.jacobian, (2, 2), np.zeros(2 * mesh.n), tol, max_iter, "radial",
+        floor=system.floor,
     )
-
-
-def _finish_radial(params, mesh, P1, P2, u01, u02, iterations, norm, fields):
-    E1, E2 = fields(P1, P2)
+    P1, P2 = z[0::2].copy(), z[1::2].copy()
+    E1, E2 = system.fields(z)
     return RadialSolution(
         params=params,
         mesh=mesh,
         P1=P1,
         P2=P2,
-        u1=u01 + P1,
-        u2=u02 + P2,
+        u1=system.u01 + P1,
+        u2=system.u02 + P2,
         E1=E1,
         E2=E2,
         iterations=iterations,
@@ -435,6 +438,8 @@ def solve_profile_bps(
     field is anchored by ``Q1 = Q2 = 1`` at ``r_max``, letting ``f`` and
     ``f_NA`` decay naturally.  Convergence is measured on the sup norm of
     the collocation system; the reported ``residual`` field is that norm.
+    A :class:`NonConvergenceError` carries the last iterate packed as
+    ``(c1, c2, f_0, f_NA_0, Q1_0, Q2_0, f_1, ...)``.
     """
     if N < 2 or int(N) != N:
         raise ValueError(f"rank N must be an integer >= 2, got {N!r}")
@@ -536,40 +541,7 @@ def solve_profile_bps(
     y[:, 2] = np.tanh(0.8 * r)
     y[:, 3] = 1.0 - 0.2 * sech2
 
-    F = system(z)
-    norm = float(np.max(np.abs(F)))
-    for iteration in range(1, max_iter + 1):
-        if norm < tol:
-            return _finish_profile(mesh, z, unpack, iteration - 1, norm)
-        ab = jacobian(z)
-        step = solve_banded((5, 5), ab, -F)
-        t = 1.0
-        while True:
-            trial = z + t * step
-            tF = system(trial)
-            tnorm = float(np.max(np.abs(tF)))
-            if math.isfinite(tnorm) and tnorm < (1.0 - 1e-4 * t) * norm:
-                break
-            t *= 0.5
-            if t < 2.0**-30:
-                raise NonConvergenceError(
-                    "profile Newton line search stalled",
-                    iterations=iteration,
-                    residual=norm,
-                )
-        z, F, norm = trial, tF, tnorm
-
-    if norm < tol:
-        return _finish_profile(mesh, z, unpack, max_iter, norm)
-    raise NonConvergenceError(
-        f"profile solve did not reach tol={tol:g} in {max_iter} iterations "
-        f"(last residual {norm:.3e})",
-        iterations=max_iter,
-        residual=norm,
-    )
-
-
-def _finish_profile(mesh, z, unpack, iterations, norm):
+    z, iterations, norm = _damped_newton(system, jacobian, (5, 5), z, tol, max_iter, "profile")
     c1, c2, f, fna, q1, q2 = unpack(z)
     return ProfileSet(
         mesh=mesh,
@@ -598,20 +570,9 @@ def radial_system_residual(
     source; the outer node carries the Dirichlet mismatch.  This is the
     quantity the radial Newton iteration drives to zero.
     """
-    r = mesh.r
-    r2 = r * r
-    u01 = bg.u0_1(r2)
-    u02 = bg.u0_2(r2)
-    phi1, phi2 = discrete_source(bg, mesh)
-    with np.errstate(over="ignore"):
-        E1 = np.expm1(2.0 * (u01 + P1))
-        E2 = np.expm1(2.0 * (u02 + P2))
-    A = cd.A
-    res1 = apply_radial_laplacian(r, P1) - (A[0, 0] * E1 + A[0, 1] * E2 + phi1)
-    res2 = apply_radial_laplacian(r, P2) - (A[1, 0] * E1 + A[1, 1] * E2 + phi2)
-    res1[-1] = P1[-1] + u01[-1]
-    res2[-1] = P2[-1] + u02[-1]
-    return np.stack([res1, res2])
+    z = np.stack([P1, P2], axis=1).ravel()
+    F = _RegularizedSystem(cd, bg, mesh).residual(z)
+    return np.stack([F[0::2], F[1::2]])
 
 
 def reconstruct_profiles(sol: RadialSolution, params: ModelParams) -> ProfileSet:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +130,48 @@ class TestVerify:
         assert code == 2
         assert "match" in err
 
+    @staticmethod
+    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False):
+        """Copy a radial CSV without the named columns or metadata key."""
+        meta, header, *rows = csv.read_text().splitlines()
+        if meta_drop is not None:
+            meta = " ".join(item for item in meta.split() if not item.startswith(meta_drop + "="))
+        names = header.split(",")
+        keep = [k for k, name in enumerate(names) if name not in drop]
+        lines = [meta, ",".join(names[k] for k in keep) + (",extra" if extra_name else "")]
+        for row in rows:
+            values = row.split(",")
+            lines.append(",".join(values[k] for k in keep))
+        out.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "broken",
+        [{"drop": ("u2",)}, {"meta_drop": "tau"}, {"extra_name": True}],
+        ids=["no-u2-column", "no-tau-key", "header-longer-than-rows"],
+    )
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, broken):
+        csv = tmp_path / "radial.csv"
+        run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
+        bad = tmp_path / "bad.csv"
+        self._rewrite(csv, bad, **broken)
+        code, _, err = run(capsys, "verify", "--input", str(bad))
+        assert code == 2
+        assert "bad.csv" in err
+
+    def test_energy_columns_recomputed_from_u(self, tmp_path, capsys):
+        csv = tmp_path / "radial.csv"
+        run(
+            capsys, "solve-radial", "--N", "3", "--n1", "1", "--n2", "2",
+            "--nodes", "2000", "--out", str(csv),
+        )
+        lean = tmp_path / "lean.csv"
+        self._rewrite(csv, lean, drop=("E1", "E2"))
+        code, full_report, _ = run(capsys, "verify", "--input", str(csv))
+        assert code == 0
+        code, lean_report, _ = run(capsys, "verify", "--input", str(lean))
+        assert code == 0
+        assert lean_report == full_report
+
 
 class TestReportCommand:
     def test_report_round_trip(self, tmp_path, capsys):
@@ -183,6 +226,15 @@ class TestThreadCap:
     def test_valid(self, monkeypatch):
         monkeypatch.setenv("VORTEXLAB_THREADS", "4")
         assert thread_cap() == 4
+
+    def test_valid_value_leaves_environment_alone(self, monkeypatch, capsys):
+        # Thread variables set after numpy is loaded would have no effect.
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("VORTEXLAB_THREADS", "2")
+        code, *_ = run(capsys, "constants", "--N", "2")
+        assert code == 0
+        assert not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
 
     def test_invalid_values_exit_2(self, monkeypatch, capsys):
         for bad in ("0", "-2", "many"):

@@ -270,28 +270,6 @@ class TestFarFieldPreconditioner:
             assert np.all(edge == 0.0)
 
 
-class TestModuleLevelOps:
-    def test_wrappers_match_class(self):
-        from vortexlab.functional import energy, gradient, hessian_apply
-        from vortexlab.model import ModelParams
-
-        params = ModelParams(N=2, n1=1, n2=1)
-        grid = PlanarGrid(half_width=15.0, points_per_side=17, origin_offset=False)
-        fc = functional_coefficients(coupling_matrix(params))
-        bg = background(params)
-        func = DiscreteFunctional(grid, bg, fc)
-        rng = np.random.default_rng(31)
-        fp = random_pair(grid, rng)
-        d = random_pair(grid, rng)
-        assert energy(fp, grid, bg, fc) == func.energy(fp)
-        g_mod = gradient(fp, grid, bg, fc)
-        g_cls = func.gradient(fp)
-        assert g_mod.sup_diff(g_cls) == 0.0
-        h_mod = hessian_apply(fp, d, grid, bg, fc)
-        h_cls = func.hessian_apply(fp, d)
-        assert h_mod.sup_diff(h_cls) == 0.0
-
-
 class TestConvexity:
     def test_midpoint_convexity(self):
         func, grid, _ = make_problem()

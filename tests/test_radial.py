@@ -114,10 +114,11 @@ class TestSolveRadial:
         assert sol.u1.max() < 1e-6
 
     def test_reported_residual_matches_recheck(self):
-        params = ModelParams(N=2, n1=1, n2=1)
-        sol, cd, bg, mesh = solve(params)
-        res = radial_system_residual(cd, bg, mesh, sol.P1, sol.P2)
-        assert abs(np.max(np.abs(res)) - sol.residual) <= 1e-14 + 1e-10 * sol.residual
+        # The solver and the public residual evaluate the same code.
+        for N, n1, n2 in ((2, 1, 1), (3, 1, 2), (5, 2, 3)):
+            sol, cd, bg, mesh = solve(ModelParams(N=N, n1=n1, n2=n2))
+            res = radial_system_residual(cd, bg, mesh, sol.P1, sol.P2)
+            assert np.max(np.abs(res)) == sol.residual
 
     def test_flux_identity_general_rank(self):
         params = ModelParams(N=3, n1=1, n2=2)
@@ -140,8 +141,8 @@ class TestSolveRadial:
 
     def test_decay_rate_bounds(self):
         # One-sided: fitted rates sit at or above the proven bounds.  The
-        # equal-multiplicity rank-2 solution is a pure fast mode (the slow
-        # mode vanishes by swap symmetry), so its rate is near 2, not 1.
+        # rows of A sum to N, so n1 == n2 gives u1 == u2: a pure fast mode
+        # with no slow component, whose rate is near 2, not 1.
         for params, expected in (
             (ModelParams(N=2, n1=1, n2=1), (1.95, 2.15)),
             (ModelParams(N=3, n1=1, n2=2), (0.95, 1.15)),
@@ -263,6 +264,13 @@ class TestProfileSolver:
         params = ModelParams(N=3, n1=0.5, n2=0.0, theorem_mode=False)
         assert ode_residual(ps, params) < 1e-5
         assert abs(ps.Q1[-1] - 1.0) < 1e-3
+
+    def test_nonconvergence_diagnostics(self):
+        with pytest.raises(NonConvergenceError) as err:
+            solve_profile_bps(2, n=2000, max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
+        assert err.value.last_iterate is not None
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):

@@ -122,7 +122,8 @@ class TestDecayFit:
         # fast mode so the fit sits near 2, not near the slow rate 1.
         assert field["fitted_rate"] >= 0.85 * math.sqrt(sc.lambda0)
         assert 1.9 < field["fitted_rate"] < 2.2
-        # p*u1 + q*u2 vanishes identically by swap symmetry: the window is
+        # The rows of A sum to N, so n1 == n2 gives u1 == u2, and p + q = 0
+        # at N = 2: p*u1 + q*u2 vanishes identically and the window is
         # entirely below the floating-point floor.
         assert by_name["grad_pq"]["fitted_rate"] is None
         assert "floor" in by_name["grad_pq"]["warning"]
