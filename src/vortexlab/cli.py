@@ -15,15 +15,14 @@ Exit codes: 0 success, 1 solver non-convergence, 2 invalid parameters,
 configuration.  Reports are JSON text with all reals printed to 17
 significant digits, so parsing an emitted report reproduces it exactly.
 
-The environment variable ``VORTEXLAB_THREADS`` (integer >= 1) caps the
-worker threads of the underlying linear-algebra libraries when
-threadpoolctl is installed; without it the value is only validated.  All
-orchestration here is sequential.
+To cap the threads of the linear-algebra libraries, set
+``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -136,51 +135,33 @@ def _metadata_line(pairs: dict) -> str:
     return "# " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs.items())
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_csv(fh, meta: dict, header: list, columns: list) -> None:
+    """Metadata line, column header, then one row of 17-digit reals per node.
+
+    Adding ``0.0`` folds ``-0.0`` into ``0``.
+    """
+    np.savetxt(
+        fh,
+        np.column_stack(columns) + 0.0,
+        fmt="%.17g",
+        delimiter=",",
+        header=_metadata_line(meta) + "\n" + ",".join(header),
+        comments="",
+    )
 
 
-def _write_csv(path: Optional[str], meta: dict, header: list, columns: list) -> Optional[str]:
-    lines = [_metadata_line(meta), ",".join(header)]
-    stacked = np.column_stack(columns)
-    for row in stacked:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
+def _emit(path: Optional[str], write, note: str = "") -> None:
+    """Call ``write(fh)`` on the file ``path`` (utf-8, ``\\n`` newlines), or on stdout.
+
+    Only a written file is announced, by a ``wrote PATH`` line ending in
+    ``note``; stdout carries the output alone.
+    """
     if path is None:
-        return text
-    _write_text(path, text)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# thread cap
-# ---------------------------------------------------------------------------
-
-
-def thread_cap() -> Optional[int]:
-    """Validated value of ``VORTEXLAB_THREADS``, or None when unset."""
-    raw = os.environ.get("VORTEXLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"VORTEXLAB_THREADS must be an integer >= 1, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"VORTEXLAB_THREADS must be an integer >= 1, got {value}")
-    return value
-
-
-def _apply_thread_cap() -> None:
-    cap = thread_cap()
-    if cap is None:
+        write(sys.stdout)
         return
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    threadpoolctl.threadpool_limits(cap)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write(fh)
+    print(f"wrote {path}{note}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +194,7 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
 def _radial_solution_csv(params: ModelParams, sol: RadialSolution, tol: float) -> tuple[dict, list, list]:
     profiles = reconstruct_profiles(sol, params)
     meta = {
-        "N": params.N,
-        "n1": params.n1,
-        "n2": params.n2,
-        "tau": params.tau,
-        "theorem_mode": params.theorem_mode,
+        **dataclasses.asdict(params),
         "rmin": sol.mesh.r_min,
         "rmax": sol.mesh.r_max,
         "nodes": sol.mesh.n,
@@ -296,13 +273,7 @@ def _cmd_constants(args) -> int:
     sc = spectral_constants(cd)
     t1, t2 = flux_targets(params, sc)
     payload = {
-        "params": {
-            "N": params.N,
-            "n1": params.n1,
-            "n2": params.n2,
-            "tau": params.tau,
-            "theorem_mode": params.theorem_mode,
-        },
+        "params": dataclasses.asdict(params),
         "alpha": cd.alpha,
         "beta": cd.beta,
         "gamma": cd.gamma,
@@ -346,11 +317,11 @@ def _cmd_solve_radial(args) -> int:
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     sol = solve_radial_P(params, cd, bg, mesh, tol=args.tol, max_iter=args.max_iter)
     meta, header, cols = _radial_solution_csv(params, sol, args.tol)
-    text = _write_csv(args.out, meta, header, cols)
-    if text is not None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out} ({sol.iterations} iterations, residual {sol.residual:.3e})")
+    _emit(
+        args.out,
+        lambda fh: _write_csv(fh, meta, header, cols),
+        f" ({sol.iterations} iterations, residual {sol.residual:.3e})",
+    )
     return 0
 
 
@@ -371,11 +342,11 @@ def _cmd_solve_profile(args) -> int:
     }
     header = ["r", "f", "fNA", "Q1", "Q2"]
     cols = [ps.mesh.r, ps.f, ps.f_NA, ps.Q1, ps.Q2]
-    text = _write_csv(args.out, meta, header, cols)
-    if text is not None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out} ({ps.iterations} iterations, residual {ps.residual:.3e})")
+    _emit(
+        args.out,
+        lambda fh: _write_csv(fh, meta, header, cols),
+        f" ({ps.iterations} iterations, residual {ps.residual:.3e})",
+    )
     return 0
 
 
@@ -386,11 +357,7 @@ def _cmd_solve_planar(args) -> int:
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
     sol = solve_planar(params, cd, bg, grid, tol=args.tol, max_iter=args.max_iter)
     meta = {
-        "N": params.N,
-        "n1": params.n1,
-        "n2": params.n2,
-        "tau": params.tau,
-        "theorem_mode": params.theorem_mode,
+        **dataclasses.asdict(params),
         "box": grid.half_width,
         "grid": grid.points_per_side,
         "tol": args.tol,
@@ -410,11 +377,11 @@ def _cmd_solve_planar(args) -> int:
         sol.u1.ravel(),
         sol.u2.ravel(),
     ]
-    text = _write_csv(args.out, meta, header, cols)
-    if text is not None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out} ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})")
+    _emit(
+        args.out,
+        lambda fh: _write_csv(fh, meta, header, cols),
+        f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})",
+    )
     return 0
 
 
@@ -423,9 +390,9 @@ def _cmd_verify(args) -> int:
         print(f"error: solution file not found: {args.input}", file=sys.stderr)
         return 2
     params, sol = _load_radial_csv(args.input)
-    requested = {"N": args.N, "n1": args.n1, "n2": args.n2}
-    actual = {"N": params.N, "n1": params.n1, "n2": params.n2}
-    for key, want in requested.items():
+    actual = dataclasses.asdict(params)
+    for key in ("N", "n1", "n2"):
+        want = getattr(args, key)
         if want is not None and want != actual[key]:
             print(
                 f"error: requested {key}={want} does not match the solution file "
@@ -437,11 +404,7 @@ def _cmd_verify(args) -> int:
     sc = spectral_constants(cd)
     report = build_report(params, cd, sc, radial_sol=sol, window=tuple(args.window))
     text = emit_report(report)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, lambda fh: fh.write(text))
     return 0
 
 
@@ -476,11 +439,7 @@ def _cmd_report(args) -> int:
         window=tuple(args.window),
     )
     text = emit_report(report)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, lambda fh: fh.write(text))
     return 0
 
 
@@ -560,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

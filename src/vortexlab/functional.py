@@ -79,9 +79,6 @@ class PlanarGrid:
         x2 = self.coords**2
         return x2[:, None] + x2[None, :]
 
-    def interior_count(self) -> int:
-        return (self.points_per_side - 2) ** 2
-
 
 @dataclass
 class FieldPair:

@@ -47,6 +47,9 @@ from .model import (
 
 __all__ = ["PlanarSolution", "RadialSlice", "boundary_values", "solve_planar", "extract_radial_slice"]
 
+#: CG iterations allowed in one Newton step.
+CG_MAX_ITER = 20000
+
 
 @dataclass
 class PlanarSolution:
@@ -110,7 +113,6 @@ def solve_planar(
     tol: float = 1e-8,
     max_iter: int = 60,
     initial: Optional[FieldPair] = None,
-    cg_max_iter: int = 20000,
     exp_cap: float = DEFAULT_EXP_CAP,
 ) -> PlanarSolution:
     """Newton-CG minimization of the discrete functional.
@@ -124,7 +126,7 @@ def solve_planar(
 
     Each Newton system is solved by CG preconditioned with the far-field
     fast-Poisson operator, to ``||r||_2 <= eta * ||g||_2`` with
-    ``eta = min(0.5, sqrt(residual))``; ``cg_max_iter`` caps the CG
+    ``eta = min(0.5, sqrt(residual))``; ``CG_MAX_ITER`` caps the CG
     iterations of one Newton step.  Steps are backtracked on the energy
     change (Armijo); trial steps beyond ``exp_cap`` count as rejected.
     ``energy_history`` accumulates the start energy and the accepted
@@ -132,6 +134,8 @@ def solve_planar(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     fc = functional_coefficients(cd)
     func = DiscreteFunctional(grid, bg, fc, exp_cap=exp_cap)
     h2 = grid.cell_area
@@ -162,7 +166,7 @@ def solve_planar(
         # Inexact Newton: the CG forcing tolerance tightens as the outer
         # residual shrinks.
         eta = min(0.5, math.sqrt(gnorm))
-        change, cg_iters = _newton_step(func, precond, w, g, eta, cg_max_iter, iteration, gnorm)
+        change, cg_iters = _newton_step(func, precond, w, g, eta, iteration, gnorm)
         cg_total += cg_iters
         energy += change
         history.append(energy)
@@ -176,14 +180,14 @@ def solve_planar(
     )
 
 
-def _newton_step(func, precond, w, g, eta, cg_max_iter, iteration, gnorm):
+def _newton_step(func, precond, w, g, eta, iteration, gnorm):
     """One damped Newton step: update ``w`` in place.
 
     Returns the energy change and the CG iteration count.  The direction,
     its trial scalings and the CG work arrays all live in this frame and in
     :func:`_newton_direction`, so none outlives the step.
     """
-    d1, d2, cg_iters = _newton_direction(func, precond, w, g, eta, cg_max_iter, iteration, gnorm)
+    d1, d2, cg_iters = _newton_direction(func, precond, w, g, eta, iteration, gnorm)
 
     # Backtracking line search on the energy change (Armijo).  A trial that
     # overflows the exponent cap is rejected like any other.  Halving is
@@ -212,7 +216,7 @@ def _newton_step(func, precond, w, g, eta, cg_max_iter, iteration, gnorm):
     return change, cg_iters
 
 
-def _newton_direction(func, precond, w, g, eta, cg_max_iter, iteration, gnorm):
+def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
     """Preconditioned CG for ``H d = -g`` until ``||r||_2 <= eta * ||g||_2``.
 
     The stopping test is on the unpreconditioned residual.  Running in its
@@ -231,7 +235,7 @@ def _newton_direction(func, precond, w, g, eta, cg_max_iter, iteration, gnorm):
     rz_old = math.inf  # first pass: beta = 0, so p = z
     cg_iters = 0
     while math.sqrt(rr) > target:
-        if cg_iters >= cg_max_iter:
+        if cg_iters >= CG_MAX_ITER:
             raise NonConvergenceError(
                 "conjugate gradient exceeded its iteration cap",
                 iterations=iteration,

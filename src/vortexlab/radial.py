@@ -332,6 +332,8 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
     stalled.  Returns ``(z, iterations, norm)``; a failure raises
     :class:`NonConvergenceError` carrying the last accepted ``z``.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
     F = system(z)
     norm = float(np.max(np.abs(F)))
     for iteration in range(1, max_iter + 1):

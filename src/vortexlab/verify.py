@@ -19,7 +19,7 @@ into a measurement on a discrete one:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -313,13 +313,7 @@ def build_report(
         cross = cross_validate(radial_sol, planar_sol)
 
     return VerificationReport(
-        params={
-            "N": params.N,
-            "n1": params.n1,
-            "n2": params.n2,
-            "tau": params.tau,
-            "theorem_mode": params.theorem_mode,
-        },
+        params=asdict(params),
         constants={
             "alpha": cd.alpha,
             "beta": cd.beta,

@@ -1,12 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 
+import io
 import json
-import os
 
 import numpy as np
 import pytest
 
-from vortexlab.cli import emit_report, main, parse_report, thread_cap
+from vortexlab.cli import _fmt, _write_csv, emit_report, main, parse_report
 from vortexlab.model import ModelParams, background, coupling_matrix, spectral_constants
 from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import build_report
@@ -74,6 +74,21 @@ class TestSolveRadial:
         )
         assert code == 1
         assert "did not reach" in err or "stalled" in err
+
+
+class TestMaxIter:
+    @pytest.mark.parametrize(
+        "argv",
+        ["solve-radial --N 2 --nodes 1000", "solve-planar --N 2 --grid 32"],
+        ids=["radial", "planar"],
+    )
+    def test_negative_exits_2_and_zero_checks_the_start(self, capsys, argv):
+        code, _, err = run(capsys, *argv.split(), "--max-iter", "-1")
+        assert code == 2
+        assert "max_iter must be nonnegative" in err
+        code, _, err = run(capsys, *argv.split(), "--max-iter", "0")
+        assert code == 1
+        assert "did not reach" in err
 
 
 class TestSolveProfile:
@@ -218,27 +233,50 @@ class TestIOFailure:
         assert "I/O failure" in err
 
 
-class TestThreadCap:
-    def test_unset(self, monkeypatch):
-        monkeypatch.delenv("VORTEXLAB_THREADS", raising=False)
-        assert thread_cap() is None
-
-    def test_valid(self, monkeypatch):
-        monkeypatch.setenv("VORTEXLAB_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_valid_value_leaves_environment_alone(self, monkeypatch, capsys):
-        # Thread variables set after numpy is loaded would have no effect.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("VORTEXLAB_THREADS", "2")
-        code, *_ = run(capsys, "constants", "--N", "2")
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve-radial --N 3 --n1 1 --n2 2 --nodes 1000",
+            "solve-profile --N 2 --nodes 2000",
+            "solve-planar --N 2 --grid 32",
+            "report --N 2 --nodes 1000",
+        ],
+        ids=["radial", "profile", "planar", "report"],
+    )
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "output"
+        code, announced, _ = run(capsys, *argv.split(), "--out", str(path))
         assert code == 0
-        assert not {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ)
+        assert announced.startswith(f"wrote {path}")
+        assert announced.count("\n") == 1
+        code, printed, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert printed.encode("utf-8") == path.read_bytes()
 
-    def test_invalid_values_exit_2(self, monkeypatch, capsys):
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("VORTEXLAB_THREADS", bad)
-            code, _, err = run(capsys, "constants", "--N", "2")
-            assert code == 2
-            assert "VORTEXLAB_THREADS" in err
+    def test_csv_golden_bytes(self):
+        values = [-0.0, 0.1, 2.0, 5e-324, np.nan, np.inf, -np.inf]
+        fh = io.StringIO()
+        _write_csv(
+            fh,
+            {"N": 2, "tau": 0.1, "theorem_mode": True},
+            [f"c{k}" for k in range(len(values))],
+            [np.array([v]) for v in values],
+        )
+        assert fh.getvalue() == (
+            "# N=2 tau=0.10000000000000001 theorem_mode=true\n"
+            "c0,c1,c2,c3,c4,c5,c6\n"
+            "0,0.10000000000000001,2,4.9406564584124654e-324,nan,inf,-inf\n"
+        )
+
+    def test_csv_rows_match_per_value_format(self):
+        # Reference: each value through the report formatter, one at a time.
+        rng = np.random.default_rng(5)
+        columns = [
+            rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200) for _ in range(3)
+        ]
+        columns.append(np.array([-0.0, 0.0, 1e-310, -1e-310, np.nan] * 40))
+        fh = io.StringIO()
+        _write_csv(fh, {"N": 2}, ["a", "b", "c", "d"], columns)
+        rows = fh.getvalue().splitlines()[2:]
+        assert rows == [",".join(_fmt(float(v)) for v in row) for row in np.column_stack(columns)]

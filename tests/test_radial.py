@@ -275,3 +275,7 @@ class TestProfileSolver:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             solve_profile_bps(1)
+
+    def test_rejects_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_profile_bps(2, n=2000, max_iter=-1)
