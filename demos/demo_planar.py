@@ -14,34 +14,21 @@ import time
 
 import numpy as np
 
-from vortexlab import (
-    FieldPair,
-    ModelParams,
-    PlanarGrid,
-    background,
-    coupling_matrix,
-    radial_mesh,
-    solve_planar,
-    solve_radial_P,
-    spectral_constants,
-)
+from vortexlab import FieldPair, ModelParams, PlanarGrid, radial_mesh, solve_planar, solve_radial_P
 from vortexlab.verify import cross_validate, flux_integrals, uniqueness_check
 
 params = ModelParams(N=2, n1=1, n2=1)
-cd = coupling_matrix(params)
-sc = spectral_constants(cd)
-bg = background(params)
 grid = PlanarGrid(half_width=15.0, points_per_side=256)
 
 t0 = time.time()
-sol = solve_planar(params, cd, bg, grid, tol=1e-8)
+sol = solve_planar(params, grid, tol=1e-8)
 print(
     f"zero start: {sol.iterations} Newton steps, {sol.cg_iterations} CG iterations,"
     f" EL residual {sol.final_gradient_norm:.2e}, {time.time() - t0:.1f}s"
 )
 print(f"energy history: {['%.6f' % e for e in sol.energy_history]}")
 
-out = flux_integrals(sol, params, cd, sc)
+out = flux_integrals(sol)
 for rec in out["flux"]:
     print(f"{rec['name']}: value {rec['value']:+.6f}  target {rec['target']:+.6f}")
 
@@ -58,13 +45,13 @@ n = grid.points_per_side
 init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
 init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
 t0 = time.time()
-other = solve_planar(params, cd, bg, grid, tol=1e-8, initial=init)
+other = solve_planar(params, grid, tol=1e-8, initial=init)
 print(
     f"random start: {other.iterations} Newton steps, {time.time() - t0:.1f}s,"
     f" sup difference {uniqueness_check(sol, other)['sup_difference']:.2e}"
 )
 
 # Cross-validation against the radial formulation.
-rsol = solve_radial_P(params, cd, bg, radial_mesh(n=4000), tol=1e-9)
+rsol = solve_radial_P(params, radial_mesh(n=4000), tol=1e-9)
 rec = cross_validate(rsol, sol)
 print(f"radial-vs-planar sup difference on {rec['window']}: {rec['sup_difference']:.2e}")

@@ -12,8 +12,6 @@ import numpy as np
 
 from vortexlab import (
     ModelParams,
-    background,
-    coupling_matrix,
     ode_residual,
     radial_mesh,
     reconstruct_profiles,
@@ -42,10 +40,8 @@ for radius in (0.5, 1.0, 2.0, 5.0, 30.0):
     )
 
 # Cross-formulation check: the same vortex through the regularized system.
-cd = coupling_matrix(params)
-bg = background(params)
-rsol = solve_radial_P(params, cd, bg, radial_mesh(n=4000), tol=1e-9)
-rec = reconstruct_profiles(rsol, params)
+rsol = solve_radial_P(params, radial_mesh(n=4000), tol=1e-9)
+rec = reconstruct_profiles(rsol)
 print(f"\nhalf-integer radial solve: residual {rsol.residual:.2e}")
 print(f"reconstructed profile residual: {ode_residual(rec, params):.2e}")
 print(f"Q2(0+) from the two formulations: {ps.c2:.6f} vs {rec.Q2[0]:.6f}")

@@ -12,28 +12,18 @@ the fast-mode value 2; the asymmetric rank-3 run shows the generic rate 1.
 Both obey the one-sided bound rate >= sqrt(lambda0).
 """
 
-from vortexlab import (
-    ModelParams,
-    background,
-    coupling_matrix,
-    radial_mesh,
-    solve_radial_P,
-    spectral_constants,
-)
+from vortexlab import ModelParams, radial_mesh, solve_radial_P
 from vortexlab.verify import decay_fit, flux_integrals, pde_residual
 
 for params in (ModelParams(N=2, n1=1, n2=1), ModelParams(N=3, n1=1, n2=2)):
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
-    bg = background(params)
     mesh = radial_mesh(r_min=1e-4, r_max=30.0, n=4000)
 
-    sol = solve_radial_P(params, cd, bg, mesh, tol=1e-9)
+    sol = solve_radial_P(params, mesh, tol=1e-9)
     print(f"=== N = {params.N}, (n1, n2) = ({params.n1:g}, {params.n2:g}) ===")
     print(f"converged in {sol.iterations} Newton steps, residual {sol.residual:.2e}")
     print(f"u1 range: [{sol.u1.min():.4f}, {sol.u1.max():.4f}]")
 
-    out = flux_integrals(sol, params, cd, sc)
+    out = flux_integrals(sol)
     for rec in out["flux"]:
         tgt = rec["target"]
         print(
@@ -46,7 +36,7 @@ for params in (ModelParams(N=2, n1=1, n2=1), ModelParams(N=3, n1=1, n2=2)):
         f" vs exact ({comp['target_E1']:.6f}, {comp['target_E2']:.6f})"
     )
 
-    for rec in decay_fit(sol, params, sc):
+    for rec in decay_fit(sol):
         rate = rec["fitted_rate"]
         shown = f"{rate:.4f}" if rate is not None else f"none ({rec['warning']})"
         print(
@@ -54,5 +44,5 @@ for params in (ModelParams(N=2, n1=1, n2=1), ModelParams(N=3, n1=1, n2=2)):
             f"  one-sided bound {rec['paper_bound']:.4f}  linearized 1.0"
         )
 
-    print(f"scheme-consistent PDE residual: {pde_residual(sol, params, cd, bg):.2e}")
+    print(f"scheme-consistent PDE residual: {pde_residual(sol):.2e}")
     print()

@@ -12,8 +12,10 @@ Subcommands::
 Exit codes: 0 success, 1 solver non-convergence, 2 invalid parameters,
 3 I/O failure.  Output files carry a single ``#``-prefixed metadata line
 (key=value pairs) and are byte-identical across runs for a fixed
-configuration.  Reports are JSON text with all reals printed to 17
-significant digits, so parsing an emitted report reproduces it exactly.
+configuration.  Reports are JSON text with all finite reals printed to 17
+significant digits and non-finite ones as ``NaN``, ``Infinity`` and
+``-Infinity``, so parsing an emitted report reproduces it by value (a
+``NaN`` comes back as a NaN, which compares unequal to itself).
 
 To cap the threads of the linear-algebra libraries, set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -92,43 +95,23 @@ def _json_write(obj, out, indent=0) -> None:
             _json_write(val, out, indent + 1)
             out.append(",\n" if k + 1 < len(obj) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    elif isinstance(obj, str) or (isinstance(obj, float) and not math.isfinite(obj)):
+        out.append(json.dumps(obj))  # non-finite reals as NaN, Infinity, -Infinity
     else:
         out.append(_fmt(obj))
 
 
 def emit_report(report: VerificationReport) -> str:
-    """Serialize a report to JSON text (reals at 17 significant digits)."""
-    payload = {
-        "params": report.params,
-        "constants": report.constants,
-        "flux": report.flux,
-        "component_flux": report.component_flux,
-        "decay": report.decay,
-        "residuals": report.residuals,
-        "uniqueness": report.uniqueness,
-        "cross_validation": report.cross_validation,
-    }
+    """Serialize a report to JSON text, its fields in declaration order."""
     out: list[str] = []
-    _json_write(payload, out)
+    _json_write(dataclasses.asdict(report), out)
     out.append("\n")
     return "".join(out)
 
 
 def parse_report(text: str) -> VerificationReport:
     """Inverse of :func:`emit_report`; round-trips by value."""
-    d = json.loads(text)
-    return VerificationReport(
-        params=d["params"],
-        constants=d["constants"],
-        flux=d["flux"],
-        component_flux=d["component_flux"],
-        decay=d["decay"],
-        residuals=d["residuals"],
-        uniqueness=d.get("uniqueness"),
-        cross_validation=d.get("cross_validation"),
-    )
+    return VerificationReport(**json.loads(text))
 
 
 def _metadata_line(pairs: dict) -> str:
@@ -191,10 +174,10 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _radial_solution_csv(params: ModelParams, sol: RadialSolution, tol: float) -> tuple[dict, list, list]:
-    profiles = reconstruct_profiles(sol, params)
+def _radial_solution_csv(sol: RadialSolution, tol: float) -> tuple[dict, list, list]:
+    profiles = reconstruct_profiles(sol)
     meta = {
-        **dataclasses.asdict(params),
+        **dataclasses.asdict(sol.params),
         "rmin": sol.mesh.r_min,
         "rmax": sol.mesh.r_max,
         "nodes": sol.mesh.n,
@@ -217,7 +200,7 @@ def _radial_solution_csv(params: ModelParams, sol: RadialSolution, tol: float) -
     return meta, header, cols
 
 
-def _load_radial_csv(path: str) -> tuple[ModelParams, RadialSolution]:
+def _load_radial_csv(path: str) -> RadialSolution:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
@@ -247,7 +230,7 @@ def _load_radial_csv(path: str) -> tuple[ModelParams, RadialSolution]:
     r2 = mesh.r**2
     P1 = col["u1"] - bg.u0_1(r2)
     P2 = col["u2"] - bg.u0_2(r2)
-    sol = RadialSolution(
+    return RadialSolution(
         params=params,
         mesh=mesh,
         P1=P1,
@@ -259,7 +242,6 @@ def _load_radial_csv(path: str) -> tuple[ModelParams, RadialSolution]:
         iterations=int(float(meta.get("iterations", "0"))),
         residual=float(meta.get("residual", "nan")),
     )
-    return params, sol
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +293,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_solve_radial(args) -> int:
-    params = _params_from_args(args)
-    cd = coupling_matrix(params)
-    bg = background(params)
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
-    sol = solve_radial_P(params, cd, bg, mesh, tol=args.tol, max_iter=args.max_iter)
-    meta, header, cols = _radial_solution_csv(params, sol, args.tol)
+    sol = solve_radial_P(_params_from_args(args), mesh, tol=args.tol, max_iter=args.max_iter)
+    meta, header, cols = _radial_solution_csv(sol, args.tol)
     _emit(
         args.out,
         lambda fh: _write_csv(fh, meta, header, cols),
@@ -351,13 +330,10 @@ def _cmd_solve_profile(args) -> int:
 
 
 def _cmd_solve_planar(args) -> int:
-    params = _params_from_args(args)
-    cd = coupling_matrix(params)
-    bg = background(params)
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
-    sol = solve_planar(params, cd, bg, grid, tol=args.tol, max_iter=args.max_iter)
+    sol = solve_planar(_params_from_args(args), grid, tol=args.tol, max_iter=args.max_iter)
     meta = {
-        **dataclasses.asdict(params),
+        **dataclasses.asdict(sol.params),
         "box": grid.half_width,
         "grid": grid.points_per_side,
         "tol": args.tol,
@@ -389,8 +365,8 @@ def _cmd_verify(args) -> int:
     if not os.path.exists(args.input):
         print(f"error: solution file not found: {args.input}", file=sys.stderr)
         return 2
-    params, sol = _load_radial_csv(args.input)
-    actual = dataclasses.asdict(params)
+    sol = _load_radial_csv(args.input)
+    actual = dataclasses.asdict(sol.params)
     for key in ("N", "n1", "n2"):
         want = getattr(args, key)
         if want is not None and want != actual[key]:
@@ -400,9 +376,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
-    report = build_report(params, cd, sc, radial_sol=sol, window=tuple(args.window))
+    report = build_report(radial_sol=sol, window=tuple(args.window))
     text = emit_report(report)
     _emit(args.out, lambda fh: fh.write(text))
     return 0
@@ -410,29 +384,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     params = _params_from_args(args)
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
-    bg = background(params)
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
-    radial_sol = solve_radial_P(params, cd, bg, mesh, tol=args.tol)
+    radial_sol = solve_radial_P(params, mesh, tol=args.tol)
 
     planar_sol = None
     planar_alt = None
     if args.planar:
         grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
-        planar_sol = solve_planar(params, cd, bg, grid, tol=args.planar_tol)
+        planar_sol = solve_planar(params, grid, tol=args.planar_tol)
         if args.uniqueness:
             rng = np.random.default_rng(args.seed)
             init = FieldPair.zeros(grid)
             shape = (grid.points_per_side - 2, grid.points_per_side - 2)
             init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, shape)
             init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, shape)
-            planar_alt = solve_planar(params, cd, bg, grid, tol=args.planar_tol, initial=init)
+            planar_alt = solve_planar(params, grid, tol=args.planar_tol, initial=init)
 
     report = build_report(
-        params,
-        cd,
-        sc,
         radial_sol=radial_sol,
         planar_sol=planar_sol,
         planar_sol_alt=planar_alt,

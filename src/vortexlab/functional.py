@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldOverflowError
-from .model import BackgroundField, FunctionalCoefficients
+from .model import ModelParams, background, coupling_matrix, functional_coefficients
 
 __all__ = ["PlanarGrid", "FieldPair", "DiscreteFunctional"]
 
@@ -40,16 +40,15 @@ DEFAULT_EXP_CAP = 300.0
 class PlanarGrid:
     """Uniform tensor grid on the closed box ``[-L, L]^2``.
 
-    ``origin_offset`` guarantees no node sits at the exact origin: for an
-    even ``points_per_side`` the symmetric grid already avoids it, for an
-    odd count every node is shifted by ``h/2`` (which sacrifices the exact
-    negation symmetry of the node set).  Coordinates are built as integer
-    multiples of ``h/2`` so symmetric grids are symmetric to the last bit.
+    No node sits at the exact origin: for an even ``points_per_side`` the
+    symmetric grid already avoids it, for an odd count every node is
+    shifted by ``h/2`` (which sacrifices the exact negation symmetry of the
+    node set).  Coordinates are built as integer multiples of ``h/2`` so
+    symmetric grids are symmetric to the last bit.
     """
 
     half_width: float
     points_per_side: int
-    origin_offset: bool = True
     coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class PlanarGrid:
             raise ValueError(f"points_per_side must be an integer >= 16, got {n!r}")
         object.__setattr__(self, "points_per_side", int(n))
         ticks = 2 * np.arange(self.points_per_side) - (self.points_per_side - 1)
-        if self.origin_offset and self.points_per_side % 2 == 1:
+        if self.points_per_side % 2 == 1:
             ticks = ticks + 1  # shift by h/2; no node at the origin
         coords = ticks * (0.5 * self.spacing)
         coords.setflags(write=False)
@@ -146,23 +145,18 @@ def _neighbor_sum(w: np.ndarray) -> np.ndarray:
 
 
 class DiscreteFunctional:
-    """Energy, gradient and Hessian-vector product for fixed grid/background.
+    """Energy, gradient and Hessian-vector product of one problem on a grid.
 
-    Node arrays of the background are evaluated once at construction;
-    evaluation is then pure array arithmetic, deterministic in
-    single-threaded mode.
+    The coefficients ``fc`` and the node arrays of the background are
+    derived from ``params`` once, at construction; evaluation is then pure
+    array arithmetic, deterministic in single-threaded mode.
     """
 
-    def __init__(
-        self,
-        grid: PlanarGrid,
-        bg: BackgroundField,
-        fc: FunctionalCoefficients,
-        exp_cap: float = DEFAULT_EXP_CAP,
-    ):
+    def __init__(self, params: ModelParams, grid: PlanarGrid, exp_cap: float = DEFAULT_EXP_CAP):
         self.grid = grid
-        self.fc = fc
+        self.fc = functional_coefficients(coupling_matrix(params))
         self.exp_cap = float(exp_cap)
+        bg = background(params)
         r2 = grid.radius_squared()
         self.e2u01 = bg.exp_two_u0_1(r2)
         self.e2u02 = bg.exp_two_u0_2(r2)
@@ -327,16 +321,3 @@ class DiscreteFunctional:
             return z1, z2
 
         return apply
-
-    def hessian_apply(self, fp: FieldPair, direction: FieldPair) -> FieldPair:
-        """Hessian of the discrete energy at ``fp`` applied to ``direction``.
-
-        The direction is taken as an interior perturbation: its boundary
-        entries are ignored (treated as zero).
-        """
-        d1 = np.zeros_like(direction.w1)
-        d2 = np.zeros_like(direction.w2)
-        d1[1:-1, 1:-1] = direction.w1[1:-1, 1:-1]
-        d2[1:-1, 1:-1] = direction.w2[1:-1, 1:-1]
-        out1, out2 = self.hessian_operator(fp)(d1, d2)
-        return FieldPair(out1, out2)

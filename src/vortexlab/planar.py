@@ -37,13 +37,7 @@ import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError
 from .functional import DEFAULT_EXP_CAP, DiscreteFunctional, FieldPair, PlanarGrid
-from .model import (
-    BackgroundField,
-    CouplingData,
-    ModelParams,
-    background,
-    functional_coefficients,
-)
+from .model import ModelParams, background, coupling_matrix
 
 __all__ = ["PlanarSolution", "RadialSlice", "boundary_values", "solve_planar", "extract_radial_slice"]
 
@@ -64,7 +58,6 @@ class PlanarSolution:
     u2: np.ndarray
     E1: np.ndarray
     E2: np.ndarray
-    converged: bool
     iterations: int
     cg_iterations: int
     final_gradient_norm: float
@@ -81,17 +74,18 @@ class RadialSlice:
     u2: np.ndarray
 
 
-def boundary_values(cd: CouplingData, bg: BackgroundField, grid: PlanarGrid) -> FieldPair:
+def boundary_values(params: ModelParams, grid: PlanarGrid) -> FieldPair:
     """Dirichlet data on the box edge: ``w = L^-1 @ (-u0)``, zero interior.
 
     With ``P = L @ w`` this pins ``u = u0 + P`` to zero on the boundary,
     the truncated form of the topological condition at infinity.
     """
+    bg = background(params)
     r2 = grid.radius_squared()
     u01 = bg.u0_1(r2)
     u02 = bg.u0_2(r2)
     g1 = -u01
-    g2 = cd.gamma * u01 - u02
+    g2 = coupling_matrix(params).gamma * u01 - u02
     out = FieldPair.zeros(grid)
     for w, g in ((out.w1, g1), (out.w2, g2)):
         w[0, :] = g[0, :]
@@ -107,8 +101,6 @@ def _dot(a1, a2, b1, b2) -> float:
 
 def solve_planar(
     params: ModelParams,
-    cd: CouplingData,
-    bg: BackgroundField,
     grid: PlanarGrid,
     tol: float = 1e-8,
     max_iter: int = 60,
@@ -118,11 +110,12 @@ def solve_planar(
     """Newton-CG minimization of the discrete functional.
 
     ``tol`` bounds the sup norm of the per-node Euler-Lagrange residual
-    (gradient divided by cell area).  The initial field defaults to zero
-    interior values, and its boundary entries are overwritten by the lifted
-    Dirichlet data.  Every start that converges reaches the same minimizer
-    (strict convexity); the module docstring lists the starts measured to
-    converge within the default ``max_iter``.
+    (gradient divided by cell area).  The iteration starts from the lifted
+    Dirichlet data of :func:`boundary_values` with the interior of
+    ``initial`` (zero by default); the edge of ``initial`` is ignored.
+    Every start that converges reaches the same minimizer (strict
+    convexity); the module docstring lists the starts measured to converge
+    within the default ``max_iter``.
 
     Each Newton system is solved by CG preconditioned with the far-field
     fast-Poisson operator, to ``||r||_2 <= eta * ||g||_2`` with
@@ -136,18 +129,14 @@ def solve_planar(
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    fc = functional_coefficients(cd)
-    func = DiscreteFunctional(grid, bg, fc, exp_cap=exp_cap)
+    func = DiscreteFunctional(params, grid, exp_cap=exp_cap)
     h2 = grid.cell_area
 
-    w = FieldPair.zeros(grid) if initial is None else initial.copy()
-    w.validate()
-    bvals = boundary_values(cd, bg, grid)
-    for field, data in ((w.w1, bvals.w1), (w.w2, bvals.w2)):
-        field[0, :] = data[0, :]
-        field[-1, :] = data[-1, :]
-        field[:, 0] = data[:, 0]
-        field[:, -1] = data[:, -1]
+    w = boundary_values(params, grid)
+    if initial is not None:
+        initial.validate()
+        w.w1[1:-1, 1:-1] = initial.w1[1:-1, 1:-1]
+        w.w2[1:-1, 1:-1] = initial.w2[1:-1, 1:-1]
 
     precond = func.far_field_preconditioner()
     energy = func.energy(w)
@@ -157,9 +146,7 @@ def solve_planar(
         g = func.gradient(w)
         gnorm = max(float(np.max(np.abs(g.w1))), float(np.max(np.abs(g.w2)))) / h2
         if gnorm < tol:
-            return _finish_planar(
-                params, grid, bg, cd, w, True, iteration, cg_total, gnorm, energy, history
-            )
+            return _finish_planar(params, grid, w, iteration, cg_total, gnorm, energy, history)
         if iteration == max_iter:
             break
 
@@ -268,9 +255,10 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
     return d1, d2, cg_iters
 
 
-def _finish_planar(params, grid, bg, cd, w, converged, iterations, cg_total, gnorm, energy, history):
+def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history):
     P1 = w.w1
-    P2 = cd.gamma * w.w1 + w.w2
+    P2 = coupling_matrix(params).gamma * w.w1 + w.w2
+    bg = background(params)
     r2 = grid.radius_squared()
     u1 = bg.u0_1(r2) + P1
     u2 = bg.u0_2(r2) + P2
@@ -287,7 +275,6 @@ def _finish_planar(params, grid, bg, cd, w, converged, iterations, cg_total, gno
         u2=u2,
         E1=E1,
         E2=E2,
-        converged=converged,
         iterations=iterations,
         cg_iterations=cg_total,
         final_gradient_norm=gnorm,
@@ -305,8 +292,6 @@ def extract_radial_slice(sol: PlanarSolution) -> RadialSlice:
     background is added analytically, so the slice is second-order accurate
     even close to the origin.
     """
-    if not sol.converged:
-        raise ValueError("radial slice requires a converged solution")
     coords = sol.grid.coords
     pos = coords > 0.0
     r = coords[pos]

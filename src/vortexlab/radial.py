@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError
-from .model import BackgroundField, CouplingData, ModelParams, background
+from .model import BackgroundField, ModelParams, background, coupling_matrix
 
 __all__ = [
     "RadialMesh",
@@ -265,15 +265,16 @@ class _RegularizedSystem:
     is banded with widths (2, 2).  The residual is ``lap_h(P) - A @ E -
     Phi_h`` with the finite-volume stencil and the scheme-consistent
     source; the outer node carries the Dirichlet mismatch ``P_i +
-    u0_i(r_max)``.  Background, source and stencil are evaluated once, on
-    construction.
+    u0_i(r_max)``.  Coupling matrix, background, source and stencil are
+    derived from ``params`` once, on construction.
     """
 
-    def __init__(self, cd: CouplingData, bg: BackgroundField, mesh: RadialMesh):
+    def __init__(self, params: ModelParams, mesh: RadialMesh):
+        bg = background(params)
         r = mesh.r
         n = r.size
         r2 = r * r
-        self.A = cd.A
+        self.A = coupling_matrix(params).A
         self.u01 = bg.u0_1(r2)
         self.u02 = bg.u0_2(r2)
         self.phi1, self.phi2 = discrete_source(bg, mesh)
@@ -372,8 +373,6 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
 
 def solve_radial_P(
     params: ModelParams,
-    cd: CouplingData,
-    bg: BackgroundField,
     mesh: RadialMesh,
     tol: float = 1e-10,
     max_iter: int = 200,
@@ -388,7 +387,7 @@ def solve_radial_P(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    system = _RegularizedSystem(cd, bg, mesh)
+    system = _RegularizedSystem(params, mesh)
     z, iterations, norm = _damped_newton(
         system.residual, system.jacobian, (2, 2), np.zeros(2 * mesh.n), tol, max_iter, "radial",
         floor=system.floor,
@@ -564,7 +563,7 @@ def solve_profile_bps(
 
 
 def radial_system_residual(
-    cd: CouplingData, bg: BackgroundField, mesh: RadialMesh, P1: np.ndarray, P2: np.ndarray
+    params: ModelParams, mesh: RadialMesh, P1: np.ndarray, P2: np.ndarray
 ) -> np.ndarray:
     """Componentwise residual of the discrete regularized system, shape (2, n).
 
@@ -573,11 +572,11 @@ def radial_system_residual(
     quantity the radial Newton iteration drives to zero.
     """
     z = np.stack([P1, P2], axis=1).ravel()
-    F = _RegularizedSystem(cd, bg, mesh).residual(z)
+    F = _RegularizedSystem(params, mesh).residual(z)
     return np.stack([F[0::2], F[1::2]])
 
 
-def reconstruct_profiles(sol: RadialSolution, params: ModelParams) -> ProfileSet:
+def reconstruct_profiles(sol: RadialSolution) -> ProfileSet:
     """Profile functions from a radial solution of the regularized system.
 
     ``f_NA = r (u1' - u2')``, ``f = r (u1' + (N-1) u2')``; the slopes split
@@ -585,6 +584,7 @@ def reconstruct_profiles(sol: RadialSolution, params: ModelParams) -> ProfileSet
     central differences only on the smooth parts, and ``Q_i`` is evaluated
     in the stable rational-power form times ``exp(P_i)``.
     """
+    params = sol.params
     r = sol.mesh.r
     bg = background(params)
     du1 = bg.u0_prime_1(r) + central_derivative(r, sol.P1)

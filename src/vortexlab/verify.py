@@ -14,6 +14,9 @@ into a measurement on a discrete one:
 * scheme-consistent residuals of the governing system;
 * uniqueness and radial-vs-planar cross-validation, both direct
   consequences of strict convexity.
+
+Every check takes solutions only: the coupling data, background and
+spectral constants it needs are derived from ``sol.params``.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import (
-    BackgroundField,
-    CouplingData,
     ModelParams,
-    SpectralConstants,
     background,
     component_flux_targets,
+    coupling_matrix,
     flux_integrand_rows,
     flux_targets,
+    spectral_constants,
 )
 from .planar import PlanarSolution, extract_radial_slice
 from .radial import (
@@ -78,11 +80,6 @@ class VerificationReport:
     cross_validation: Optional[dict] = None
 
 
-def _require_converged(sol: Solution) -> None:
-    if isinstance(sol, PlanarSolution) and not sol.converged:
-        raise ValueError("verification requires a converged solution")
-
-
 def _flux_sums(sol: Solution) -> tuple[float, float]:
     """Plane integrals of (E1, E2): trapezoid in r or cell sum on the grid."""
     if isinstance(sol, RadialSolution):
@@ -97,15 +94,15 @@ def _flux_sums(sol: Solution) -> tuple[float, float]:
     return h2 * float(np.sum(sol.E1)), h2 * float(np.sum(sol.E2))
 
 
-def flux_integrals(
-    sol: Solution, params: ModelParams, cd: CouplingData, sc: SpectralConstants
-) -> dict:
+def flux_integrals(sol: Solution) -> dict:
     """Quadrature of the two flux integrands compared with their targets.
 
     Also reports the component integrals of ``(E1, E2)`` against the exact
     values fixed by the coupling matrix alone.
     """
-    _require_converged(sol)
+    params = sol.params
+    cd = coupling_matrix(params)
+    sc = spectral_constants(cd)
     s1, s2 = _flux_sums(sol)
     rows = flux_integrand_rows(cd, sc)
     targets = flux_targets(params, sc)
@@ -169,12 +166,7 @@ def _axis_fields(sol: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sl.r, sl.u1, sl.u2
 
 
-def decay_fit(
-    sol: Solution,
-    params: ModelParams,
-    sc: SpectralConstants,
-    window: tuple[float, float] = (10.0, 14.0),
-) -> list:
+def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list:
     """Fitted exponential decay rates of the tracked far-field quantities.
 
     Tracked: the weighted field vector ``|(p*u1, 2*u2)|``; the alternative
@@ -187,7 +179,7 @@ def decay_fit(
     sum to ``N`` and so ``u1 == u2`` solves the system; the fitted rate then
     sits near the fast-mode rate ``sqrt(2*lambda3)`` instead of 1.
     """
-    _require_converged(sol)
+    sc = spectral_constants(coupling_matrix(sol.params))
     r, u1, u2 = _axis_fields(sol)
     m, p, q = sc.m, sc.p, sc.q
     combo_m = m * u1 + 2.0 * u2
@@ -210,24 +202,22 @@ def decay_fit(
     return records
 
 
-def pde_residual(
-    sol: Solution, params: ModelParams, cd: CouplingData, bg: BackgroundField
-) -> float:
+def pde_residual(sol: Solution) -> float:
     """Sup norm of the governing-system residual, scheme-consistent.
 
     For radial solutions this is the solver's own discrete system.  For
     planar solutions the 5-point Laplacian of ``(P1, P2)`` is compared
     with ``A @ E + Phi`` at interior nodes.
     """
-    _require_converged(sol)
     if isinstance(sol, RadialSolution):
-        res = radial_system_residual(cd, bg, sol.mesh, sol.P1, sol.P2)
+        res = radial_system_residual(sol.params, sol.mesh, sol.P1, sol.P2)
         return float(np.max(np.abs(res[:, :-1])))
+    bg = background(sol.params)
     h2 = sol.grid.cell_area
     r2 = sol.grid.radius_squared()
     phi1 = bg.phi_1(r2)[1:-1, 1:-1]
     phi2 = bg.phi_2(r2)[1:-1, 1:-1]
-    A = cd.A
+    A = coupling_matrix(sol.params).A
     sup = 0.0
     for P, phi, row in ((sol.P1, phi1, A[0]), (sol.P2, phi2, A[1])):
         lap = (
@@ -250,7 +240,6 @@ def cross_validate(radial: RadialSolution, planar: PlanarSolution) -> dict:
     """
     if not _params_match(radial.params, planar.params):
         raise ValueError("cross-validation requires matching model parameters")
-    _require_converged(planar)
     sl = extract_radial_slice(planar)
     hi = min(10.0, planar.grid.half_width - 5.0)
     mask = (sl.r >= 0.5) & (sl.r <= hi)
@@ -272,15 +261,10 @@ def uniqueness_check(sol_a: PlanarSolution, sol_b: PlanarSolution) -> dict:
     """Sup-norm agreement of two solves that differ only in initialization."""
     if not _params_match(sol_a.params, sol_b.params):
         raise ValueError("uniqueness check requires matching model parameters")
-    _require_converged(sol_a)
-    _require_converged(sol_b)
     return {"sup_difference": sol_a.w.sup_diff(sol_b.w)}
 
 
 def build_report(
-    params: ModelParams,
-    cd: CouplingData,
-    sc: SpectralConstants,
     radial_sol: Optional[RadialSolution] = None,
     planar_sol: Optional[PlanarSolution] = None,
     planar_sol_alt: Optional[PlanarSolution] = None,
@@ -291,19 +275,21 @@ def build_report(
     Fluxes, decay fits and the governing residual come from the radial
     solution when given (it is the finer discretization), otherwise from
     the planar one.  The profile-equation residual is measured on profiles
-    reconstructed from the radial solution.
+    reconstructed from the radial solution.  The model parameters are those
+    of that primary solution.
     """
     primary: Optional[Solution] = radial_sol if radial_sol is not None else planar_sol
     if primary is None:
         raise ValueError("need at least one solution to build a report")
-    bg = background(params)
+    params = primary.params
+    cd = coupling_matrix(params)
+    sc = spectral_constants(cd)
 
-    fluxes = flux_integrals(primary, params, cd, sc)
-    decay = decay_fit(primary, params, sc, window=window)
-    residuals: dict = {"pde_sup": pde_residual(primary, params, cd, bg), "ode_sup": None}
+    fluxes = flux_integrals(primary)
+    decay = decay_fit(primary, window=window)
+    residuals: dict = {"pde_sup": pde_residual(primary), "ode_sup": None}
     if radial_sol is not None:
-        profiles = reconstruct_profiles(radial_sol, params)
-        residuals["ode_sup"] = ode_residual(profiles, params)
+        residuals["ode_sup"] = ode_residual(reconstruct_profiles(radial_sol), params)
 
     uniqueness = None
     if planar_sol is not None and planar_sol_alt is not None:

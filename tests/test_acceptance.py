@@ -18,11 +18,9 @@ from scipy.special import k0
 from vortexlab.functional import DiscreteFunctional, FieldPair, PlanarGrid
 from vortexlab.model import (
     ModelParams,
-    background,
     component_flux_targets,
     coupling_matrix,
     flux_targets,
-    functional_coefficients,
     spectral_constants,
 )
 from vortexlab.planar import solve_planar
@@ -41,8 +39,8 @@ def criterion(num, desc, checks):
     assert ok, f"criterion {num}: " + "; ".join(label for label, p, _ in checks if not p)
 
 
-def field_fit(sol, sc, window=(10.0, 14.0)):
-    rec = {r["quantity"]: r for r in decay_fit(sol, sol.params, sc, window=window)}
+def field_fit(sol, window=(10.0, 14.0)):
+    rec = {r["quantity"]: r for r in decay_fit(sol, window=window)}
     return rec["field"]
 
 
@@ -58,52 +56,45 @@ def k0_fitted_rate(r, k, window):
 
 
 @pytest.fixture(scope="module")
-def case_rank2():
-    params = ModelParams(N=2, n1=1, n2=1, tau=1.0)
-    cd = coupling_matrix(params)
-    return params, cd, spectral_constants(cd), background(params)
+def params_rank2():
+    return ModelParams(N=2, n1=1, n2=1, tau=1.0)
 
 
 @pytest.fixture(scope="module")
-def radial_rank2(case_rank2):
-    params, cd, sc, bg = case_rank2
-    return solve_radial_P(params, cd, bg, radial_mesh(r_max=30.0, n=4000), tol=1e-9)
+def radial_rank2(params_rank2):
+    return solve_radial_P(params_rank2, radial_mesh(r_max=30.0, n=4000), tol=1e-9)
 
 
 @pytest.fixture(scope="module")
-def radial_rank2_fine(case_rank2):
-    params, cd, sc, bg = case_rank2
-    return solve_radial_P(params, cd, bg, radial_mesh(r_max=30.0, n=7999), tol=1e-9)
+def radial_rank2_fine(params_rank2):
+    return solve_radial_P(params_rank2, radial_mesh(r_max=30.0, n=7999), tol=1e-9)
 
 
 @pytest.fixture(scope="module")
-def planar_rank2(case_rank2):
-    params, cd, sc, bg = case_rank2
+def planar_rank2(params_rank2):
     grid = PlanarGrid(half_width=15.0, points_per_side=512)
-    return solve_planar(params, cd, bg, grid, tol=1e-8)
+    return solve_planar(params_rank2, grid, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
-def planar_rank2_fine(case_rank2):
-    params, cd, sc, bg = case_rank2
+def planar_rank2_fine(params_rank2):
     grid = PlanarGrid(half_width=15.0, points_per_side=1024)
-    return solve_planar(params, cd, bg, grid, tol=1e-8)
+    return solve_planar(params_rank2, grid, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
-def planar_rank2_random(case_rank2):
-    params, cd, sc, bg = case_rank2
+def planar_rank2_random(params_rank2):
     grid = PlanarGrid(half_width=15.0, points_per_side=512)
     rng = np.random.default_rng(20240)
     init = FieldPair.zeros(grid)
     n = grid.points_per_side
     init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
     init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
-    return solve_planar(params, cd, bg, grid, tol=1e-8, initial=init)
+    return solve_planar(params_rank2, grid, tol=1e-8, initial=init)
 
 
-def flux_errors(sol, params, cd, sc):
-    out = flux_integrals(sol, params, cd, sc)
+def flux_errors(sol):
+    out = flux_integrals(sol)
     rec1, rec2 = out["flux"]
     return rec1, rec2, out["component_flux"]
 
@@ -153,7 +144,7 @@ def test_criterion_2_gradient_hessian_suite():
     t0 = time.time()
     params = ModelParams(N=2, n1=1, n2=1)
     grid = PlanarGrid(half_width=15.0, points_per_side=33)
-    func = DiscreteFunctional(grid, background(params), functional_coefficients(coupling_matrix(params)))
+    func = DiscreteFunctional(params, grid)
     rng = np.random.default_rng(11)
     n = grid.points_per_side
 
@@ -211,12 +202,14 @@ def test_criterion_2_gradient_hessian_suite():
     criterion(2, f"gradient/Hessian suite, 33x33 grid ({time.time() - t0:.2f}s)", checks)
 
 
-def test_criterion_3_radial_rank2(case_rank2, radial_rank2):
+def test_criterion_3_radial_rank2(params_rank2, radial_rank2):
     t0 = time.time()
-    params, cd, sc, bg = case_rank2
+    params = params_rank2
+    cd = coupling_matrix(params)
+    sc = spectral_constants(cd)
     sol = radial_rank2
-    rec1, rec2, comp = flux_errors(sol, params, cd, sc)
-    fit = field_fit(sol, sc)
+    rec1, rec2, comp = flux_errors(sol)
+    fit = field_fit(sol)
     rate = fit["fitted_rate"]
     c_t = component_flux_targets(params, cd)
     k = math.sqrt(2.0 * sc.lambda3)
@@ -244,10 +237,9 @@ def test_criterion_4_radial_rank3():
     params = ModelParams(N=3, n1=1, n2=2)
     cd = coupling_matrix(params)
     sc = spectral_constants(cd)
-    bg = background(params)
-    sol = solve_radial_P(params, cd, bg, radial_mesh(r_max=30.0, n=4000), tol=1e-9)
-    rec1, rec2, _ = flux_errors(sol, params, cd, sc)
-    rate = field_fit(sol, sc)["fitted_rate"]
+    sol = solve_radial_P(params, radial_mesh(r_max=30.0, n=4000), tol=1e-9)
+    rec1, rec2, _ = flux_errors(sol)
+    rate = field_fit(sol)["fitted_rate"]
     bound = 0.85 * math.sqrt(sc.lambda0)
     t1, t2 = flux_targets(params, sc)
     checks = [
@@ -263,11 +255,10 @@ def test_criterion_4_radial_rank3():
     criterion(4, f"radial solve, rank 3, n=(1,2) ({time.time() - t0:.2f}s)", checks)
 
 
-def test_criterion_5_planar_rank2(case_rank2, radial_rank2, planar_rank2):
+def test_criterion_5_planar_rank2(radial_rank2, planar_rank2):
     t0 = time.time()
-    params, cd, sc, bg = case_rank2
     sol = planar_rank2
-    rec1, rec2, _ = flux_errors(sol, params, cd, sc)
+    rec1, rec2, _ = flux_errors(sol)
     cross = cross_validate(radial_rank2, sol)
     sym = max(
         float(np.max(np.abs(sol.u1 - sol.u1[::-1, :]))),
@@ -276,7 +267,7 @@ def test_criterion_5_planar_rank2(case_rank2, radial_rank2, planar_rank2):
         float(np.max(np.abs(sol.u2 - sol.u2[:, ::-1]))),
     )
     checks = [
-        ("converged at tol 1e-8", sol.converged and sol.final_gradient_norm < 1e-8,
+        ("converged at tol 1e-8", sol.final_gradient_norm < 1e-8,
          f"EL residual {sol.final_gradient_norm:.2e} in {sol.iterations} Newton steps"),
         ("theorem flux 1 within 2%", rec1["rel_error"] < 0.02, f"rel {rec1['rel_error']:.2e}"),
         ("theorem flux 2 within 0.02*16pi", rec2["abs_error"] < 0.02 * 16.0 * PI,
@@ -293,8 +284,8 @@ def test_criterion_6_uniqueness(planar_rank2, planar_rank2_random):
     diff = planar_rank2.w.sup_diff(planar_rank2_random.w)
     checks = [
         ("zero and random initializations agree < 1e-6", diff < 1e-6, f"sup diff {diff:.2e}"),
-        ("both runs converged",
-         planar_rank2.converged and planar_rank2_random.converged,
+        ("both runs converged at tol 1e-8",
+         planar_rank2.final_gradient_norm < 1e-8 and planar_rank2_random.final_gradient_norm < 1e-8,
          f"{planar_rank2.iterations} and {planar_rank2_random.iterations} Newton steps"),
     ]
     criterion(6, f"uniqueness probe, two initializations ({time.time() - t0:.2f}s)", checks)
@@ -324,13 +315,11 @@ def test_criterion_7_profile_rank2():
     criterion(7, f"profile solve, rank 2 ({time.time() - t0:.2f}s)", checks)
 
 
-def test_criterion_8_refinement(case_rank2, radial_rank2, radial_rank2_fine,
-                                planar_rank2, planar_rank2_fine):
+def test_criterion_8_refinement(radial_rank2, radial_rank2_fine, planar_rank2, planar_rank2_fine):
     t0 = time.time()
-    params, cd, sc, bg = case_rank2
 
     def flux1_error(sol):
-        rec1, _, comp = flux_errors(sol, params, cd, sc)
+        rec1, _, comp = flux_errors(sol)
         return rec1["abs_error"], comp["abs_error_E1"]
 
     r_coarse, rc_comp = flux1_error(radial_rank2)

@@ -2,14 +2,15 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from vortexlab.cli import _fmt, _write_csv, emit_report, main, parse_report
-from vortexlab.model import ModelParams, background, coupling_matrix, spectral_constants
+from vortexlab.model import ModelParams
 from vortexlab.radial import radial_mesh, solve_radial_P
-from vortexlab.verify import build_report
+from vortexlab.verify import VerificationReport, build_report
 
 
 def run(capsys, *argv):
@@ -203,23 +204,26 @@ class TestReportCommand:
 
 class TestReportSerialization:
     def test_round_trip_by_value(self):
-        params = ModelParams(N=2, n1=1, n2=1)
-        cd = coupling_matrix(params)
-        sc = spectral_constants(cd)
-        bg = background(params)
-        sol = solve_radial_P(params, cd, bg, radial_mesh(n=1000), tol=1e-9)
-        report = build_report(params, cd, sc, radial_sol=sol)
+        sol = solve_radial_P(ModelParams(N=2, n1=1, n2=1), radial_mesh(n=1000), tol=1e-9)
+        report = build_report(radial_sol=sol)
         assert parse_report(emit_report(report)) == report
 
     def test_seventeen_digit_reals(self):
-        params = ModelParams(N=3, n1=1, n2=2)
-        cd = coupling_matrix(params)
-        sc = spectral_constants(cd)
-        bg = background(params)
-        sol = solve_radial_P(params, cd, bg, radial_mesh(n=1000), tol=1e-9)
-        text = emit_report(build_report(params, cd, sc, radial_sol=sol))
+        sol = solve_radial_P(ModelParams(N=3, n1=1, n2=2), radial_mesh(n=1000), tol=1e-9)
+        text = emit_report(build_report(radial_sol=sol))
         # A non-terminating binary fraction keeps all 17 significant digits.
         assert "1.3333333333333333" in text  # alpha at rank 3
+
+    def test_non_finite_reals_round_trip(self):
+        report = VerificationReport(
+            params={}, constants={}, flux=[], component_flux={}, decay=[],
+            residuals={"inf": math.inf, "minus_inf": -math.inf, "nan": math.nan},
+        )
+        text = emit_report(report)
+        assert '"inf": Infinity' in text and '"minus_inf": -Infinity' in text
+        back = parse_report(text).residuals
+        assert back["inf"] == math.inf and back["minus_inf"] == -math.inf
+        assert math.isnan(back["nan"])
 
 
 class TestIOFailure:

@@ -5,7 +5,7 @@ import pytest
 
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, FieldPair, PlanarGrid
-from vortexlab.model import ModelParams, background, coupling_matrix, functional_coefficients
+from vortexlab.model import ModelParams, background, coupling_matrix
 from vortexlab.planar import _newton_direction, boundary_values, extract_radial_slice, solve_planar
 from vortexlab.radial import radial_mesh, solve_radial_P
 
@@ -19,30 +19,24 @@ def make(N=2, n1=1, n2=1, tau=1.0, theorem_mode=None):
 @pytest.fixture(scope="module")
 def default_solution():
     params = make()
-    cd = coupling_matrix(params)
-    bg = background(params)
     grid = PlanarGrid(half_width=15.0, points_per_side=128)
-    return params, cd, bg, grid, solve_planar(params, cd, bg, grid, tol=1e-8)
+    return params, grid, solve_planar(params, grid, tol=1e-8)
 
 
 class TestVacuum:
     def test_zero_field_is_exact(self):
         params = make(n1=0, n2=0)
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        sol = solve_planar(params, cd, bg, grid, tol=1e-8)
-        assert sol.converged and sol.iterations <= 2
+        sol = solve_planar(params, grid, tol=1e-8)
+        assert sol.final_gradient_norm < 1e-8 and sol.iterations <= 2
         assert sol.final_energy == 0.0
         assert np.max(np.abs(sol.w.w1)) == 0.0
         assert np.max(np.abs(sol.u1)) == 0.0
 
     def test_vacuum_slice_is_zero(self):
         params = make(n1=0, n2=0)
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        sol = solve_planar(params, cd, bg, grid, tol=1e-8)
+        sol = solve_planar(params, grid, tol=1e-8)
         sl = extract_radial_slice(sol)
         assert np.max(np.abs(sl.u1)) == 0.0 and np.max(np.abs(sl.u2)) == 0.0
 
@@ -50,7 +44,6 @@ class TestVacuum:
 class TestSolve:
     def test_converged_metadata(self, default_solution):
         *_, sol = default_solution
-        assert sol.converged
         assert sol.final_gradient_norm < 1e-8
         assert sol.iterations > 0 and sol.cg_iterations > 0
         assert sol.final_energy < 0.0
@@ -78,52 +71,46 @@ class TestSolve:
         assert sol.u1.max() <= 0.05 and sol.u2.max() <= 0.05
 
     def test_uniqueness_from_random_start(self, default_solution):
-        params, cd, bg, grid, sol = default_solution
+        params, grid, sol = default_solution
         rng = np.random.default_rng(5)
         init = FieldPair.zeros(grid)
         n = grid.points_per_side
         init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
         init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
-        other = solve_planar(params, cd, bg, grid, tol=1e-8, initial=init)
-        assert other.converged
+        other = solve_planar(params, grid, tol=1e-8, initial=init)
+        assert other.final_gradient_norm < 1e-8
         assert sol.w.sup_diff(other.w) < 1e-6
 
     def test_overflow_initial_field_raises(self):
         params = make()
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         init = FieldPair.zeros(grid)
         init.w1[10, 10] = 400.0
         with pytest.raises(FieldOverflowError):
-            solve_planar(params, cd, bg, grid, initial=init)
+            solve_planar(params, grid, initial=init)
 
     def test_overflowing_trial_step_is_backtracked(self):
         # The first full Newton step from this start drives an exponent past
         # the cap of 5; the line search must reject it and backtrack.
         params = make()
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         init = FieldPair.zeros(grid)
         init.w1[1:-1, 1:-1] = -1.2
         init.w2[1:-1, 1:-1] = 1.0
-        sol = solve_planar(params, cd, bg, grid, tol=1e-8, initial=init, exp_cap=5.0)
-        assert sol.converged
-        assert sol.w.sup_diff(solve_planar(params, cd, bg, grid, tol=1e-8).w) < 1e-6
+        sol = solve_planar(params, grid, tol=1e-8, initial=init, exp_cap=5.0)
+        assert sol.final_gradient_norm < 1e-8
+        assert sol.w.sup_diff(solve_planar(params, grid, tol=1e-8).w) < 1e-6
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_cg_iterations_independent_of_grid(self, n):
         params = make()
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=n)
-        sol = solve_planar(params, cd, bg, grid, tol=1e-8)
+        sol = solve_planar(params, grid, tol=1e-8)
         assert sol.cg_iterations <= 5 * sol.iterations
 
     def test_energy_change_resolves_last_newton_decrease(self, default_solution):
-        params, cd, bg, grid, sol = default_solution
-        func = DiscreteFunctional(grid, bg, functional_coefficients(cd))
+        params, grid, sol = default_solution
+        func = DiscreteFunctional(params, grid)
         g = func.gradient(sol.w)
         d1, d2, _ = _newton_direction(
             func, func.far_field_preconditioner(), sol.w, g, 1e-6, 0, sol.final_gradient_norm
@@ -138,25 +125,22 @@ class TestSolve:
 
     def test_max_iter_exhaustion(self):
         params = make()
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         with pytest.raises(NonConvergenceError) as err:
-            solve_planar(params, cd, bg, grid, tol=1e-12, max_iter=1)
+            solve_planar(params, grid, tol=1e-12, max_iter=1)
         assert err.value.last_iterate is not None
 
 
 class TestBoundaryValues:
     def test_lifted_data_cancels_background(self):
         params = make()
-        cd = coupling_matrix(params)
-        bg = background(params)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        g = boundary_values(cd, bg, grid)
+        g = boundary_values(params, grid)
         # P = L @ w reproduces -u0 on the edge.
+        bg = background(params)
         r2 = grid.radius_squared()
         P1 = g.w1
-        P2 = cd.gamma * g.w1 + g.w2
+        P2 = coupling_matrix(params).gamma * g.w1 + g.w2
         for P, u0 in ((P1, bg.u0_1(r2)), (P2, bg.u0_2(r2))):
             assert np.max(np.abs(P[0, :] + u0[0, :])) < 1e-15
             assert np.max(np.abs(P[:, -1] + u0[:, -1])) < 1e-15
@@ -165,9 +149,10 @@ class TestBoundaryValues:
 
 class TestRadialSlice:
     def test_slice_matches_radial_solution(self, default_solution):
-        params, cd, bg, grid, sol = default_solution
+        params, grid, sol = default_solution
+        bg = background(params)
         mesh = radial_mesh(n=2000)
-        rsol = solve_radial_P(params, cd, bg, mesh, tol=1e-9)
+        rsol = solve_radial_P(params, mesh, tol=1e-9)
         sl = extract_radial_slice(sol)
         mask = (sl.r >= 0.5) & (sl.r <= 10.0)
         r = sl.r[mask]
@@ -181,11 +166,3 @@ class TestRadialSlice:
         sl = extract_radial_slice(sol)
         # Outermost axis sample sits next to the zero-field edge.
         assert abs(sl.u1[-1]) < 1e-3
-
-    def test_slice_requires_convergence(self, default_solution):
-        *_, sol = default_solution
-        import dataclasses
-
-        broken = dataclasses.replace(sol, converged=False)
-        with pytest.raises(ValueError):
-            extract_radial_slice(broken)

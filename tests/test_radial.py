@@ -8,7 +8,6 @@ import pytest
 from vortexlab.errors import NonConvergenceError
 from vortexlab.model import (
     ModelParams,
-    background,
     component_flux_targets,
     coupling_matrix,
     spectral_constants,
@@ -27,10 +26,7 @@ from vortexlab.radial import (
 
 
 def solve(params, n=2000, tol=1e-9, r_max=30.0):
-    cd = coupling_matrix(params)
-    bg = background(params)
-    mesh = radial_mesh(r_max=r_max, n=n)
-    return solve_radial_P(params, cd, bg, mesh, tol=tol), cd, bg, mesh
+    return solve_radial_P(params, radial_mesh(r_max=r_max, n=n), tol=tol)
 
 
 def disc_flux(mesh, E):
@@ -91,22 +87,22 @@ class TestDerivatives:
 class TestSolveRadial:
     def test_vacuum_is_exact(self):
         params = ModelParams(N=3, n1=0, n2=0, theorem_mode=False)
-        sol, *_ = solve(params, n=1000)
+        sol = solve(params, n=1000)
         assert sol.iterations == 0
         assert np.max(np.abs(sol.P1)) == 0.0 and np.max(np.abs(sol.P2)) == 0.0
         assert sol.residual < 1e-12
 
     def test_symmetric_pair(self):
         params = ModelParams(N=2, n1=1, n2=1)
-        sol, cd, bg, mesh = solve(params)
+        sol = solve(params)
         assert sol.residual < 1e-8
         # Outer boundary pins the physical fields to zero.
         assert sol.u1[-1] == 0.0 and sol.u2[-1] == 0.0
         # The rank-2 equal-multiplicity system is swap-symmetric.
         assert np.max(np.abs(sol.u1 - sol.u2)) < 1e-12
-        f1 = disc_flux(mesh, sol.E1)
-        f2 = disc_flux(mesh, sol.E2)
-        comp = component_flux_targets(params, cd)
+        f1 = disc_flux(sol.mesh, sol.E1)
+        f2 = disc_flux(sol.mesh, sol.E2)
+        comp = component_flux_targets(params, coupling_matrix(params))
         assert abs(f1 - comp[0]) < 0.005 * abs(comp[0])
         assert abs(f2 - comp[1]) < 0.005 * abs(comp[1])
         # Diagnostic expectation (not a theorem): fields nonpositive up to
@@ -116,27 +112,27 @@ class TestSolveRadial:
     def test_reported_residual_matches_recheck(self):
         # The solver and the public residual evaluate the same code.
         for N, n1, n2 in ((2, 1, 1), (3, 1, 2), (5, 2, 3)):
-            sol, cd, bg, mesh = solve(ModelParams(N=N, n1=n1, n2=n2))
-            res = radial_system_residual(cd, bg, mesh, sol.P1, sol.P2)
+            sol = solve(ModelParams(N=N, n1=n1, n2=n2))
+            res = radial_system_residual(sol.params, sol.mesh, sol.P1, sol.P2)
             assert np.max(np.abs(res)) == sol.residual
 
     def test_flux_identity_general_rank(self):
         params = ModelParams(N=3, n1=1, n2=2)
-        sol, cd, bg, mesh = solve(params)
-        f1 = disc_flux(mesh, sol.E1)
-        f2 = disc_flux(mesh, sol.E2)
-        comp = component_flux_targets(params, cd)
+        sol = solve(params)
+        f1 = disc_flux(sol.mesh, sol.E1)
+        f2 = disc_flux(sol.mesh, sol.E2)
+        comp = component_flux_targets(params, coupling_matrix(params))
         scale = max(abs(comp[0]), abs(comp[1]))
         assert abs(f1 - comp[0]) < 0.01 * scale
         assert abs(f2 - comp[1]) < 0.01 * scale
 
     def test_flux_error_second_order(self):
         params = ModelParams(N=2, n1=1, n2=1)
+        comp = component_flux_targets(params, coupling_matrix(params))
         errs = []
         for n in (2000, 3999):
-            sol, cd, bg, mesh = solve(params, n=n)
-            comp = component_flux_targets(params, cd)
-            errs.append(abs(disc_flux(mesh, sol.E1) - comp[0]))
+            sol = solve(params, n=n)
+            errs.append(abs(disc_flux(sol.mesh, sol.E1) - comp[0]))
         assert errs[0] / errs[1] >= 3.0
 
     def test_decay_rate_bounds(self):
@@ -147,8 +143,8 @@ class TestSolveRadial:
             (ModelParams(N=2, n1=1, n2=1), (1.95, 2.15)),
             (ModelParams(N=3, n1=1, n2=2), (0.95, 1.15)),
         ):
-            sol, cd, *_ = solve(params, n=4000)
-            sc = spectral_constants(cd)
+            sol = solve(params, n=4000)
+            sc = spectral_constants(coupling_matrix(params))
             r = sol.mesh.r
             v = np.hypot(sc.p * sol.u1, 2.0 * sol.u2)
             mask = (r >= 10.0) & (r <= 14.0)
@@ -158,27 +154,21 @@ class TestSolveRadial:
 
     def test_nonconvergence_diagnostics(self):
         params = ModelParams(N=2, n1=1, n2=1)
-        cd = coupling_matrix(params)
-        bg = background(params)
-        mesh = radial_mesh(n=1000)
         with pytest.raises(NonConvergenceError) as err:
-            solve_radial_P(params, cd, bg, mesh, tol=1e-9, max_iter=1)
+            solve_radial_P(params, radial_mesh(n=1000), tol=1e-9, max_iter=1)
         assert err.value.residual is not None
         assert err.value.last_iterate is not None
 
     def test_rejects_bad_tolerance(self):
         params = ModelParams(N=2, n1=1, n2=1)
-        cd = coupling_matrix(params)
-        bg = background(params)
         with pytest.raises(ValueError):
-            solve_radial_P(params, cd, bg, radial_mesh(n=1000), tol=0.0)
+            solve_radial_P(params, radial_mesh(n=1000), tol=0.0)
 
 
 class TestReconstruct:
     def test_origin_limits(self):
         params = ModelParams(N=2, n1=1, n2=1)
-        sol, *_ = solve(params, n=4000)
-        ps = reconstruct_profiles(sol, params)
+        ps = reconstruct_profiles(solve(params, n=4000))
         # f -> 2*n1 + 2*(N-1)*n2 and f_NA -> 2*(n1 - n2) at the axis.
         assert abs(ps.f[0] - 4.0) < 0.02 * 4.0
         assert abs(ps.f_NA[0]) < 0.02
@@ -188,8 +178,7 @@ class TestReconstruct:
 
     def test_asymmetric_origin_limits(self):
         params = ModelParams(N=3, n1=1, n2=2)
-        sol, *_ = solve(params, n=4000)
-        ps = reconstruct_profiles(sol, params)
+        ps = reconstruct_profiles(solve(params, n=4000))
         assert abs(ps.f[0] - (2.0 + 4.0 * 2.0)) < 0.02 * 10.0
         assert abs(ps.f_NA[0] - (-2.0)) < 0.02 * 2.0
 
@@ -210,8 +199,7 @@ class TestOdeResidual:
         # boundary data, so the reconstructed profiles must satisfy the
         # first-order system.
         params = ModelParams(N=2, n1=0.5, n2=0.0, theorem_mode=False)
-        sol, *_ = solve(params, n=4000)
-        ps = reconstruct_profiles(sol, params)
+        ps = reconstruct_profiles(solve(params, n=4000))
         assert abs(ps.f[0] - 1.0) < 0.02
         assert abs(ps.f_NA[0] - 1.0) < 0.02
         assert ode_residual(ps, params) < 1e-4
@@ -248,8 +236,7 @@ class TestProfileSolver:
 
     def test_matches_half_integer_radial_solve(self, solved):
         params = ModelParams(N=2, n1=0.5, n2=0.0, theorem_mode=False)
-        sol, *_ = solve(params, n=4000)
-        ps = reconstruct_profiles(sol, params)
+        ps = reconstruct_profiles(solve(params, n=4000))
         # Q2(0+) from two independent formulations.
         assert solved.c2 == pytest.approx(ps.Q2[0], abs=1e-3)
 

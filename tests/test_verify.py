@@ -25,32 +25,25 @@ from vortexlab.verify import (
 )
 
 
+def flux1_target(params):
+    return flux_targets(params, spectral_constants(coupling_matrix(params)))[0]
+
+
 @pytest.fixture(scope="module")
 def radial_case():
-    params = ModelParams(N=2, n1=1, n2=1)
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
-    bg = background(params)
-    sol = solve_radial_P(params, cd, bg, radial_mesh(n=4000), tol=1e-9)
-    return params, cd, sc, bg, sol
+    return solve_radial_P(ModelParams(N=2, n1=1, n2=1), radial_mesh(n=4000), tol=1e-9)
 
 
 @pytest.fixture(scope="module")
 def planar_case():
-    params = ModelParams(N=2, n1=1, n2=1)
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
-    bg = background(params)
     grid = PlanarGrid(half_width=15.0, points_per_side=128)
-    sol = solve_planar(params, cd, bg, grid, tol=1e-8)
-    return params, cd, sc, bg, sol
+    return solve_planar(ModelParams(N=2, n1=1, n2=1), grid, tol=1e-8)
 
 
 class TestFluxIntegrals:
     def test_radial_fluxes_hit_targets(self, radial_case):
-        params, cd, sc, bg, sol = radial_case
-        out = flux_integrals(sol, params, cd, sc)
-        t1, _ = flux_targets(params, sc)
+        out = flux_integrals(radial_case)
+        t1 = flux1_target(radial_case.params)
         rec1, rec2 = out["flux"]
         assert rec1["rel_error"] < 0.005
         assert rec2["target"] == 0.0 and rec2["rel_error"] is None
@@ -60,30 +53,21 @@ class TestFluxIntegrals:
         assert comp["abs_error_E2"] < 0.005 * abs(comp["target_E2"])
 
     def test_planar_fluxes_hit_targets(self, planar_case):
-        params, cd, sc, bg, sol = planar_case
-        out = flux_integrals(sol, params, cd, sc)
-        t1, _ = flux_targets(params, sc)
+        out = flux_integrals(planar_case)
+        t1 = flux1_target(planar_case.params)
         rec1, rec2 = out["flux"]
         assert rec1["rel_error"] < 0.02
         assert rec2["abs_error"] < 0.02 * abs(t1)
 
     def test_vacuum_fluxes_are_zero(self):
         params = ModelParams(N=2, n1=0, n2=0, theorem_mode=False)
-        cd = coupling_matrix(params)
-        sc = spectral_constants(cd)
-        bg = background(params)
-        sol = solve_radial_P(params, cd, bg, radial_mesh(n=1000), tol=1e-9)
-        out = flux_integrals(sol, params, cd, sc)
+        out = flux_integrals(solve_radial_P(params, radial_mesh(n=1000), tol=1e-9))
         for rec in out["flux"]:
             assert rec["value"] == 0.0 and rec["target"] == 0.0
 
     def test_asymmetric_targets(self):
         params = ModelParams(N=2, n1=2, n2=1)
-        cd = coupling_matrix(params)
-        sc = spectral_constants(cd)
-        bg = background(params)
-        sol = solve_radial_P(params, cd, bg, radial_mesh(n=2000), tol=1e-9)
-        out = flux_integrals(sol, params, cd, sc)
+        out = flux_integrals(solve_radial_P(params, radial_mesh(n=2000), tol=1e-9))
         rec1, rec2 = out["flux"]
         assert rec1["target"] == pytest.approx(-24.0 * math.pi)
         assert rec2["target"] == pytest.approx(-8.0 * math.pi)
@@ -92,13 +76,14 @@ class TestFluxIntegrals:
 
 class TestQuadratureSanity:
     def test_source_quadrature_matches_closed_form(self, radial_case, planar_case):
-        params, cd, sc, bg, rsol = radial_case
+        rsol = radial_case
+        bg = background(rsol.params)
         r = rsol.mesh.r
         quad = float(np.trapezoid(bg.phi_1(r * r) * 2.0 * math.pi * r, r))
         target = bg.phi_disc_integral(1, rsol.mesh.r_max)
         assert abs(quad - target) < 0.005 * 4.0 * math.pi
         # Same check with the planar cell sum over the box.
-        *_, psol = planar_case
+        psol = planar_case
         h2 = psol.grid.cell_area
         cell = h2 * float(np.sum(bg.phi_1(psol.grid.radius_squared())))
         assert abs(cell - 4.0 * math.pi) < 0.005 * 4.0 * math.pi
@@ -106,16 +91,15 @@ class TestQuadratureSanity:
 
 class TestDecayFit:
     def test_bounds_for_rank_two(self, radial_case):
-        params, cd, sc, bg, sol = radial_case
-        records = decay_fit(sol, params, sc)
+        records = decay_fit(radial_case)
         by_name = {r["quantity"]: r for r in records}
         assert by_name["field"]["paper_bound"] == pytest.approx(1.0)
         assert by_name["grad_m2"]["paper_bound"] == pytest.approx(math.sqrt(0.5))
         assert all(r["linearized_rate"] == 1.0 for r in records)
 
     def test_symmetric_case_rates(self, radial_case):
-        params, cd, sc, bg, sol = radial_case
-        records = decay_fit(sol, params, sc)
+        sc = spectral_constants(coupling_matrix(radial_case.params))
+        records = decay_fit(radial_case)
         by_name = {r["quantity"]: r for r in records}
         field = by_name["field"]
         # One-sided bound holds; the equal-multiplicity solution is a pure
@@ -130,11 +114,8 @@ class TestDecayFit:
 
     def test_generic_case_near_linearized_rate(self):
         params = ModelParams(N=3, n1=1, n2=2)
-        cd = coupling_matrix(params)
-        sc = spectral_constants(cd)
-        bg = background(params)
-        sol = solve_radial_P(params, cd, bg, radial_mesh(n=4000), tol=1e-9)
-        records = decay_fit(sol, params, sc)
+        sc = spectral_constants(coupling_matrix(params))
+        records = decay_fit(solve_radial_P(params, radial_mesh(n=4000), tol=1e-9))
         by_name = {r["quantity"]: r for r in records}
         assert by_name["field"]["paper_bound"] == pytest.approx(
             math.sqrt((17.0 - math.sqrt(181.0)) / 6.0)
@@ -144,58 +125,46 @@ class TestDecayFit:
         assert by_name["grad_m2"]["fitted_rate"] >= 0.85 * math.sqrt(sc.lambda_)
 
     def test_planar_solution_supported(self, planar_case):
-        params, cd, sc, bg, sol = planar_case
-        records = decay_fit(sol, params, sc, window=(8.0, 12.0))
+        records = decay_fit(planar_case, window=(8.0, 12.0))
         by_name = {r["quantity"]: r for r in records}
         assert by_name["field"]["fitted_rate"] is not None
 
 
 class TestPdeResidual:
     def test_radial_matches_solver(self, radial_case):
-        params, cd, sc, bg, sol = radial_case
-        assert pde_residual(sol, params, cd, bg) <= sol.residual * (1.0 + 1e-12)
+        assert pde_residual(radial_case) <= radial_case.residual * (1.0 + 1e-12)
 
     def test_planar_scaled_gradient(self, planar_case):
-        params, cd, sc, bg, sol = planar_case
-        assert pde_residual(sol, params, cd, bg) < 1e-7
+        assert pde_residual(planar_case) < 1e-7
 
     def test_perturbation_jump(self, planar_case):
-        params, cd, sc, bg, sol = planar_case
         import copy
 
-        bumped = copy.deepcopy(sol)
+        bumped = copy.deepcopy(planar_case)
         n = bumped.grid.points_per_side
         bumped.P1[n // 2, n // 2] += 1e-3
         h2 = bumped.grid.cell_area
-        res = pde_residual(bumped, params, cd, bg)
+        res = pde_residual(bumped)
         assert res == pytest.approx(1e-3 * 4.0 / h2, rel=0.05)
 
 
 class TestCrossValidate:
     def test_agreement(self, radial_case, planar_case):
-        params, cd, sc, bg, rsol = radial_case
-        *_, psol = planar_case
-        rec = cross_validate(rsol, psol)
+        rec = cross_validate(radial_case, planar_case)
         assert rec["sup_difference"] < 5e-3
         assert rec["window"] == [0.5, 10.0]
         assert rec["n_points"] > 10
 
     def test_mismatched_params_rejected(self, radial_case):
-        params, cd, sc, bg, rsol = radial_case
-        other = ModelParams(N=3, n1=1, n2=2)
-        ocd = coupling_matrix(other)
-        obg = background(other)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        psol = solve_planar(other, ocd, obg, grid, tol=1e-7)
+        psol = solve_planar(ModelParams(N=3, n1=1, n2=2), grid, tol=1e-7)
         with pytest.raises(ValueError):
-            cross_validate(rsol, psol)
+            cross_validate(radial_case, psol)
 
 
 class TestReport:
     def test_full_report_structure(self, radial_case, planar_case):
-        params, cd, sc, bg, rsol = radial_case
-        *_, psol = planar_case
-        report = build_report(params, cd, sc, radial_sol=rsol, planar_sol=psol)
+        report = build_report(radial_sol=radial_case, planar_sol=planar_case)
         assert report.params["N"] == 2
         assert set(report.constants) >= {"alpha", "beta", "lambda0", "m", "p", "q"}
         assert len(report.flux) == 2 and len(report.decay) == 4
@@ -205,11 +174,9 @@ class TestReport:
         assert report.uniqueness is None
 
     def test_uniqueness_section(self, planar_case):
-        params, cd, sc, bg, sol = planar_case
-        rec = uniqueness_check(sol, sol)
+        rec = uniqueness_check(planar_case, planar_case)
         assert rec["sup_difference"] == 0.0
 
-    def test_report_needs_a_solution(self, radial_case):
-        params, cd, sc, *_ = radial_case
+    def test_report_needs_a_solution(self):
         with pytest.raises(ValueError):
-            build_report(params, cd, sc)
+            build_report()
