@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from vortexlab import FieldPair, ModelParams, PlanarGrid, radial_mesh, solve_planar, solve_radial_P
+from vortexlab import ModelParams, PlanarGrid, radial_mesh, solve_planar, solve_radial_P
 from vortexlab.verify import cross_validate, flux_integrals, uniqueness_check
 
 params = ModelParams(N=2, n1=1, n2=1)
@@ -40,10 +40,9 @@ print(f"four-fold symmetry defect: {sym:.2e}")
 
 # Uniqueness probe: a random start lands on the same minimizer.
 rng = np.random.default_rng(7)
-init = FieldPair.zeros(grid)
 n = grid.points_per_side
-init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
-init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
+init = np.zeros((2, n, n))  # w1 = init[0], w2 = init[1]
+init[:, 1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (2, n - 2, n - 2))
 t0 = time.time()
 other = solve_planar(params, grid, tol=1e-8, initial=init)
 print(

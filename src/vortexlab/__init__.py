@@ -16,7 +16,7 @@ The package splits into six modules:
 """
 
 from .errors import FieldOverflowError, NonConvergenceError, VortexlabError
-from .functional import DiscreteFunctional, FieldPair, PlanarGrid
+from .functional import DiscreteFunctional, PlanarGrid
 from .model import (
     BackgroundField,
     CouplingData,
@@ -59,7 +59,6 @@ __all__ = [
     "CouplingData",
     "DiscreteFunctional",
     "FieldOverflowError",
-    "FieldPair",
     "FunctionalCoefficients",
     "ModelParams",
     "NonConvergenceError",

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergenceError, VortexlabError
-from .functional import FieldPair, PlanarGrid
+from .functional import PlanarGrid
 from .model import (
     ModelParams,
     background,
@@ -348,8 +348,8 @@ def _cmd_solve_planar(args) -> int:
     cols = [
         X,
         Y,
-        sol.w.w1.ravel(),
-        sol.w.w2.ravel(),
+        sol.w[0].ravel(),
+        sol.w[1].ravel(),
         sol.u1.ravel(),
         sol.u2.ravel(),
     ]
@@ -394,10 +394,9 @@ def _cmd_report(args) -> int:
         planar_sol = solve_planar(params, grid, tol=args.planar_tol)
         if args.uniqueness:
             rng = np.random.default_rng(args.seed)
-            init = FieldPair.zeros(grid)
-            shape = (grid.points_per_side - 2, grid.points_per_side - 2)
-            init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, shape)
-            init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, shape)
+            n = grid.points_per_side
+            init = np.zeros((2, n, n))
+            init[:, 1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (2, n - 2, n - 2))
             planar_alt = solve_planar(params, grid, tol=args.planar_tol, initial=init)
 
     report = build_report(

@@ -8,6 +8,12 @@ gradient and Hessian-vector product returned here are the *exact*
 derivatives of the discrete energy, so finite-difference checks pass at
 machine-level tolerance and strict convexity survives discretization.
 
+The field pair ``(w1, w2)`` is one float array of shape ``(2, n, n)``,
+index 0 holding ``w1`` and index 1 ``w2``; the gradient, Hessian
+directions and preconditioner inputs and outputs share that layout.
+Boundary entries are Dirichlet data; only interior entries are degrees of
+freedom.
+
 Exponential-minus-one terms are evaluated with ``expm1`` so small fields
 do not lose precision, and an exponent cap (default 300) rejects fields
 that could only arise from a diverging outer iteration.  The energy
@@ -31,7 +37,7 @@ import numpy as np
 from .errors import FieldOverflowError
 from .model import ModelParams, background, coupling_matrix, functional_coefficients
 
-__all__ = ["PlanarGrid", "FieldPair", "DiscreteFunctional"]
+__all__ = ["PlanarGrid", "DiscreteFunctional"]
 
 DEFAULT_EXP_CAP = 300.0
 
@@ -77,39 +83,6 @@ class PlanarGrid:
         """``|x|**2`` at every node, shape (n, n) with x along axis 0."""
         x2 = self.coords**2
         return x2[:, None] + x2[None, :]
-
-
-@dataclass
-class FieldPair:
-    """The two scalar fields of the transformed system on grid nodes.
-
-    Boundary entries are Dirichlet data (zero unless a solver installs
-    lifted values); only interior entries are degrees of freedom.
-    """
-
-    w1: np.ndarray
-    w2: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: PlanarGrid) -> "FieldPair":
-        n = grid.points_per_side
-        return cls(np.zeros((n, n)), np.zeros((n, n)))
-
-    def copy(self) -> "FieldPair":
-        return FieldPair(self.w1.copy(), self.w2.copy())
-
-    def validate(self) -> None:
-        for name, w in (("w1", self.w1), ("w2", self.w2)):
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise ValueError(f"{name} must be a square 2-D array, got shape {w.shape}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} contains non-finite entries")
-
-    def sup_diff(self, other: "FieldPair") -> float:
-        return max(
-            float(np.max(np.abs(self.w1 - other.w1))),
-            float(np.max(np.abs(self.w2 - other.w2))),
-        )
 
 
 def _edge_energy(w: np.ndarray) -> float:
@@ -165,9 +138,9 @@ class DiscreteFunctional:
 
     # -- helpers -----------------------------------------------------------
 
-    def _exponents(self, fp: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-        s1 = 2.0 * fp.w1
-        s2 = 2.0 * (self.fc.a_mix * fp.w1 + fp.w2)
+    def _exponents(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s1 = 2.0 * w[0]
+        s2 = 2.0 * (self.fc.a_mix * w[0] + w[1])
         self._check_cap(s1, s2)
         return s1, s2
 
@@ -181,64 +154,59 @@ class DiscreteFunctional:
                 "the outer iteration is diverging"
             )
 
-    def _curvature(self, S, T):
-        """Entries ``c11, c12, c22`` of the exponential terms' 2x2 curvature.
-
-        ``S = 4*exp(2*u0_2)*exp(s2)`` and ``T = 4*c_exp1*exp(2*u0_1)*exp(s1)``
-        are node arrays at a field, or scalars for the frozen far field.
-        """
-        fc = self.fc
-        h2 = self.grid.cell_area
-        return h2 * (fc.a_mix**2 * S + T), h2 * (fc.a_mix * S), h2 * S
+    def _stiffness(self, w: np.ndarray) -> np.ndarray:
+        """Gradient terms' part ``2*c_grad_k * K_h w_k`` per species; zero edge."""
+        out = np.zeros_like(w)
+        for k, c_grad in enumerate((self.fc.c_grad1, self.fc.c_grad2)):
+            out[k, 1:-1, 1:-1] = 2.0 * c_grad * _neighbor_sum(w[k])
+        return out
 
     # -- operations --------------------------------------------------------
 
-    def energy(self, fp: FieldPair) -> float:
+    def energy(self, w: np.ndarray) -> float:
         """Value of the discrete action functional."""
         fc = self.fc
-        s1, s2 = self._exponents(fp)
+        s1, s2 = self._exponents(w)
         pot = (
             self.e2u02 * np.expm1(s2)
             + fc.c_exp1 * self.e2u01 * np.expm1(s1)
-            + (fc.c_psi1 * self.psi1 - fc.c_lin1) * fp.w1
-            + (fc.c_psi2 * self.psi2 - 2.0) * fp.w2
+            + (fc.c_psi1 * self.psi1 - fc.c_lin1) * w[0]
+            + (fc.c_psi2 * self.psi2 - 2.0) * w[1]
         )
-        grad = fc.c_grad1 * _edge_energy(fp.w1) + fc.c_grad2 * _edge_energy(fp.w2)
+        grad = fc.c_grad1 * _edge_energy(w[0]) + fc.c_grad2 * _edge_energy(w[1])
         return grad + self.grid.cell_area * float(np.sum(pot))
 
-    def energy_change(self, fp: FieldPair, step: FieldPair) -> float:
-        """``energy(fp + step) - energy(fp)``, evaluated without cancellation.
+    def energy_change(self, w: np.ndarray, step: np.ndarray) -> float:
+        """``energy(w + step) - energy(w)``, evaluated without cancellation.
 
         Edge terms are expanded as ``dd * (2*dw + dd)`` and exponentials as
         ``exp(s) * expm1(ds)``, so the result is accurate relative to the
         change itself, not to the total energy.  Raises
-        :class:`FieldOverflowError` if ``fp`` or ``fp + step`` exceeds the
+        :class:`FieldOverflowError` if ``w`` or ``w + step`` exceeds the
         exponent cap.  Boundary entries of ``step`` must be zero.
         """
         fc = self.fc
-        s1, s2 = self._exponents(fp)
-        ds1 = 2.0 * step.w1
-        ds2 = 2.0 * (fc.a_mix * step.w1 + step.w2)
+        s1, s2 = self._exponents(w)
+        ds1 = 2.0 * step[0]
+        ds2 = 2.0 * (fc.a_mix * step[0] + step[1])
         self._check_cap(s1 + ds1, s2 + ds2)
         pot = self.e2u02 * np.exp(s2) * np.expm1(ds2)
         pot += fc.c_exp1 * self.e2u01 * np.exp(s1) * np.expm1(ds1)
-        pot += (fc.c_psi1 * self.psi1 - fc.c_lin1) * step.w1
-        pot += (fc.c_psi2 * self.psi2 - 2.0) * step.w2
-        grad = fc.c_grad1 * _edge_energy_change(fp.w1, step.w1) + fc.c_grad2 * _edge_energy_change(
-            fp.w2, step.w2
+        pot += (fc.c_psi1 * self.psi1 - fc.c_lin1) * step[0]
+        pot += (fc.c_psi2 * self.psi2 - 2.0) * step[1]
+        grad = fc.c_grad1 * _edge_energy_change(w[0], step[0]) + fc.c_grad2 * _edge_energy_change(
+            w[1], step[1]
         )
         return grad + self.grid.cell_area * float(np.sum(pot))
 
-    def gradient(self, fp: FieldPair) -> FieldPair:
+    def gradient(self, w: np.ndarray) -> np.ndarray:
         """Exact partial derivatives w.r.t. interior node values; boundary zero."""
         fc = self.fc
         h2 = self.grid.cell_area
-        s1, s2 = self._exponents(fp)
+        s1, s2 = self._exponents(w)
         exp1 = np.exp(s1)
         exp2 = np.exp(s2)
 
-        g1 = np.zeros_like(fp.w1)
-        g2 = np.zeros_like(fp.w2)
         pot1 = (
             2.0 * fc.a_mix * self.e2u02 * exp2
             + 2.0 * fc.c_exp1 * self.e2u01 * exp1
@@ -246,41 +214,49 @@ class DiscreteFunctional:
             - fc.c_lin1
         )
         pot2 = 2.0 * self.e2u02 * exp2 + fc.c_psi2 * self.psi2 - 2.0
-        g1[1:-1, 1:-1] = 2.0 * fc.c_grad1 * _neighbor_sum(fp.w1) + h2 * pot1[1:-1, 1:-1]
-        g2[1:-1, 1:-1] = 2.0 * fc.c_grad2 * _neighbor_sum(fp.w2) + h2 * pot2[1:-1, 1:-1]
-        return FieldPair(g1, g2)
+        g = self._stiffness(w)
+        g[0, 1:-1, 1:-1] += h2 * pot1[1:-1, 1:-1]
+        g[1, 1:-1, 1:-1] += h2 * pot2[1:-1, 1:-1]
+        return g
 
-    def hessian_operator(self, fp: FieldPair):
-        """Hessian at ``fp`` as a reusable callable on array pairs.
+    def hessian_operator(self, w: np.ndarray):
+        """Hessian at ``w`` as a reusable callable on directions of shape ``(2, n, n)``.
 
-        The curvature arrays are evaluated once, so repeated applications
-        (conjugate-gradient inner iterations) cost only stencil arithmetic.
-        Input direction arrays must carry zero boundary entries; outputs do.
+        The exponentials depend on ``w`` only through ``s1 = 2*w1`` and
+        ``s2 = 2*(a_mix*w1 + w2)``, so their curvature is ``J^T diag(T, S) J``
+        with ``J = [[1, 0], [a_mix, 1]]``; the interior arrays ``T`` and ``S``
+        carry the chain rule's factor 4 and the cell area.  They are evaluated
+        once, so repeated applications (conjugate-gradient inner iterations)
+        cost only stencil arithmetic.  Directions must carry zero boundary
+        entries; outputs do.
         """
         fc = self.fc
-        s1, s2 = self._exponents(fp)
-        c11, c12, c22 = self._curvature(
-            4.0 * self.e2u02 * np.exp(s2), 4.0 * fc.c_exp1 * self.e2u01 * np.exp(s1)
-        )
+        a = fc.a_mix
+        s1, s2 = self._exponents(w)
+        h2 = self.grid.cell_area
+        T = (4.0 * h2 * fc.c_exp1) * (self.e2u01 * np.exp(s1))[1:-1, 1:-1]
+        S = (4.0 * h2) * (self.e2u02 * np.exp(s2))[1:-1, 1:-1]
 
-        def apply(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            out1 = np.zeros_like(d1)
-            out2 = np.zeros_like(d2)
-            out1[1:-1, 1:-1] = 2.0 * fc.c_grad1 * _neighbor_sum(d1) + (
-                c11[1:-1, 1:-1] * d1[1:-1, 1:-1] + c12[1:-1, 1:-1] * d2[1:-1, 1:-1]
-            )
-            out2[1:-1, 1:-1] = 2.0 * fc.c_grad2 * _neighbor_sum(d2) + (
-                c12[1:-1, 1:-1] * d1[1:-1, 1:-1] + c22[1:-1, 1:-1] * d2[1:-1, 1:-1]
-            )
-            return out1, out2
+        def apply(d: np.ndarray) -> np.ndarray:
+            out = self._stiffness(d)
+            d1 = d[0, 1:-1, 1:-1]
+            q = a * d1
+            q += d[1, 1:-1, 1:-1]
+            q *= S
+            out[1, 1:-1, 1:-1] += q
+            q *= a
+            q += T * d1
+            out[0, 1:-1, 1:-1] += q
+            return out
 
         return apply
 
     def far_field_preconditioner(self):
-        """Inverse of the Hessian's far-field operator as a callable on array pairs.
+        """Inverse of the Hessian's far-field operator as a callable on ``(2, n, n)`` arrays.
 
         The operator is ``diag(2*c_grad1, 2*c_grad2) (x) K_h`` plus the
-        curvature frozen at ``exp(2*u0) = 1``, ``w = 0``; with a flat
+        curvature ``J^T diag(T0, S0) J`` frozen at ``exp(2*u0) = 1``,
+        ``w = 0``, where ``S0 = 4*h^2`` and ``T0 = 4*h^2*c_exp1``; with a flat
         background it is the Hessian at ``w = 0``.  The orthonormal DST-I
         ``S`` diagonalizes the 5-point stencil ``K_h`` (eigenvalues
         ``mu_j + mu_k``), leaving one 2x2 solve per mode, so the inverse is
@@ -289,35 +265,40 @@ class DiscreteFunctional:
         entries.
         """
         fc = self.fc
+        a = fc.a_mix
+        h2 = self.grid.cell_area
         m = self.grid.points_per_side - 2
         S = _sine_matrix(m)
         mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
         lam = mu[:, None] + mu[None, :]
-        c11, c12, c22 = self._curvature(4.0, 4.0 * fc.c_exp1)
-        # Per-mode symbol [[a11, c12], [c12, a22]]; the off-diagonal is constant.
-        a11 = 2.0 * fc.c_grad1 * lam + c11
-        a22 = 2.0 * fc.c_grad2 * lam + c22
+        S0 = 4.0 * h2
+        T0 = S0 * fc.c_exp1
+        # Per-mode symbol [[a11, a12], [a12, a22]]; the off-diagonal is constant.
+        a11 = 2.0 * fc.c_grad1 * lam + (T0 + a * a * S0)
+        a22 = 2.0 * fc.c_grad2 * lam + S0
+        a12 = a * S0
         inv_det = a11 * a22
-        inv_det -= c12 * c12
+        inv_det -= a12 * a12
         np.reciprocal(inv_det, out=inv_det)
 
-        def apply(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # In-place updates keep at most four interior-sized temporaries.
-            x1 = S @ r1[1:-1, 1:-1] @ S
-            x2 = S @ r2[1:-1, 1:-1] @ S
+        def apply(r: np.ndarray) -> np.ndarray:
+            # Each species is transformed as its own 2-D slice (stacked
+            # transforms raised peak RSS), and in-place updates keep at most
+            # four interior-sized temporaries.
+            x1 = S @ r[0, 1:-1, 1:-1] @ S
+            x2 = S @ r[1, 1:-1, 1:-1] @ S
             y1 = a22 * x1
-            y1 -= c12 * x2
+            y1 -= a12 * x2
             y1 *= inv_det
-            x1 *= c12
+            x1 *= a12
             x2 *= a11
             x2 -= x1
             x2 *= inv_det
             del x1
-            z1 = np.zeros_like(r1)
-            np.matmul(S @ y1, S, out=z1[1:-1, 1:-1])
+            z = np.zeros_like(r)
+            np.matmul(S @ y1, S, out=z[0, 1:-1, 1:-1])
             del y1
-            z2 = np.zeros_like(r2)
-            np.matmul(S @ x2, S, out=z2[1:-1, 1:-1])
-            return z1, z2
+            np.matmul(S @ x2, S, out=z[1, 1:-1, 1:-1])
+            return z
 
         return apply

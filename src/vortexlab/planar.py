@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError
-from .functional import DEFAULT_EXP_CAP, DiscreteFunctional, FieldPair, PlanarGrid
+from .functional import DEFAULT_EXP_CAP, DiscreteFunctional, PlanarGrid
 from .model import ModelParams, background, coupling_matrix
 
 __all__ = ["PlanarSolution", "RadialSlice", "boundary_values", "solve_planar", "extract_radial_slice"]
@@ -47,11 +47,14 @@ CG_MAX_ITER = 20000
 
 @dataclass
 class PlanarSolution:
-    """Converged planar fields plus derived quantities and solve metadata."""
+    """Converged planar fields plus derived quantities and solve metadata.
+
+    ``w`` has shape ``(2, n, n)``: ``w[0]`` is ``w1`` and ``w[1]`` is ``w2``.
+    """
 
     params: ModelParams
     grid: PlanarGrid
-    w: FieldPair
+    w: np.ndarray
     P1: np.ndarray
     P2: np.ndarray
     u1: np.ndarray
@@ -74,29 +77,19 @@ class RadialSlice:
     u2: np.ndarray
 
 
-def boundary_values(params: ModelParams, grid: PlanarGrid) -> FieldPair:
+def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
     """Dirichlet data on the box edge: ``w = L^-1 @ (-u0)``, zero interior.
 
     With ``P = L @ w`` this pins ``u = u0 + P`` to zero on the boundary,
-    the truncated form of the topological condition at infinity.
+    the truncated form of the topological condition at infinity.  The
+    result has shape ``(2, n, n)``.
     """
     bg = background(params)
     r2 = grid.radius_squared()
     u01 = bg.u0_1(r2)
-    u02 = bg.u0_2(r2)
-    g1 = -u01
-    g2 = coupling_matrix(params).gamma * u01 - u02
-    out = FieldPair.zeros(grid)
-    for w, g in ((out.w1, g1), (out.w2, g2)):
-        w[0, :] = g[0, :]
-        w[-1, :] = g[-1, :]
-        w[:, 0] = g[:, 0]
-        w[:, -1] = g[:, -1]
-    return out
-
-
-def _dot(a1, a2, b1, b2) -> float:
-    return float(np.vdot(a1, b1) + np.vdot(a2, b2))
+    w = np.stack([-u01, coupling_matrix(params).gamma * u01 - bg.u0_2(r2)])
+    w[:, 1:-1, 1:-1] = 0.0
+    return w
 
 
 def solve_planar(
@@ -104,7 +97,7 @@ def solve_planar(
     grid: PlanarGrid,
     tol: float = 1e-8,
     max_iter: int = 60,
-    initial: Optional[FieldPair] = None,
+    initial: Optional[np.ndarray] = None,
     exp_cap: float = DEFAULT_EXP_CAP,
 ) -> PlanarSolution:
     """Newton-CG minimization of the discrete functional.
@@ -112,7 +105,8 @@ def solve_planar(
     ``tol`` bounds the sup norm of the per-node Euler-Lagrange residual
     (gradient divided by cell area).  The iteration starts from the lifted
     Dirichlet data of :func:`boundary_values` with the interior of
-    ``initial`` (zero by default); the edge of ``initial`` is ignored.
+    ``initial`` (zero by default), a finite array of shape ``(2, n, n)``
+    holding ``w1`` and ``w2``; the edge of ``initial`` is ignored.
     Every start that converges reaches the same minimizer (strict
     convexity); the module docstring lists the starts measured to converge
     within the default ``max_iter``.
@@ -134,9 +128,12 @@ def solve_planar(
 
     w = boundary_values(params, grid)
     if initial is not None:
-        initial.validate()
-        w.w1[1:-1, 1:-1] = initial.w1[1:-1, 1:-1]
-        w.w2[1:-1, 1:-1] = initial.w2[1:-1, 1:-1]
+        initial = np.asarray(initial)
+        if initial.shape != w.shape:
+            raise ValueError(f"initial must have shape {w.shape}, got {initial.shape}")
+        if not np.all(np.isfinite(initial)):
+            raise ValueError("initial contains non-finite entries")
+        w[:, 1:-1, 1:-1] = initial[:, 1:-1, 1:-1]
 
     precond = func.far_field_preconditioner()
     energy = func.energy(w)
@@ -144,7 +141,7 @@ def solve_planar(
     cg_total = 0
     for iteration in range(max_iter + 1):
         g = func.gradient(w)
-        gnorm = max(float(np.max(np.abs(g.w1))), float(np.max(np.abs(g.w2)))) / h2
+        gnorm = float(np.max(np.abs(g))) / h2
         if gnorm < tol:
             return _finish_planar(params, grid, w, iteration, cg_total, gnorm, energy, history)
         if iteration == max_iter:
@@ -174,23 +171,22 @@ def _newton_step(func, precond, w, g, eta, iteration, gnorm):
     its trial scalings and the CG work arrays all live in this frame and in
     :func:`_newton_direction`, so none outlives the step.
     """
-    d1, d2, cg_iters = _newton_direction(func, precond, w, g, eta, iteration, gnorm)
+    d, cg_iters = _newton_direction(func, precond, w, g, eta, iteration, gnorm)
 
     # Backtracking line search on the energy change (Armijo).  A trial that
     # overflows the exponent cap is rejected like any other.  Halving is
     # exact, so after k halvings ``d`` holds ``t * d`` for ``t = 2**-k``.
-    slope = _dot(g.w1, g.w2, d1, d2)
+    slope = float(np.vdot(g, d))
     t = 1.0
     while True:
         try:
-            change = func.energy_change(w, FieldPair(d1, d2))
+            change = func.energy_change(w, d)
         except FieldOverflowError:
             change = math.inf
         if change <= 1e-4 * t * slope:
             break
         t *= 0.5
-        d1 *= 0.5
-        d2 *= 0.5
+        d *= 0.5
         if t < 2.0**-40:
             raise NonConvergenceError(
                 "planar line search stalled",
@@ -198,8 +194,7 @@ def _newton_step(func, precond, w, g, eta, iteration, gnorm):
                 residual=gnorm,
                 last_iterate=w,
             )
-    w.w1 += d1
-    w.w2 += d2
+    w += d
     return change, cg_iters
 
 
@@ -208,16 +203,13 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
 
     The stopping test is on the unpreconditioned residual.  Running in its
     own frame releases the Hessian's curvature arrays and the CG vectors
-    before the line search.  Returns ``(d1, d2, cg_iterations)``.
+    before the line search.  Returns ``(d, cg_iterations)``.
     """
     hess = func.hessian_operator(w)
-    d1 = np.zeros_like(w.w1)
-    d2 = np.zeros_like(w.w2)
-    p1 = np.zeros_like(w.w1)
-    p2 = np.zeros_like(w.w2)
-    r1 = -g.w1
-    r2 = -g.w2
-    rr = _dot(r1, r2, r1, r2)
+    d = np.zeros_like(w)
+    p = np.zeros_like(w)
+    r = -g
+    rr = float(np.vdot(r, r))
     target = eta * math.sqrt(rr)
     rz_old = math.inf  # first pass: beta = 0, so p = z
     cg_iters = 0
@@ -228,16 +220,14 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
                 iterations=iteration,
                 residual=gnorm,
             )
-        z1, z2 = precond(r1, r2)
-        rz = _dot(r1, r2, z1, z2)
-        p1 *= rz / rz_old
-        p1 += z1
-        p2 *= rz / rz_old
-        p2 += z2
-        del z1, z2  # release before the Hessian apply allocates its result
+        z = precond(r)
+        rz = float(np.vdot(r, z))
+        p *= rz / rz_old
+        p += z
+        del z  # release before the Hessian apply allocates its result
         rz_old = rz
-        hp1, hp2 = hess(p1, p2)
-        php = _dot(p1, p2, hp1, hp2)
+        hp = hess(p)
+        php = float(np.vdot(p, hp))
         if php <= 0.0:  # cannot happen for a strictly convex energy
             raise NonConvergenceError(
                 "nonpositive curvature encountered in CG",
@@ -245,19 +235,17 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
                 residual=gnorm,
             )
         alpha = rz / php
-        d1 += alpha * p1
-        d2 += alpha * p2
-        r1 -= alpha * hp1
-        r2 -= alpha * hp2
-        del hp1, hp2  # likewise before the next preconditioner apply
-        rr = _dot(r1, r2, r1, r2)
+        d += alpha * p
+        r -= alpha * hp
+        del hp  # likewise before the next preconditioner apply
+        rr = float(np.vdot(r, r))
         cg_iters += 1
-    return d1, d2, cg_iters
+    return d, cg_iters
 
 
 def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history):
-    P1 = w.w1
-    P2 = coupling_matrix(params).gamma * w.w1 + w.w2
+    P1 = w[0]
+    P2 = coupling_matrix(params).gamma * w[0] + w[1]
     bg = background(params)
     r2 = grid.radius_squared()
     u1 = bg.u0_1(r2) + P1
@@ -286,27 +274,22 @@ def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history
 def extract_radial_slice(sol: PlanarSolution) -> RadialSlice:
     """Sample the physical fields along the positive x-axis.
 
-    Radii are the positive x node coordinates.  The smooth parts are
-    bilinearly interpolated to ``y = 0`` between the two straddling node
-    rows (or taken directly if a row sits on the axis) and the singular
-    background is added analytically, so the slice is second-order accurate
-    even close to the origin.
+    Radii are the positive x node coordinates.  No node row sits on the
+    axis (see :class:`PlanarGrid`), so the smooth parts are linearly
+    interpolated to ``y = 0`` between the two straddling node rows and the
+    singular background is added analytically; the slice is second-order
+    accurate even close to the origin.
     """
     coords = sol.grid.coords
     pos = coords > 0.0
     r = coords[pos]
 
-    on_axis = np.flatnonzero(coords == 0.0)
-    if on_axis.size:
-        P1 = sol.P1[pos, on_axis[0]]
-        P2 = sol.P2[pos, on_axis[0]]
-    else:
-        j = int(np.searchsorted(coords, 0.0)) - 1
-        y0, y1 = coords[j], coords[j + 1]
-        wlo = y1 / (y1 - y0)
-        whi = 1.0 - wlo
-        P1 = wlo * sol.P1[pos, j] + whi * sol.P1[pos, j + 1]
-        P2 = wlo * sol.P2[pos, j] + whi * sol.P2[pos, j + 1]
+    j = int(np.searchsorted(coords, 0.0)) - 1
+    y0, y1 = coords[j], coords[j + 1]
+    wlo = y1 / (y1 - y0)
+    whi = 1.0 - wlo
+    P1 = wlo * sol.P1[pos, j] + whi * sol.P1[pos, j + 1]
+    P2 = wlo * sol.P2[pos, j] + whi * sol.P2[pos, j + 1]
 
     bg = background(sol.params)
     r2 = r * r

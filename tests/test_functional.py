@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vortexlab.errors import FieldOverflowError
-from vortexlab.functional import DiscreteFunctional, FieldPair, PlanarGrid
+from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams
 
 
@@ -31,14 +31,19 @@ def random_field(grid, rng, scale=0.3, smooth=2):
 
 
 def random_pair(grid, rng, scale=0.3):
-    return FieldPair(random_field(grid, rng, scale), random_field(grid, rng, scale))
+    return np.stack([random_field(grid, rng, scale), random_field(grid, rng, scale)])
+
+
+def zeros(grid):
+    n = grid.points_per_side
+    return np.zeros((2, n, n))
 
 
 def fd_gradient(func, fp, eps=1e-6):
     """Central finite differences of the energy, node by node."""
-    out = FieldPair(np.zeros_like(fp.w1), np.zeros_like(fp.w2))
-    n = fp.w1.shape[0]
-    for w, g in ((fp.w1, out.w1), (fp.w2, out.w2)):
+    out = np.zeros_like(fp)
+    n = fp.shape[1]
+    for w, g in zip(fp, out):
         for i in range(1, n - 1):
             for j in range(1, n - 1):
                 orig = w[i, j]
@@ -77,26 +82,26 @@ class TestPlanarGrid:
 class TestEnergy:
     def test_zero_field_zero_energy(self):
         func, grid, _ = make_problem()
-        assert func.energy(FieldPair.zeros(grid)) == 0.0
+        assert func.energy(zeros(grid)) == 0.0
 
     def test_vacuum_zero_slope(self):
         func, grid, _ = make_problem(n1=0, n2=0)
-        g = func.gradient(FieldPair.zeros(grid))
-        assert np.max(np.abs(g.w1)) < 1e-14
-        assert np.max(np.abs(g.w2)) < 1e-14
+        g = func.gradient(zeros(grid))
+        assert np.max(np.abs(g[0])) < 1e-14
+        assert np.max(np.abs(g[1])) < 1e-14
 
     def test_single_node_perturbation_matches_fd(self):
         func, grid, _ = make_problem()
-        fp = FieldPair.zeros(grid)
+        fp = zeros(grid)
         g = func.gradient(fp)
         eps = 1e-6
         i = j = grid.points_per_side // 2
-        fp.w1[i, j] = eps
+        fp[0, i, j] = eps
         ep = func.energy(fp)
-        fp.w1[i, j] = -eps
+        fp[0, i, j] = -eps
         em = func.energy(fp)
         fd = (ep - em) / (2.0 * eps)
-        assert fd == pytest.approx(g.w1[i, j], rel=1e-6)
+        assert fd == pytest.approx(g[0, i, j], rel=1e-6)
 
     def test_constant_density_is_positive_with_flat_background(self):
         # With unit exp(2*u0) and zero sources the node density reduces to a
@@ -121,8 +126,8 @@ class TestEnergy:
 
     def test_overflow_guard(self):
         func, grid, _ = make_problem()
-        fp = FieldPair.zeros(grid)
-        fp.w1[5, 5] = 200.0  # exponent 400 exceeds the default cap of 300
+        fp = zeros(grid)
+        fp[0, 5, 5] = 200.0  # exponent 400 exceeds the default cap of 300
         with pytest.raises(FieldOverflowError):
             func.energy(fp)
 
@@ -135,13 +140,13 @@ class TestGradient:
             fp = random_pair(grid, rng)
             g = func.gradient(fp)
             fd = fd_gradient(func, fp)
-            scale = max(np.max(np.abs(g.w1)), np.max(np.abs(g.w2)))
-            err = max(np.max(np.abs(fd.w1 - g.w1)), np.max(np.abs(fd.w2 - g.w2)))
+            scale = np.max(np.abs(g))
+            err = np.max(np.abs(fd - g))
             assert err / scale < 1e-6
 
     def test_zero_field_real_background_closed_form(self):
         func, grid, fc = make_problem()
-        g = func.gradient(FieldPair.zeros(grid))
+        g = func.gradient(zeros(grid))
         h2 = grid.cell_area
         expected1 = h2 * (
             2.0 * fc.a_mix * func.e2u02
@@ -150,15 +155,15 @@ class TestGradient:
             - fc.c_lin1
         )
         expected2 = h2 * (2.0 * func.e2u02 + fc.c_psi2 * func.psi2 - 2.0)
-        np.testing.assert_allclose(g.w1[1:-1, 1:-1], expected1[1:-1, 1:-1], rtol=1e-13)
-        np.testing.assert_allclose(g.w2[1:-1, 1:-1], expected2[1:-1, 1:-1], rtol=1e-13)
+        np.testing.assert_allclose(g[0, 1:-1, 1:-1], expected1[1:-1, 1:-1], rtol=1e-13)
+        np.testing.assert_allclose(g[1, 1:-1, 1:-1], expected2[1:-1, 1:-1], rtol=1e-13)
 
     def test_boundary_entries_are_zero(self):
         func, grid, _ = make_problem()
         rng = np.random.default_rng(3)
         g = func.gradient(random_pair(grid, rng))
-        assert np.all(g.w1[0, :] == 0.0) and np.all(g.w1[-1, :] == 0.0)
-        assert np.all(g.w2[:, 0] == 0.0) and np.all(g.w2[:, -1] == 0.0)
+        assert np.all(g[0, 0, :] == 0.0) and np.all(g[0, -1, :] == 0.0)
+        assert np.all(g[1, :, 0] == 0.0) and np.all(g[1, :, -1] == 0.0)
 
 
 class TestHessian:
@@ -166,9 +171,7 @@ class TestHessian:
         func, grid, _ = make_problem()
         rng = np.random.default_rng(11)
         fp = random_pair(grid, rng)
-        zero = FieldPair.zeros(grid)
-        h1, h2 = func.hessian_operator(fp)(zero.w1, zero.w2)
-        assert np.all(h1 == 0.0) and np.all(h2 == 0.0)
+        assert np.all(func.hessian_operator(fp)(zeros(grid)) == 0.0)
 
     def test_positive_curvature(self):
         func, grid, _ = make_problem()
@@ -177,8 +180,7 @@ class TestHessian:
             fp = random_pair(grid, rng)
             for _ in range(20):
                 d = random_pair(grid, rng, scale=1.0)
-                h1, h2 = func.hessian_operator(fp)(d.w1, d.w2)
-                quad = float(np.sum(d.w1 * h1) + np.sum(d.w2 * h2))
+                quad = float(np.sum(d * func.hessian_operator(fp)(d)))
                 assert quad > 0.0
 
     def test_matches_second_difference(self):
@@ -188,10 +190,9 @@ class TestHessian:
         for _ in range(5):
             fp = random_pair(grid, rng)
             d = random_pair(grid, rng, scale=1.0)
-            h1, h2 = func.hessian_operator(fp)(d.w1, d.w2)
-            quad = float(np.sum(d.w1 * h1) + np.sum(d.w2 * h2))
-            plus = FieldPair(fp.w1 + eps * d.w1, fp.w2 + eps * d.w2)
-            minus = FieldPair(fp.w1 - eps * d.w1, fp.w2 - eps * d.w2)
+            quad = float(np.sum(d * func.hessian_operator(fp)(d)))
+            plus = fp + eps * d
+            minus = fp - eps * d
             fd = (func.energy(plus) - 2.0 * func.energy(fp) + func.energy(minus)) / eps**2
             assert fd == pytest.approx(quad, rel=1e-4)
 
@@ -202,10 +203,8 @@ class TestHessian:
         a = random_pair(grid, rng, scale=1.0)
         b = random_pair(grid, rng, scale=1.0)
         hess = func.hessian_operator(fp)
-        ha = hess(a.w1, a.w2)
-        hb = hess(b.w1, b.w2)
-        left = float(np.sum(b.w1 * ha[0]) + np.sum(b.w2 * ha[1]))
-        right = float(np.sum(a.w1 * hb[0]) + np.sum(a.w2 * hb[1]))
+        left = float(np.sum(b * hess(a)))
+        right = float(np.sum(a * hess(b)))
         assert left == pytest.approx(right, rel=1e-12)
 
 
@@ -216,16 +215,15 @@ class TestEnergyChange:
         for _ in range(5):
             fp = random_pair(grid, rng)
             step = random_pair(grid, rng, scale=1.0)
-            trial = FieldPair(fp.w1 + step.w1, fp.w2 + step.w2)
-            expected = func.energy(trial) - func.energy(fp)
+            expected = func.energy(fp + step) - func.energy(fp)
             assert func.energy_change(fp, step) == pytest.approx(expected, rel=1e-10)
 
     def test_overflowing_step_raises(self):
         func, grid, _ = make_problem()
-        step = FieldPair.zeros(grid)
-        step.w1[5, 5] = 200.0
+        step = zeros(grid)
+        step[0, 5, 5] = 200.0
         with pytest.raises(FieldOverflowError):
-            func.energy_change(FieldPair.zeros(grid), step)
+            func.energy_change(zeros(grid), step)
 
 
 class TestFarFieldPreconditioner:
@@ -233,9 +231,9 @@ class TestFarFieldPreconditioner:
 
     @staticmethod
     def interior_pair(n, rng):
-        x = FieldPair(np.zeros((n, n)), np.zeros((n, n)))
-        x.w1[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
-        x.w2[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
+        x = np.zeros((2, n, n))
+        x[0, 1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
+        x[1, 1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
         return x
 
     @pytest.mark.parametrize("N", [2, 5])
@@ -243,10 +241,9 @@ class TestFarFieldPreconditioner:
     def test_inverts_vacuum_hessian(self, N, n):
         func, grid, _ = make_problem(N=N, n1=0, n2=0, n=n)
         precond = func.far_field_preconditioner()
-        hess = func.hessian_operator(FieldPair.zeros(grid))
+        hess = func.hessian_operator(zeros(grid))
         x = self.interior_pair(n, np.random.default_rng(41))
-        z1, z2 = precond(*hess(x.w1, x.w2))
-        assert FieldPair(z1, z2).sup_diff(x) < 1e-12
+        assert np.max(np.abs(precond(hess(x)) - x)) < 1e-12
 
     def test_symmetric_positive_with_zero_boundary(self):
         func, grid, _ = make_problem(N=3, n1=0, n2=0, n=67)
@@ -254,12 +251,12 @@ class TestFarFieldPreconditioner:
         rng = np.random.default_rng(43)
         a = self.interior_pair(67, rng)
         b = self.interior_pair(67, rng)
-        pa = precond(a.w1, a.w2)
-        pb = precond(b.w1, b.w2)
-        left = float(np.vdot(b.w1, pa[0]) + np.vdot(b.w2, pa[1]))
-        right = float(np.vdot(a.w1, pb[0]) + np.vdot(a.w2, pb[1]))
+        pa = precond(a)
+        pb = precond(b)
+        left = float(np.vdot(b, pa))
+        right = float(np.vdot(a, pb))
         assert left == pytest.approx(right, rel=1e-12)
-        assert float(np.vdot(a.w1, pa[0]) + np.vdot(a.w2, pa[1])) > 0.0
+        assert float(np.vdot(a, pa)) > 0.0
         for z in pa:
             edge = np.concatenate([z[0, :], z[-1, :], z[:, 0], z[:, -1]])
             assert np.all(edge == 0.0)
@@ -272,7 +269,7 @@ class TestConvexity:
         for _ in range(100):
             u = random_pair(grid, rng, scale=0.5)
             v = random_pair(grid, rng, scale=0.5)
-            mid = FieldPair(0.5 * (u.w1 + v.w1), 0.5 * (u.w2 + v.w2))
+            mid = 0.5 * (u + v)
             eu, ev, em = func.energy(u), func.energy(v), func.energy(mid)
             scale = 1.0 + abs(eu) + abs(ev)
             assert em <= 0.5 * (eu + ev) + 1e-10 * scale
@@ -280,9 +277,8 @@ class TestConvexity:
     def test_vacuum_minimum_is_zero_field(self):
         func, grid, _ = make_problem(n1=0, n2=0)
         rng = np.random.default_rng(29)
-        zero = FieldPair.zeros(grid)
-        assert func.energy(zero) == 0.0
+        assert func.energy(zeros(grid)) == 0.0
         for _ in range(10):
             fp = random_pair(grid, rng, scale=0.4)
-            if fp.sup_diff(zero) > 0:
+            if np.max(np.abs(fp)) > 0:
                 assert func.energy(fp) > 0.0

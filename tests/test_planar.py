@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
-from vortexlab.functional import DiscreteFunctional, FieldPair, PlanarGrid
+from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams, background, coupling_matrix
 from vortexlab.planar import _newton_direction, boundary_values, extract_radial_slice, solve_planar
 from vortexlab.radial import radial_mesh, solve_radial_P
@@ -30,7 +30,7 @@ class TestVacuum:
         sol = solve_planar(params, grid, tol=1e-8)
         assert sol.final_gradient_norm < 1e-8 and sol.iterations <= 2
         assert sol.final_energy == 0.0
-        assert np.max(np.abs(sol.w.w1)) == 0.0
+        assert np.max(np.abs(sol.w[0])) == 0.0
         assert np.max(np.abs(sol.u1)) == 0.0
 
     def test_vacuum_slice_is_zero(self):
@@ -73,19 +73,51 @@ class TestSolve:
     def test_uniqueness_from_random_start(self, default_solution):
         params, grid, sol = default_solution
         rng = np.random.default_rng(5)
-        init = FieldPair.zeros(grid)
         n = grid.points_per_side
-        init.w1[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
-        init.w2[1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
+        init = np.zeros((2, n, n))
+        init[0, 1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
+        init[1, 1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (n - 2, n - 2))
         other = solve_planar(params, grid, tol=1e-8, initial=init)
         assert other.final_gradient_norm < 1e-8
-        assert sol.w.sup_diff(other.w) < 1e-6
+        assert np.max(np.abs(sol.w - other.w)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 65, 65), (2, 63, 64), (64, 64), (3, 64, 64)],
+        ids=["larger", "non-square", "one-species", "three-species"],
+    )
+    def test_initial_of_wrong_shape_is_rejected(self, shape):
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        with pytest.raises(ValueError, match=r"\(2, 64, 64\)"):
+            solve_planar(make(), grid, initial=np.zeros(shape))
+
+    def test_non_finite_initial_is_rejected(self):
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        init = np.zeros((2, 64, 64))
+        init[1, 30, 30] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_planar(make(), grid, initial=init)
+
+    def test_edge_of_initial_is_ignored(self):
+        params = make()
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        rng = np.random.default_rng(9)
+        a = rng.uniform(-0.5, 0.5, (2, 64, 64))
+        b = a.copy()
+        for edge in (b[:, 0, :], b[:, -1, :], b[:, :, 0], b[:, :, -1]):
+            edge += 3.0
+        sa = solve_planar(params, grid, tol=1e-8, initial=a)
+        sb = solve_planar(params, grid, tol=1e-8, initial=b)
+        np.testing.assert_array_equal(sa.w, sb.w)
+        np.testing.assert_array_equal(sa.u1, sb.u1)
+        np.testing.assert_array_equal(sa.u2, sb.u2)
+        assert sa.energy_history == sb.energy_history
 
     def test_overflow_initial_field_raises(self):
         params = make()
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        init = FieldPair.zeros(grid)
-        init.w1[10, 10] = 400.0
+        init = np.zeros((2, 64, 64))
+        init[0, 10, 10] = 400.0
         with pytest.raises(FieldOverflowError):
             solve_planar(params, grid, initial=init)
 
@@ -94,12 +126,12 @@ class TestSolve:
         # the cap of 5; the line search must reject it and backtrack.
         params = make()
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        init = FieldPair.zeros(grid)
-        init.w1[1:-1, 1:-1] = -1.2
-        init.w2[1:-1, 1:-1] = 1.0
+        init = np.zeros((2, 64, 64))
+        init[0, 1:-1, 1:-1] = -1.2
+        init[1, 1:-1, 1:-1] = 1.0
         sol = solve_planar(params, grid, tol=1e-8, initial=init, exp_cap=5.0)
         assert sol.final_gradient_norm < 1e-8
-        assert sol.w.sup_diff(solve_planar(params, grid, tol=1e-8).w) < 1e-6
+        assert np.max(np.abs(sol.w - solve_planar(params, grid, tol=1e-8).w)) < 1e-6
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_cg_iterations_independent_of_grid(self, n):
@@ -112,14 +144,14 @@ class TestSolve:
         params, grid, sol = default_solution
         func = DiscreteFunctional(params, grid)
         g = func.gradient(sol.w)
-        d1, d2, _ = _newton_direction(
+        d, _ = _newton_direction(
             func, func.far_field_preconditioner(), sol.w, g, 1e-6, 0, sol.final_gradient_norm
         )
         # Along a Newton direction the quadratic model predicts slope / 2.
-        predicted = 0.5 * float(np.vdot(g.w1, d1) + np.vdot(g.w2, d2))
+        predicted = 0.5 * float(np.vdot(g, d))
         energy = func.energy(sol.w)
         assert abs(predicted) < np.spacing(abs(energy))  # below rounding of the total
-        change = func.energy_change(sol.w, FieldPair(d1, d2))
+        change = func.energy_change(sol.w, d)
         assert change < 0.0
         assert change == pytest.approx(predicted, rel=1e-3)
 
@@ -139,12 +171,12 @@ class TestBoundaryValues:
         # P = L @ w reproduces -u0 on the edge.
         bg = background(params)
         r2 = grid.radius_squared()
-        P1 = g.w1
-        P2 = coupling_matrix(params).gamma * g.w1 + g.w2
+        P1 = g[0]
+        P2 = coupling_matrix(params).gamma * g[0] + g[1]
         for P, u0 in ((P1, bg.u0_1(r2)), (P2, bg.u0_2(r2))):
             assert np.max(np.abs(P[0, :] + u0[0, :])) < 1e-15
             assert np.max(np.abs(P[:, -1] + u0[:, -1])) < 1e-15
-        assert np.max(np.abs(g.w1[1:-1, 1:-1])) == 0.0
+        assert np.max(np.abs(g[0, 1:-1, 1:-1])) == 0.0
 
 
 class TestRadialSlice:
