@@ -40,8 +40,8 @@ for params in (ModelParams(N=2, n1=1, n2=1), ModelParams(N=3, n1=1, n2=2)):
         rate = rec["fitted_rate"]
         shown = f"{rate:.4f}" if rate is not None else f"none ({rec['warning']})"
         print(
-            f"decay of {rec['quantity']:>9}: fitted {shown}"
-            f"  one-sided bound {rec['paper_bound']:.4f}  linearized 1.0"
+            f"decay of {rec['quantity']:>7}: fitted {shown}"
+            f"  one-sided bound {rec['paper_bound']:.4f}"
         )
 
     print(f"scheme-consistent PDE residual: {pde_residual(sol):.2e}")

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    constants      print the coupling/spectral constants for a rank
+    constants      JSON of the coupling/spectral constants for a rank
     solve-radial   radial solve; CSV columns r,u1,u2,Q1,Q2,f,fNA,E1,E2
     solve-profile  first-order profile solve; CSV columns r,f,fNA,Q1,Q2
     solve-planar   planar solve; CSV columns x,y,w1,w2,u1,u2
@@ -12,10 +12,12 @@ Subcommands::
 Exit codes: 0 success, 1 solver non-convergence, 2 invalid parameters,
 3 I/O failure.  Output files carry a single ``#``-prefixed metadata line
 (key=value pairs) and are byte-identical across runs for a fixed
-configuration.  Reports are JSON text with all finite reals printed to 17
-significant digits and non-finite ones as ``NaN``, ``Infinity`` and
-``-Infinity``, so parsing an emitted report reproduces it by value (a
-``NaN`` comes back as a NaN, which compares unequal to itself).
+configuration.  CSV reals are printed to 17 significant digits.  JSON
+output (reports and ``constants``) is written by the standard ``json``
+module: reals in their shortest round-trip form and non-finite ones as
+``NaN``, ``Infinity`` and ``-Infinity``, so parsing an emitted report
+reproduces it by value (a ``NaN`` comes back as a NaN, which compares
+unequal to itself).
 
 To cap the threads of the linear-algebra libraries, set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -51,7 +52,7 @@ from .radial import (
     solve_profile_bps,
     solve_radial_P,
 )
-from .verify import VerificationReport, build_report
+from .verify import VerificationReport, build_report, scalar_constants
 
 __all__ = ["main", "emit_report", "parse_report"]
 
@@ -62,51 +63,22 @@ __all__ = ["main", "emit_report", "parse_report"]
 
 
 def _fmt(x) -> str:
-    """Render a scalar: reals at 17 significant digits."""
+    """Render a CSV metadata value: reals at 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if x is None:
-        return "null"
     return format(float(x) + 0.0, ".17g")  # folds -0.0 into 0
 
 
-def _json_write(obj, out, indent=0) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for k, (key, val) in enumerate(items):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
-            _json_write(val, out, indent + 1)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(pad + "  ")
-            _json_write(val, out, indent + 1)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, str) or (isinstance(obj, float) and not math.isfinite(obj)):
-        out.append(json.dumps(obj))  # non-finite reals as NaN, Infinity, -Infinity
-    else:
-        out.append(_fmt(obj))
+def _json_text(obj) -> str:
+    """JSON text of plain data, indented by two spaces, ending in a newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def emit_report(report: VerificationReport) -> str:
     """Serialize a report to JSON text, its fields in declaration order."""
-    out: list[str] = []
-    _json_write(dataclasses.asdict(report), out)
-    out.append("\n")
-    return "".join(out)
+    return _json_text(dataclasses.asdict(report))
 
 
 def parse_report(text: str) -> VerificationReport:
@@ -253,42 +225,14 @@ def _cmd_constants(args) -> int:
     params = _params_from_args(args)
     cd = coupling_matrix(params)
     sc = spectral_constants(cd)
-    t1, t2 = flux_targets(params, sc)
     payload = {
         "params": dataclasses.asdict(params),
-        "alpha": cd.alpha,
-        "beta": cd.beta,
-        "gamma": cd.gamma,
-        "A": cd.A.tolist(),
-        "L": cd.L.tolist(),
-        "R": cd.R.tolist(),
-        "B": cd.B.tolist(),
-        "M": cd.M.tolist(),
-        "lambda1": sc.lambda1,
-        "lambda2": sc.lambda2,
-        "lambda0": sc.lambda0,
-        "lambda3": sc.lambda3,
-        "lambda4": sc.lambda4,
-        "lambda": sc.lambda_,
+        **scalar_constants(params),
+        **{name: getattr(cd, name).tolist() for name in ("A", "L", "R", "B", "M")},
         "T": sc.T.tolist(),
-        "m": sc.m,
-        "p": sc.p,
-        "q": sc.q,
-        "flux_targets": [t1, t2],
+        "flux_targets": list(flux_targets(params, sc)),
     }
-    if args.json:
-        out: list[str] = []
-        _json_write(payload, out)
-        print("".join(out))
-    else:
-        for key, value in payload.items():
-            if isinstance(value, dict):
-                inner = " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
-                print(f"{key}: {inner}")
-            elif isinstance(value, list):
-                print(f"{key}: {value}")
-            else:
-                print(f"{key}: {_fmt(value)}")
+    sys.stdout.write(_json_text(payload))
     return 0
 
 
@@ -422,9 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="print coupling and spectral constants")
+    p = sub.add_parser("constants", help="print coupling and spectral constants as JSON")
     _add_param_options(p)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("solve-radial", help="solve the radial system")

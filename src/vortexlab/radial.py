@@ -482,20 +482,22 @@ def solve_profile_bps(
 
     def jacobian(z):
         c1, c2, f, fna, q1, q2 = unpack(z)
+        # Band storage: entry (row, col) of J sits at ab[5 + row - col, col].
         ab = np.zeros((11, size))
-
-        def put(rows, cols, vals):
-            ab[5 + rows - cols, cols] += vals
-
-        # Left boundary rows.
-        put(np.array([0]), np.array([2]), np.array([1.0]))
-        put(np.array([0]), np.array([1]), np.array([-N * (N - 1.0) * c2 * r[0] ** 2]))
-        put(np.array([1]), np.array([3]), np.array([1.0]))
-        put(np.array([1]), np.array([1]), np.array([0.5 * c2 * r[0] ** 2]))
-        put(np.array([2]), np.array([4]), np.array([1.0]))
-        put(np.array([2]), np.array([0]), np.array([-r[0]]))
-        put(np.array([3]), np.array([5]), np.array([1.0]))
-        put(np.array([3]), np.array([1]), np.array([-1.0]))
+        r0sq = r[0] ** 2
+        for row, col, value in (
+            (0, 2, 1.0),
+            (0, 1, -N * (N - 1.0) * c2 * r0sq),
+            (1, 3, 1.0),
+            (1, 1, 0.5 * c2 * r0sq),
+            (2, 4, 1.0),
+            (2, 0, -r[0]),
+            (3, 5, 1.0),
+            (3, 1, -1.0),
+            (size - 2, size - 2, 1.0),
+            (size - 1, size - 1, 1.0),
+        ):
+            ab[5 + row - col, col] = value
 
         fm = 0.5 * (f[1:] + f[:-1])
         fnam = 0.5 * (fna[1:] + fna[:-1])
@@ -516,19 +518,13 @@ def solve_profile_bps(
         Jf[:, 3, 1] = -q2m * inv
         Jf[:, 3, 3] = (-fnam + fm) * inv
 
-        i = np.arange(n - 1)
-        rows_base = 4 + 4 * i
+        # Interval i has rows 4 + 4i + k; its unknowns at node i sit in
+        # columns 2 + 4i + m, those at node i + 1 four columns further on.
         for k in range(4):
-            rows = rows_base + k
             for m in range(4):
-                coeff = -0.5 * h * Jf[:, k, m]
-                left = coeff - (1.0 if k == m else 0.0)
-                right = coeff + (1.0 if k == m else 0.0)
-                put(rows, 2 + 4 * i + m, left)
-                put(rows, 2 + 4 * (i + 1) + m, right)
-
-        put(np.array([size - 2]), np.array([size - 2]), np.array([1.0]))
-        put(np.array([size - 1]), np.array([size - 1]), np.array([1.0]))
+                coeff = 0.0 - 0.5 * h * Jf[:, k, m]  # structural zeros stay +0.0
+                ab[7 + k - m, 2 + m : -4 : 4] = coeff - (1.0 if k == m else 0.0)
+                ab[3 + k - m, 6 + m :: 4] = coeff + (1.0 if k == m else 0.0)
         return ab
 
     # Initial guess: unit-amplitude cores decaying on an O(1) scale.

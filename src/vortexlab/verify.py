@@ -8,9 +8,8 @@ into a measurement on a discrete one:
   values ``inv(A) @ (-4*pi*n)``;
 * least-squares exponential decay rates of the field and derivative
   combinations over a far-field window, reported next to the proven
-  one-sided bounds (``sqrt(lambda0)``, ``sqrt(lambda)``) and the
-  linearized-theory rate 1 -- the bounds are one-sided, so a fitted rate
-  may legitimately exceed them;
+  one-sided bounds (``sqrt(lambda0)``, ``sqrt(lambda)``) -- the bounds are
+  one-sided, so a fitted rate may legitimately exceed them;
 * scheme-consistent residuals of the governing system;
 * uniqueness and radial-vs-planar cross-validation, both direct
   consequences of strict convexity.
@@ -49,6 +48,7 @@ from .radial import (
 __all__ = [
     "VerificationReport",
     "DECAY_FLOOR",
+    "scalar_constants",
     "flux_integrals",
     "decay_fit",
     "pde_residual",
@@ -79,6 +79,30 @@ class VerificationReport:
     residuals: dict
     uniqueness: Optional[dict] = None
     cross_validation: Optional[dict] = None
+
+
+def scalar_constants(params: ModelParams) -> dict:
+    """The scalar coupling and spectral constants fixed by ``params.N``.
+
+    This is the ``constants`` section of every report and the scalar part
+    of the ``constants`` command's output.
+    """
+    cd = coupling_matrix(params)
+    sc = spectral_constants(cd)
+    return {
+        "alpha": cd.alpha,
+        "beta": cd.beta,
+        "gamma": cd.gamma,
+        "lambda1": sc.lambda1,
+        "lambda2": sc.lambda2,
+        "lambda0": sc.lambda0,
+        "lambda3": sc.lambda3,
+        "lambda4": sc.lambda4,
+        "lambda": sc.lambda_,
+        "m": sc.m,
+        "p": sc.p,
+        "q": sc.q,
+    }
 
 
 def _flux_sums(sol: Solution) -> tuple[float, float]:
@@ -170,12 +194,10 @@ def _axis_fields(sol: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list:
     """Fitted exponential decay rates of the tracked far-field quantities.
 
-    Tracked: the weighted field vector ``|(p*u1, 2*u2)|``; the alternative
-    combination vector ``|(m*u1 + 2*u2, p*u1 + q*u2)|`` kept for
-    transparency; and the radial derivatives of ``m*u1 + 2*u2`` and
-    ``p*u1 + q*u2``.  Field records carry the bound ``sqrt(lambda0)``,
-    derivative records ``sqrt(lambda)``; every record carries the
-    linearized rate 1.  The bounds are one-sided: the slow decay mode is
+    Tracked: the weighted field vector ``|(p*u1, 2*u2)|`` and the radial
+    derivatives of ``m*u1 + 2*u2`` and ``p*u1 + q*u2``.  The field record
+    carries the bound ``sqrt(lambda0)``, derivative records
+    ``sqrt(lambda)``.  The bounds are one-sided: the slow decay mode is
     absent whenever ``n1 == n2``, at every rank, because the rows of ``A``
     sum to ``N`` and so ``u1 == u2`` solves the system; the fitted rate then
     sits near the fast-mode rate ``sqrt(2*lambda3)`` instead of 1.
@@ -183,24 +205,17 @@ def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list
     sc = spectral_constants(coupling_matrix(sol.params))
     r, u1, u2 = _axis_fields(sol)
     m, p, q = sc.m, sc.p, sc.q
-    combo_m = m * u1 + 2.0 * u2
-    combo_pq = p * u1 + q * u2
-    field_bound = math.sqrt(sc.lambda0)
     grad_bound = math.sqrt(sc.lambda_)
-    linearized = 1.0
 
     tracked = [
-        ("field", np.hypot(p * u1, 2.0 * u2), field_bound),
-        ("field_alt", np.hypot(combo_m, combo_pq), field_bound),
-        ("grad_m2", np.abs(central_derivative(r, combo_m)), grad_bound),
-        ("grad_pq", np.abs(central_derivative(r, combo_pq)), grad_bound),
+        ("field", np.hypot(p * u1, 2.0 * u2), math.sqrt(sc.lambda0)),
+        ("grad_m2", np.abs(central_derivative(r, m * u1 + 2.0 * u2)), grad_bound),
+        ("grad_pq", np.abs(central_derivative(r, p * u1 + q * u2)), grad_bound),
     ]
-    records = []
-    for name, values, bound in tracked:
-        rec = {"quantity": name, "paper_bound": bound, "linearized_rate": linearized}
-        rec.update(_fit_rate(r, values, window))
-        records.append(rec)
-    return records
+    return [
+        {"quantity": name, "paper_bound": bound, **_fit_rate(r, values, window)}
+        for name, values, bound in tracked
+    ]
 
 
 def pde_residual(sol: Solution) -> float:
@@ -281,8 +296,6 @@ def build_report(
     if primary is None:
         raise ValueError("need at least one solution to build a report")
     params = primary.params
-    cd = coupling_matrix(params)
-    sc = spectral_constants(cd)
 
     fluxes = flux_integrals(primary)
     decay = decay_fit(primary, window=window)
@@ -299,20 +312,7 @@ def build_report(
 
     return VerificationReport(
         params=asdict(params),
-        constants={
-            "alpha": cd.alpha,
-            "beta": cd.beta,
-            "gamma": cd.gamma,
-            "lambda1": sc.lambda1,
-            "lambda2": sc.lambda2,
-            "lambda0": sc.lambda0,
-            "lambda3": sc.lambda3,
-            "lambda4": sc.lambda4,
-            "lambda": sc.lambda_,
-            "m": sc.m,
-            "p": sc.p,
-            "q": sc.q,
-        },
+        constants=scalar_constants(params),
         flux=fluxes["flux"],
         component_flux=fluxes["component_flux"],
         decay=decay,

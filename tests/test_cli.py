@@ -6,11 +6,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexlab.cli import _fmt, _write_csv, emit_report, main, parse_report
 from vortexlab.model import ModelParams
 from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import VerificationReport, build_report
+
+
+#: Report values: finite reals (-0.0 and subnormals included), +-inf, ints,
+#: bools, None and strings, nested in lists and string-keyed dicts.  NaN
+#: compares unequal to itself, so it is checked on its own below.
+VALUES = st.recursive(
+    st.floats(allow_nan=False) | st.integers() | st.booleans() | st.none() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+SECTIONS = st.dictionaries(st.text(), VALUES, max_size=5)
 
 
 def run(capsys, *argv):
@@ -20,21 +33,24 @@ def run(capsys, *argv):
 
 
 class TestConstants:
-    def test_text_output(self, capsys):
-        code, out, _ = run(capsys, "constants", "--N", "2")
-        assert code == 0
-        assert "alpha: 1.25" in out
-        assert "lambda3: 2" in out
-
     def test_json_output(self, capsys):
-        code, out, _ = run(capsys, "constants", "--N", "2", "--json")
+        code, out, _ = run(capsys, "constants", "--N", "2")
         assert code == 0
         data = json.loads(out)
         assert data["alpha"] == 1.25
         assert data["A"] == [[1.25, 0.75], [0.75, 1.25]]
-        assert data["lambda0"] == 1.0
+        assert data["lambda0"] == 1.0 and data["lambda3"] == 2.0
         assert data["m"] == 2.0 and data["p"] == 2.0 and data["q"] == -2.0
         assert data["flux_targets"][0] == pytest.approx(-16.0 * np.pi)
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_scalars_match_report(self, capsys, N):
+        code, out, _ = run(capsys, "constants", "--N", str(N))
+        assert code == 0
+        scalars = {k: v for k, v in json.loads(out).items() if isinstance(v, float)}
+        code, out, _ = run(capsys, "report", "--N", str(N), "--nodes", "1000")
+        assert code == 0
+        assert json.loads(out)["constants"] == scalars
 
     def test_invalid_rank(self, capsys):
         code, _, err = run(capsys, "constants", "--N", "1")
@@ -208,11 +224,30 @@ class TestReportSerialization:
         report = build_report(radial_sol=sol)
         assert parse_report(emit_report(report)) == report
 
-    def test_seventeen_digit_reals(self):
+    def test_non_terminating_fraction_round_trips(self):
         sol = solve_radial_P(ModelParams(N=3, n1=1, n2=2), radial_mesh(n=1000), tol=1e-9)
-        text = emit_report(build_report(radial_sol=sol))
-        # A non-terminating binary fraction keeps all 17 significant digits.
-        assert "1.3333333333333333" in text  # alpha at rank 3
+        report = build_report(radial_sol=sol)
+        alpha = report.constants["alpha"]  # 4/3 at rank 3: no finite binary form
+        back = parse_report(emit_report(report)).constants["alpha"]
+        assert back.hex() == alpha.hex()
+
+    @settings(max_examples=200)
+    @given(
+        params=SECTIONS,
+        constants=SECTIONS,
+        flux=st.lists(SECTIONS, max_size=3),
+        component_flux=SECTIONS,
+        decay=st.lists(SECTIONS, max_size=3),
+        residuals=SECTIONS,
+        uniqueness=st.none() | SECTIONS,
+        cross_validation=st.none() | SECTIONS,
+    )
+    def test_round_trip_property(self, **sections):
+        report = VerificationReport(**sections)
+        back = parse_report(emit_report(report))
+        assert back == report
+        # repr also tells -0.0 from 0.0 and 1.0 from 1, which == does not.
+        assert repr(back) == repr(report)
 
     def test_non_finite_reals_round_trip(self):
         report = VerificationReport(

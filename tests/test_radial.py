@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexlab import radial
 from vortexlab.errors import NonConvergenceError
 from vortexlab.model import (
     ModelParams,
@@ -258,6 +259,34 @@ class TestProfileSolver:
         assert err.value.iterations == 1
         assert err.value.residual > 1e-10
         assert err.value.last_iterate is not None
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_banded_jacobian_matches_finite_differences(self, monkeypatch, N):
+        captured = {}
+        newton = radial._damped_newton
+
+        def capture(system, jacobian, bands, z, *args, **kwargs):
+            captured.update(system=system, jacobian=jacobian, bands=bands, z=z.copy())
+            return newton(system, jacobian, bands, z, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "_damped_newton", capture)
+        solve_profile_bps(N, n=1000)
+        system, z, (lower, upper) = captured["system"], captured["z"], captured["bands"]
+        ab = captured["jacobian"](z)
+        # Columns lower + upper + 1 apart touch disjoint rows, so one central
+        # difference per colour gives every band entry of those columns.
+        width, step = lower + upper + 1, 1e-6
+        fd = np.zeros_like(ab)
+        for colour in range(width):
+            dz = np.zeros(z.size)
+            dz[colour::width] = step
+            diff = (system(z + dz) - system(z - dz)) / (2.0 * step)
+            cols = np.arange(colour, z.size, width)
+            for band_row in range(width):
+                rows = cols + band_row - upper
+                inside = (rows >= 0) & (rows < z.size)
+                fd[band_row, cols[inside]] = diff[rows[inside]]
+        assert np.max(np.abs(ab - fd)) < 1e-7
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
