@@ -9,15 +9,20 @@ Subcommands::
     verify         verification report from a saved radial CSV
     report         solve and emit a full verification report
 
-Exit codes: 0 success, 1 solver non-convergence, 2 invalid parameters,
-3 I/O failure.  Output files carry a single ``#``-prefixed metadata line
-(key=value pairs) and are byte-identical across runs for a fixed
-configuration.  CSV reals are printed to 17 significant digits.  JSON
-output (reports and ``constants``) is written by the standard ``json``
-module: reals in their shortest round-trip form and non-finite ones as
-``NaN``, ``Infinity`` and ``-Infinity``, so parsing an emitted report
-reproduces it by value (a ``NaN`` comes back as a NaN, which compares
-unequal to itself).
+Each subcommand returns its output as a function that writes it to a file
+handle, with the note for its ``wrote PATH`` line; :func:`main` alone
+sends that output to ``--out`` or stdout and turns failures into exit
+codes: 0 success, 1 solver non-convergence, 2 invalid parameters or
+input, 3 I/O failure.
+
+Output files carry a single ``#``-prefixed metadata line (key=value
+pairs) and are byte-identical across runs for a fixed configuration.
+CSV reals are printed to 17 significant digits.  JSON output (reports
+and ``constants``) is written by the standard ``json`` module: reals in
+their shortest round-trip form and non-finite ones as ``NaN``,
+``Infinity`` and ``-Infinity``, so parsing an emitted report reproduces
+it by value (a ``NaN`` comes back as a NaN, which compares unequal to
+itself).
 
 To cap the threads of the linear-algebra libraries, set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
@@ -86,26 +91,25 @@ def parse_report(text: str) -> VerificationReport:
     return VerificationReport(**json.loads(text))
 
 
-def _metadata_line(pairs: dict) -> str:
-    return "# " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs.items())
+def _csv_writer(meta: dict, columns: dict):
+    """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
-
-def _write_csv(fh, meta: dict, header: list, columns: list) -> None:
-    """Metadata line, column header, then one row of 17-digit reals per node.
-
-    Adding ``0.0`` folds ``-0.0`` into ``0``.
+    One row per node; the names are the keys of ``columns``.  Adding
+    ``0.0`` folds ``-0.0`` into ``0``.
     """
-    np.savetxt(
+    header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
+    header += "\n" + ",".join(columns)
+    return lambda fh: np.savetxt(
         fh,
-        np.column_stack(columns) + 0.0,
+        np.column_stack(list(columns.values())) + 0.0,
         fmt="%.17g",
         delimiter=",",
-        header=_metadata_line(meta) + "\n" + ",".join(header),
+        header=header,
         comments="",
     )
 
 
-def _emit(path: Optional[str], write, note: str = "") -> None:
+def _emit(path: Optional[str], write, note: str) -> None:
     """Call ``write(fh)`` on the file ``path`` (utf-8, ``\\n`` newlines), or on stdout.
 
     Only a written file is announced, by a ``wrote PATH`` line ending in
@@ -144,32 +148,6 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="allow nonnegative real multiplicities (default requires positive integers)",
     )
-
-
-def _radial_solution_csv(sol: RadialSolution, tol: float) -> tuple[dict, list, list]:
-    profiles = reconstruct_profiles(sol)
-    meta = {
-        **dataclasses.asdict(sol.params),
-        "rmin": sol.mesh.r_min,
-        "rmax": sol.mesh.r_max,
-        "nodes": sol.mesh.n,
-        "tol": tol,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-    }
-    header = ["r", "u1", "u2", "Q1", "Q2", "f", "fNA", "E1", "E2"]
-    cols = [
-        sol.mesh.r,
-        sol.u1,
-        sol.u2,
-        profiles.Q1,
-        profiles.Q2,
-        profiles.f,
-        profiles.f_NA,
-        sol.E1,
-        sol.E2,
-    ]
-    return meta, header, cols
 
 
 def _load_radial_csv(path: str) -> RadialSolution:
@@ -221,7 +199,7 @@ def _load_radial_csv(path: str) -> RadialSolution:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args):
     params = _params_from_args(args)
     cd = coupling_matrix(params)
     sc = spectral_constants(cd)
@@ -232,23 +210,39 @@ def _cmd_constants(args) -> int:
         "T": sc.T.tolist(),
         "flux_targets": list(flux_targets(params, sc)),
     }
-    sys.stdout.write(_json_text(payload))
-    return 0
+    text = _json_text(payload)
+    return (lambda fh: fh.write(text)), ""
 
 
-def _cmd_solve_radial(args) -> int:
+def _cmd_solve_radial(args):
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     sol = solve_radial_P(_params_from_args(args), mesh, tol=args.tol, max_iter=args.max_iter)
-    meta, header, cols = _radial_solution_csv(sol, args.tol)
-    _emit(
-        args.out,
-        lambda fh: _write_csv(fh, meta, header, cols),
-        f" ({sol.iterations} iterations, residual {sol.residual:.3e})",
-    )
-    return 0
+    profiles = reconstruct_profiles(sol)
+    meta = {
+        **dataclasses.asdict(sol.params),
+        "rmin": mesh.r_min,
+        "rmax": mesh.r_max,
+        "nodes": mesh.n,
+        "tol": args.tol,
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+    }
+    columns = {
+        "r": mesh.r,
+        "u1": sol.u1,
+        "u2": sol.u2,
+        "Q1": profiles.Q1,
+        "Q2": profiles.Q2,
+        "f": profiles.f,
+        "fNA": profiles.f_NA,
+        "E1": sol.E1,
+        "E2": sol.E2,
+    }
+    note = f" ({sol.iterations} iterations, residual {sol.residual:.3e})"
+    return _csv_writer(meta, columns), note
 
 
-def _cmd_solve_profile(args) -> int:
+def _cmd_solve_profile(args):
     ps = solve_profile_bps(
         args.N, r_max=args.rmax, tol=args.tol, n=args.nodes, r_min=args.rmin
     )
@@ -263,17 +257,12 @@ def _cmd_solve_profile(args) -> int:
         "c1": ps.c1,
         "c2": ps.c2,
     }
-    header = ["r", "f", "fNA", "Q1", "Q2"]
-    cols = [ps.mesh.r, ps.f, ps.f_NA, ps.Q1, ps.Q2]
-    _emit(
-        args.out,
-        lambda fh: _write_csv(fh, meta, header, cols),
-        f" ({ps.iterations} iterations, residual {ps.residual:.3e})",
-    )
-    return 0
+    columns = {"r": ps.mesh.r, "f": ps.f, "fNA": ps.f_NA, "Q1": ps.Q1, "Q2": ps.Q2}
+    note = f" ({ps.iterations} iterations, residual {ps.residual:.3e})"
+    return _csv_writer(meta, columns), note
 
 
-def _cmd_solve_planar(args) -> int:
+def _cmd_solve_planar(args):
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
     sol = solve_planar(_params_from_args(args), grid, tol=args.tol, max_iter=args.max_iter)
     meta = {
@@ -285,48 +274,36 @@ def _cmd_solve_planar(args) -> int:
         "gradient_norm": sol.final_gradient_norm,
         "energy": sol.final_energy,
     }
-    header = ["x", "y", "w1", "w2", "u1", "u2"]
     n = grid.points_per_side
-    X = np.repeat(grid.coords, n)
-    Y = np.tile(grid.coords, n)
-    cols = [
-        X,
-        Y,
-        sol.w[0].ravel(),
-        sol.w[1].ravel(),
-        sol.u1.ravel(),
-        sol.u2.ravel(),
-    ]
-    _emit(
-        args.out,
-        lambda fh: _write_csv(fh, meta, header, cols),
-        f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})",
-    )
-    return 0
+    columns = {
+        "x": np.repeat(grid.coords, n),
+        "y": np.tile(grid.coords, n),
+        "w1": sol.w[0].ravel(),
+        "w2": sol.w[1].ravel(),
+        "u1": sol.u1.ravel(),
+        "u2": sol.u2.ravel(),
+    }
+    note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
+    return _csv_writer(meta, columns), note
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if not os.path.exists(args.input):
-        print(f"error: solution file not found: {args.input}", file=sys.stderr)
-        return 2
+        raise ValueError(f"solution file not found: {args.input}")
     sol = _load_radial_csv(args.input)
     actual = dataclasses.asdict(sol.params)
     for key in ("N", "n1", "n2"):
         want = getattr(args, key)
         if want is not None and want != actual[key]:
-            print(
-                f"error: requested {key}={want} does not match the solution file "
-                f"({key}={actual[key]})",
-                file=sys.stderr,
+            raise ValueError(
+                f"requested {key}={want} does not match the solution file "
+                f"({key}={actual[key]})"
             )
-            return 2
-    report = build_report(radial_sol=sol, window=tuple(args.window))
-    text = emit_report(report)
-    _emit(args.out, lambda fh: fh.write(text))
-    return 0
+    text = emit_report(build_report(sol, window=tuple(args.window)))
+    return (lambda fh: fh.write(text)), ""
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     params = _params_from_args(args)
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     radial_sol = solve_radial_P(params, mesh, tol=args.tol)
@@ -344,14 +321,13 @@ def _cmd_report(args) -> int:
             planar_alt = solve_planar(params, grid, tol=args.planar_tol, initial=init)
 
     report = build_report(
-        radial_sol=radial_sol,
+        radial_sol,
         planar_sol=planar_sol,
         planar_sol_alt=planar_alt,
         window=tuple(args.window),
     )
     text = emit_report(report)
-    _emit(args.out, lambda fh: fh.write(text))
-    return 0
+    return (lambda fh: fh.write(text)), ""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        write, note = args.func(args)
+        _emit(getattr(args, "out", None), write, note)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -440,6 +417,7 @@ def main(argv: Optional[list] = None) -> int:
         target = getattr(exc, "filename", None)
         print(f"error: I/O failure on {target or 'output'}: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

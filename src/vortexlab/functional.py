@@ -15,7 +15,7 @@ Boundary entries are Dirichlet data; only interior entries are degrees of
 freedom.
 
 Exponential-minus-one terms are evaluated with ``expm1`` so small fields
-do not lose precision, and an exponent cap (default 300) rejects fields
+do not lose precision, and an exponent cap (``EXP_CAP``) rejects fields
 that could only arise from a diverging outer iteration.  The energy
 *change* along a step is evaluated directly, without subtracting two
 totals, so a line search can resolve decreases far below the rounding of
@@ -39,7 +39,8 @@ from .model import ModelParams, background, coupling_matrix, functional_coeffici
 
 __all__ = ["PlanarGrid", "DiscreteFunctional"]
 
-DEFAULT_EXP_CAP = 300.0
+#: Largest ``|2*w1|`` or ``|2*(a_mix*w1 + w2)|`` accepted by an evaluation.
+EXP_CAP = 300.0
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,9 @@ class DiscreteFunctional:
     array arithmetic, deterministic in single-threaded mode.
     """
 
-    def __init__(self, params: ModelParams, grid: PlanarGrid, exp_cap: float = DEFAULT_EXP_CAP):
+    def __init__(self, params: ModelParams, grid: PlanarGrid):
         self.grid = grid
         self.fc = functional_coefficients(coupling_matrix(params))
-        self.exp_cap = float(exp_cap)
         bg = background(params)
         r2 = grid.radius_squared()
         self.e2u01 = bg.exp_two_u0_1(r2)
@@ -145,12 +145,11 @@ class DiscreteFunctional:
         return s1, s2
 
     def _check_cap(self, s1: np.ndarray, s2: np.ndarray) -> None:
-        cap = self.exp_cap
         m1 = float(np.max(np.abs(s1)))
         m2 = float(np.max(np.abs(s2)))
-        if m1 > cap or m2 > cap:
+        if m1 > EXP_CAP or m2 > EXP_CAP:
             raise FieldOverflowError(
-                f"exponent argument {max(m1, m2):.3g} exceeds cap {cap:.3g}; "
+                f"exponent argument {max(m1, m2):.3g} exceeds cap {EXP_CAP:.3g}; "
                 "the outer iteration is diverging"
             )
 

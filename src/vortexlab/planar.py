@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError
-from .functional import DEFAULT_EXP_CAP, DiscreteFunctional, PlanarGrid
+from .functional import DiscreteFunctional, PlanarGrid
 from .model import ModelParams, background, coupling_matrix
 
 __all__ = ["PlanarSolution", "RadialSlice", "boundary_values", "solve_planar", "extract_radial_slice"]
@@ -98,7 +98,6 @@ def solve_planar(
     tol: float = 1e-8,
     max_iter: int = 60,
     initial: Optional[np.ndarray] = None,
-    exp_cap: float = DEFAULT_EXP_CAP,
 ) -> PlanarSolution:
     """Newton-CG minimization of the discrete functional.
 
@@ -115,15 +114,15 @@ def solve_planar(
     fast-Poisson operator, to ``||r||_2 <= eta * ||g||_2`` with
     ``eta = min(0.5, sqrt(residual))``; ``CG_MAX_ITER`` caps the CG
     iterations of one Newton step.  Steps are backtracked on the energy
-    change (Armijo); trial steps beyond ``exp_cap`` count as rejected.
-    ``energy_history`` accumulates the start energy and the accepted
-    changes.
+    change (Armijo); trial steps beyond ``functional.EXP_CAP`` count as
+    rejected.  ``energy_history`` accumulates the start energy and the
+    accepted changes.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    func = DiscreteFunctional(params, grid, exp_cap=exp_cap)
+    func = DiscreteFunctional(params, grid)
     h2 = grid.cell_area
 
     w = boundary_values(params, grid)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError
-from .model import BackgroundField, ModelParams, background, coupling_matrix
+from .model import ModelParams, background, coupling_matrix
 
 __all__ = [
     "RadialMesh",
@@ -39,7 +39,6 @@ __all__ = [
     "ode_residual",
     "central_derivative",
     "apply_radial_laplacian",
-    "discrete_source",
     "radial_system_residual",
 ]
 
@@ -233,26 +232,6 @@ def _apply_stencil(stencil, y: np.ndarray) -> np.ndarray:
 SOURCE_BLEND_RADIUS = 5.0
 
 
-def discrete_source(bg: BackgroundField, mesh: RadialMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Scheme-consistent source terms for the regularized radial system.
-
-    Near the origin the analytic ``phi_i`` is used directly (the smooth
-    parts carry the truncation there and it is tiny).  In the far field the
-    source is ``-lap_h(u0_i)`` with the same stencil the solver applies, so
-    the algebraic ``tau/r**2`` background tail cancels out of the scheme's
-    truncation error and the discrete solution tracks the exponentially
-    small fields instead of an O(h^2/r^6) error floor.
-    """
-    r = mesh.r
-    r2 = r * r
-    far = r > SOURCE_BLEND_RADIUS
-    phi1 = bg.phi_1(r2)
-    phi2 = bg.phi_2(r2)
-    phi1 = np.where(far, -apply_radial_laplacian(r, bg.u0_1(r2)), phi1)
-    phi2 = np.where(far, -apply_radial_laplacian(r, bg.u0_2(r2)), phi2)
-    return phi1, phi2
-
-
 # ---------------------------------------------------------------------------
 # regularized radial system
 # ---------------------------------------------------------------------------
@@ -277,8 +256,16 @@ class _RegularizedSystem:
         self.A = coupling_matrix(params).A
         self.u01 = bg.u0_1(r2)
         self.u02 = bg.u0_2(r2)
-        self.phi1, self.phi2 = discrete_source(bg, mesh)
         self.stencil = _laplacian_coefficients(r)
+        # Near the origin the source is the analytic phi_i (the smooth parts
+        # carry the truncation there and it is tiny).  In the far field it is
+        # -lap_h(u0_i) with the solver's own stencil, so the algebraic
+        # tau/r**2 background tail cancels out of the truncation error and the
+        # discrete solution tracks the exponentially small fields instead of
+        # an O(h^2/r^6) error floor.
+        far = r > SOURCE_BLEND_RADIUS
+        self.phi1 = np.where(far, -_apply_stencil(self.stencil, self.u01), bg.phi_1(r2))
+        self.phi2 = np.where(far, -_apply_stencil(self.stencil, self.u02), bg.phi_2(r2))
         sub, self.dia, sup = self.stencil
         # Stencil bands of the Jacobian; the last node's coefficients are zero.
         self.bands = np.zeros((5, 2 * n))

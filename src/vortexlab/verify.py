@@ -279,35 +279,33 @@ def uniqueness_check(sol_a: PlanarSolution, sol_b: PlanarSolution) -> dict:
 
 
 def build_report(
-    radial_sol: Optional[RadialSolution] = None,
+    radial_sol: RadialSolution,
     planar_sol: Optional[PlanarSolution] = None,
     planar_sol_alt: Optional[PlanarSolution] = None,
     window: tuple[float, float] = (10.0, 14.0),
 ) -> VerificationReport:
-    """Assemble a full report from whichever solutions are available.
+    """Assemble a full report from a radial solution and optional planar ones.
 
-    Fluxes, decay fits and the governing residual come from the radial
-    solution when given (it is the finer discretization), otherwise from
-    the planar one.  The profile-equation residual is measured on profiles
-    reconstructed from the radial solution.  The model parameters are those
-    of that primary solution.
+    Fluxes, decay fits and both residuals come from the radial solution
+    (it is the finer discretization); the profile-equation residual is
+    measured on profiles reconstructed from it.  The model parameters are
+    those of the radial solution.  A planar solution adds the
+    radial-vs-planar cross-validation, and a second planar one the
+    uniqueness check.
     """
-    primary: Optional[Solution] = radial_sol if radial_sol is not None else planar_sol
-    if primary is None:
-        raise ValueError("need at least one solution to build a report")
-    params = primary.params
-
-    fluxes = flux_integrals(primary)
-    decay = decay_fit(primary, window=window)
-    residuals: dict = {"pde_sup": pde_residual(primary), "ode_sup": None}
-    if radial_sol is not None:
-        residuals["ode_sup"] = ode_residual(reconstruct_profiles(radial_sol), params)
+    params = radial_sol.params
+    fluxes = flux_integrals(radial_sol)
+    decay = decay_fit(radial_sol, window=window)
+    residuals = {
+        "pde_sup": pde_residual(radial_sol),
+        "ode_sup": ode_residual(reconstruct_profiles(radial_sol), params),
+    }
 
     uniqueness = None
     if planar_sol is not None and planar_sol_alt is not None:
         uniqueness = uniqueness_check(planar_sol, planar_sol_alt)
     cross = None
-    if radial_sol is not None and planar_sol is not None:
+    if planar_sol is not None:
         cross = cross_validate(radial_sol, planar_sol)
 
     return VerificationReport(

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from vortexlab.cli import _fmt, _write_csv, emit_report, main, parse_report
+from vortexlab.cli import _csv_writer, _fmt, _load_radial_csv, emit_report, main, parse_report
 from vortexlab.model import ModelParams
 from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import VerificationReport, build_report
@@ -137,9 +139,10 @@ class TestSolvePlanar:
 class TestVerify:
     def test_missing_solution_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code, _, err = run(capsys, "verify", "--N", "2", "--n1", "1", "--n2", "1")
+        code, out, err = run(capsys, "verify", "--N", "2", "--n1", "1", "--n2", "1")
         assert code == 2
-        assert "not found" in err
+        assert out == ""
+        assert err == "error: solution file not found: radial.csv\n"
 
     def test_verify_saved_solution(self, tmp_path, capsys):
         csv = tmp_path / "radial.csv"
@@ -158,9 +161,10 @@ class TestVerify:
     def test_parameter_mismatch(self, tmp_path, capsys):
         csv = tmp_path / "radial.csv"
         run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
-        code, _, err = run(capsys, "verify", "--N", "3", "--input", str(csv))
+        code, out, err = run(capsys, "verify", "--N", "3", "--input", str(csv))
         assert code == 2
-        assert "match" in err
+        assert out == ""
+        assert err == "error: requested N=3 does not match the solution file (N=2)\n"
 
     @staticmethod
     def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False):
@@ -296,12 +300,10 @@ class TestOutput:
     def test_csv_golden_bytes(self):
         values = [-0.0, 0.1, 2.0, 5e-324, np.nan, np.inf, -np.inf]
         fh = io.StringIO()
-        _write_csv(
-            fh,
+        _csv_writer(
             {"N": 2, "tau": 0.1, "theorem_mode": True},
-            [f"c{k}" for k in range(len(values))],
-            [np.array([v]) for v in values],
-        )
+            {f"c{k}": np.array([v]) for k, v in enumerate(values)},
+        )(fh)
         assert fh.getvalue() == (
             "# N=2 tau=0.10000000000000001 theorem_mode=true\n"
             "c0,c1,c2,c3,c4,c5,c6\n"
@@ -316,6 +318,36 @@ class TestOutput:
         ]
         columns.append(np.array([-0.0, 0.0, 1e-310, -1e-310, np.nan] * 40))
         fh = io.StringIO()
-        _write_csv(fh, {"N": 2}, ["a", "b", "c", "d"], columns)
+        _csv_writer({"N": 2}, dict(zip("abcd", columns)))(fh)
         rows = fh.getvalue().splitlines()[2:]
         assert rows == [",".join(_fmt(float(v)) for v in row) for row in np.column_stack(columns)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        u=hnp.arrays(np.float64, (2, 1000), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        residual=st.floats(),
+    )
+    def test_radial_csv_round_trip(self, tmp_path_factory, u, residual):
+        # -0.0 and subnormals in every example, besides those Hypothesis draws.
+        u[:, :3] = [[-0.0, 5e-324, -2.5e-310], [2.5e-310, -0.0, -5e-324]]
+        params = ModelParams(N=3, n1=1, n2=2)
+        r = radial_mesh(n=1000).r
+
+        def write(path, params, r, u1, u2, residual):
+            meta = {**dataclasses.asdict(params), "iterations": 7, "residual": residual}
+            with path.open("w", encoding="utf-8", newline="\n") as fh:
+                _csv_writer(meta, {"r": r, "u1": u1, "u2": u2})(fh)
+
+        first = tmp_path_factory.mktemp("csv") / "radial.csv"
+        write(first, params, r, u[0], u[1], residual)
+        with np.errstate(over="ignore"):  # E = expm1(2u) of huge u
+            back = _load_radial_csv(str(first))
+        assert back.params == params and back.iterations == 7
+        np.testing.assert_array_equal(back.mesh.r, r)
+        np.testing.assert_array_equal(back.u1, u[0])
+        np.testing.assert_array_equal(back.u2, u[1])
+        assert not np.signbit(back.u1[0]) and not np.signbit(back.u2[1])  # -0.0 reads as 0.0
+        assert back.residual == residual or (math.isnan(back.residual) and math.isnan(residual))
+        second = first.with_name("again.csv")
+        write(second, back.params, back.mesh.r, back.u1, back.u2, back.residual)
+        assert second.read_bytes() == first.read_bytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexlab import functional
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams, background, coupling_matrix
@@ -121,17 +122,19 @@ class TestSolve:
         with pytest.raises(FieldOverflowError):
             solve_planar(params, grid, initial=init)
 
-    def test_overflowing_trial_step_is_backtracked(self):
+    def test_overflowing_trial_step_is_backtracked(self, monkeypatch):
         # The first full Newton step from this start drives an exponent past
-        # the cap of 5; the line search must reject it and backtrack.
+        # a cap of 5; the line search must reject it and backtrack.
         params = make()
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        reference = solve_planar(params, grid, tol=1e-8).w
+        monkeypatch.setattr(functional, "EXP_CAP", 5.0)
         init = np.zeros((2, 64, 64))
         init[0, 1:-1, 1:-1] = -1.2
         init[1, 1:-1, 1:-1] = 1.0
-        sol = solve_planar(params, grid, tol=1e-8, initial=init, exp_cap=5.0)
+        sol = solve_planar(params, grid, tol=1e-8, initial=init)
         assert sol.final_gradient_norm < 1e-8
-        assert np.max(np.abs(sol.w - solve_planar(params, grid, tol=1e-8).w)) < 1e-6
+        assert np.max(np.abs(sol.w - reference)) < 1e-6
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_cg_iterations_independent_of_grid(self, n):

@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` replaces solver entry points and
 ``DiscreteFunctional`` methods from outside the package; a renamed
 function or a changed call shape would leave its counts at zero without
-any error.  This runs the tracer on two small CLI commands and checks that
-the counts it derives are positive.
+any error, and so would a command that called a local alias of a wrapped
+function such as ``emit_report`` or ``build_report``.  This runs the tracer
+on four small CLI commands and checks that the counts and times it derives
+are positive.
 """
 
 import json
@@ -23,7 +25,9 @@ tracer = tracing.Tracer()
 tracer.install()
 import vortexlab.cli
 for argv in (["solve-planar", "--N", "2", "--grid", "32", "--out", "planar.csv"],
-             ["solve-radial", "--N", "2", "--out", "radial.csv"]):
+             ["solve-radial", "--N", "2", "--out", "radial.csv"],
+             ["solve-profile", "--N", "2", "--nodes", "2000", "--out", "profile.csv"],
+             ["report", "--N", "2", "--nodes", "1000", "--out", "report.json"]):
     assert vortexlab.cli.main(argv) == 0, argv
 print(json.dumps(tracing.layer_metrics(tracer.spans)))
 """
@@ -45,5 +49,8 @@ def test_tracer_counts_are_positive(tmp_path):
         "functional.hessian_apply_bytes_computed",
         "radial.solve_P_iters",
         "radial.banded_calls",
+        "radial.profile_iters",
+        "cli.emit_report_s",
+        "verify.build_report_s",
     ):
         assert metrics[name] > 0, name

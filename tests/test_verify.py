@@ -178,5 +178,5 @@ class TestReport:
         assert rec["sup_difference"] == 0.0
 
     def test_report_needs_a_solution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_report()
