@@ -33,8 +33,8 @@ for rec in out["flux"]:
     print(f"{rec['name']}: value {rec['value']:+.6f}  target {rec['target']:+.6f}")
 
 sym = max(
-    float(np.max(np.abs(sol.u1 - sol.u1[::-1, :]))),
-    float(np.max(np.abs(sol.u1 - sol.u1[:, ::-1]))),
+    float(np.max(np.abs(sol.u[0] - sol.u[0][::-1, :]))),
+    float(np.max(np.abs(sol.u[0] - sol.u[0][:, ::-1]))),
 )
 print(f"four-fold symmetry defect: {sym:.2e}")
 

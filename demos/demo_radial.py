@@ -21,7 +21,7 @@ for params in (ModelParams(N=2, n1=1, n2=1), ModelParams(N=3, n1=1, n2=2)):
     sol = solve_radial_P(params, mesh, tol=1e-9)
     print(f"=== N = {params.N}, (n1, n2) = ({params.n1:g}, {params.n2:g}) ===")
     print(f"converged in {sol.iterations} Newton steps, residual {sol.residual:.2e}")
-    print(f"u1 range: [{sol.u1.min():.4f}, {sol.u1.max():.4f}]")
+    print(f"u1 range: [{sol.u[0].min():.4f}, {sol.u[0].max():.4f}]")
 
     out = flux_integrals(sol)
     for rec in out["flux"]:

@@ -176,19 +176,15 @@ def _load_radial_csv(path: str) -> RadialSolution:
     )
     col = {name: data[:, k] for k, name in enumerate(header)}
     mesh = RadialMesh(r=col["r"])
+    u = np.stack([col["u1"], col["u2"]])
     bg = background(params)
     r2 = mesh.r**2
-    P1 = col["u1"] - bg.u0_1(r2)
-    P2 = col["u2"] - bg.u0_2(r2)
     return RadialSolution(
         params=params,
         mesh=mesh,
-        P1=P1,
-        P2=P2,
-        u1=col["u1"],
-        u2=col["u2"],
-        E1=np.expm1(2.0 * col["u1"]),
-        E2=np.expm1(2.0 * col["u2"]),
+        P=u - np.stack([bg.u0_1(r2), bg.u0_2(r2)]),
+        u=u,
+        E=np.expm1(2.0 * u),
         iterations=int(float(meta.get("iterations", "0"))),
         residual=float(meta.get("residual", "nan")),
     )
@@ -229,14 +225,14 @@ def _cmd_solve_radial(args):
     }
     columns = {
         "r": mesh.r,
-        "u1": sol.u1,
-        "u2": sol.u2,
+        "u1": sol.u[0],
+        "u2": sol.u[1],
         "Q1": profiles.Q1,
         "Q2": profiles.Q2,
         "f": profiles.f,
         "fNA": profiles.f_NA,
-        "E1": sol.E1,
-        "E2": sol.E2,
+        "E1": sol.E[0],
+        "E2": sol.E[1],
     }
     note = f" ({sol.iterations} iterations, residual {sol.residual:.3e})"
     return _csv_writer(meta, columns), note
@@ -280,8 +276,8 @@ def _cmd_solve_planar(args):
         "y": np.tile(grid.coords, n),
         "w1": sol.w[0].ravel(),
         "w2": sol.w[1].ravel(),
-        "u1": sol.u1.ravel(),
-        "u2": sol.u2.ravel(),
+        "u1": sol.u[0].ravel(),
+        "u2": sol.u[1].ravel(),
     }
     note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
     return _csv_writer(meta, columns), note

@@ -30,6 +30,7 @@ Golub & Nielson (1970).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +48,13 @@ EXP_CAP = 300.0
 class PlanarGrid:
     """Uniform tensor grid on the closed box ``[-L, L]^2``.
 
-    No node sits at the exact origin: for an even ``points_per_side`` the
-    symmetric grid already avoids it, for an odd count every node is
-    shifted by ``h/2`` (which sacrifices the exact negation symmetry of the
-    node set).  Coordinates are built as integer multiples of ``h/2`` so
-    symmetric grids are symmetric to the last bit.
+    ``half_width`` is a positive finite real and ``points_per_side`` an
+    integer (or an integral real) ``>= 16``; anything else raises
+    ``ValueError``.  No node sits at the exact origin: for an even
+    ``points_per_side`` the symmetric grid already avoids it, for an odd
+    count every node is shifted by ``h/2`` (which sacrifices the exact
+    negation symmetry of the node set).  Coordinates are built as integer
+    multiples of ``h/2`` so symmetric grids are symmetric to the last bit.
     """
 
     half_width: float
@@ -59,10 +62,10 @@ class PlanarGrid:
     coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.half_width > 0.0):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         n = self.points_per_side
-        if int(n) != n or n < 16:
+        if n % 1 != 0 or n < 16:  # a non-finite n leaves a NaN remainder
             raise ValueError(f"points_per_side must be an integer >= 16, got {n!r}")
         object.__setattr__(self, "points_per_side", int(n))
         ticks = 2 * np.arange(self.points_per_side) - (self.points_per_side - 1)

@@ -59,12 +59,14 @@ def _readonly(a) -> np.ndarray:
 class ModelParams:
     """Problem instance: rank, vortex multiplicities, background scale.
 
-    ``theorem_mode`` (default) enforces positive integer multiplicities,
+    ``N`` is an integer (or an integral real) ``>= 2`` and ``tau`` a
+    positive finite real.  ``theorem_mode`` (default) enforces positive
+    integer multiplicities (at least 1 and within ``1e-12`` of an integer),
     the hypothesis under which the quantized fluxes and decay bounds are
-    exact statements.  With ``theorem_mode=False`` any nonnegative real
-    multiplicities are accepted -- the solvers are well defined for them;
-    ``n1 = n2 = 0`` is the vacuum, and ``(1/2, 0)`` reproduces the minimal
-    profile-function vortex.
+    exact statements.  With ``theorem_mode=False`` any nonnegative finite
+    real multiplicities are accepted -- the solvers are well defined for
+    them; ``n1 = n2 = 0`` is the vacuum, and ``(1/2, 0)`` reproduces the
+    minimal profile-function vortex.  Anything else raises ``ValueError``.
     """
 
     N: int
@@ -74,13 +76,13 @@ class ModelParams:
     theorem_mode: bool = True
 
     def __post_init__(self):
-        if int(self.N) != self.N:
+        if self.N % 1 != 0:  # a non-finite N leaves a NaN remainder
             raise ValueError(f"rank N must be an integer, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
         if self.N < 2:
             raise ValueError(f"rank N must be >= 2, got {self.N}")
-        if not (self.tau > 0.0):
-            raise ValueError(f"background scale tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"background scale tau must be positive and finite, got {self.tau}")
         for name in ("n1", "n2"):
             n = float(getattr(self, name))
             object.__setattr__(self, name, n)

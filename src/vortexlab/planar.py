@@ -25,6 +25,10 @@ imposed at the edge, so the boundary values of ``w`` are the lifted data
 ``L^-1 @ (-u0)`` rather than zero (with zero boundary data the fields
 would be pinned to the background there, which measurably biases the flux
 integrals).  Interior nodes are the only degrees of freedom.
+
+Every field of a planar solution is a ``(2, n, n)`` array whose leading
+axis is the species: ``w``, the smooth parts ``P = L @ w``, ``u = u0 + P``
+and ``E = exp(2u) - 1``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import FieldOverflowError, NonConvergenceError
 from .functional import DiscreteFunctional, PlanarGrid
 from .model import ModelParams, background, coupling_matrix
 
-__all__ = ["PlanarSolution", "RadialSlice", "boundary_values", "solve_planar", "extract_radial_slice"]
+__all__ = ["PlanarSolution", "boundary_values", "solve_planar", "extract_radial_slice"]
 
 #: CG iterations allowed in one Newton step.
 CG_MAX_ITER = 20000
@@ -49,32 +53,33 @@ CG_MAX_ITER = 20000
 class PlanarSolution:
     """Converged planar fields plus derived quantities and solve metadata.
 
-    ``w`` has shape ``(2, n, n)``: ``w[0]`` is ``w1`` and ``w[1]`` is ``w2``.
+    ``w``, ``u`` and ``E`` have shape ``(2, n, n)``, index 0 holding
+    species 1: ``w[0]`` is ``w1`` and ``w[1]`` is ``w2``.  The smooth
+    parts ``P`` are derived from ``w`` on access, not stored.
     """
 
     params: ModelParams
     grid: PlanarGrid
     w: np.ndarray
-    P1: np.ndarray
-    P2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
+    u: np.ndarray
+    E: np.ndarray
     iterations: int
     cg_iterations: int
     final_gradient_norm: float
     final_energy: float
     energy_history: list
 
+    @property
+    def P(self) -> np.ndarray:
+        """Smooth parts ``P = L @ w``, a new ``(2, n, n)`` array."""
+        return _smooth_parts(self.params, self.w)
 
-@dataclass
-class RadialSlice:
-    """Fields sampled along the positive x-axis of a planar solution."""
 
-    r: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
+def _smooth_parts(params: ModelParams, w: np.ndarray) -> np.ndarray:
+    # P1 = w1 and P2 = w2 + gamma * w1, on any stack of w values.
+    P = w.copy()
+    P[1] += coupling_matrix(params).gamma * w[0]
+    return P
 
 
 def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
@@ -118,8 +123,8 @@ def solve_planar(
     rejected.  ``energy_history`` accumulates the start energy and the
     accepted changes.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     func = DiscreteFunctional(params, grid)
@@ -243,25 +248,21 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
 
 
 def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history):
-    P1 = w[0]
-    P2 = coupling_matrix(params).gamma * w[0] + w[1]
+    # u and E are updated in place to save full-grid temporaries (peak memory).
     bg = background(params)
     r2 = grid.radius_squared()
-    u1 = bg.u0_1(r2) + P1
-    u2 = bg.u0_2(r2) + P2
+    u = _smooth_parts(params, w)
+    u[0] += bg.u0_1(r2)
+    u[1] += bg.u0_2(r2)
+    E = 2.0 * u
     with np.errstate(over="ignore"):
-        E1 = np.expm1(2.0 * u1)
-        E2 = np.expm1(2.0 * u2)
+        np.expm1(E, out=E)
     return PlanarSolution(
         params=params,
         grid=grid,
         w=w,
-        P1=P1,
-        P2=P2,
-        u1=u1,
-        u2=u2,
-        E1=E1,
-        E2=E2,
+        u=u,
+        E=E,
         iterations=iterations,
         cg_iterations=cg_total,
         final_gradient_norm=gnorm,
@@ -270,14 +271,15 @@ def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history
     )
 
 
-def extract_radial_slice(sol: PlanarSolution) -> RadialSlice:
+def extract_radial_slice(sol: PlanarSolution) -> tuple[np.ndarray, np.ndarray]:
     """Sample the physical fields along the positive x-axis.
 
-    Radii are the positive x node coordinates.  No node row sits on the
-    axis (see :class:`PlanarGrid`), so the smooth parts are linearly
-    interpolated to ``y = 0`` between the two straddling node rows and the
-    singular background is added analytically; the slice is second-order
-    accurate even close to the origin.
+    Returns ``(r, u)``: the radii are the positive x node coordinates and
+    ``u`` has shape ``(2, len(r))``.  No node row sits on the axis (see
+    :class:`PlanarGrid`), so the smooth parts are linearly interpolated to
+    ``y = 0`` between the two straddling node rows and the singular
+    background is added analytically; the slice is second-order accurate
+    even close to the origin.
     """
     coords = sol.grid.coords
     pos = coords > 0.0
@@ -287,9 +289,9 @@ def extract_radial_slice(sol: PlanarSolution) -> RadialSlice:
     y0, y1 = coords[j], coords[j + 1]
     wlo = y1 / (y1 - y0)
     whi = 1.0 - wlo
-    P1 = wlo * sol.P1[pos, j] + whi * sol.P1[pos, j + 1]
-    P2 = wlo * sol.P2[pos, j] + whi * sol.P2[pos, j + 1]
+    P = _smooth_parts(sol.params, sol.w[:, pos, j : j + 2])
+    P = wlo * P[..., 0] + whi * P[..., 1]
 
     bg = background(sol.params)
     r2 = r * r
-    return RadialSlice(r=r, u1=bg.u0_1(r2) + P1, u2=bg.u0_2(r2) + P2)
+    return r, np.stack([bg.u0_1(r2), bg.u0_2(r2)]) + P

@@ -2,7 +2,7 @@
 
 Two formulations are solved here:
 
-* the regularized second-order system for the smooth parts ``(P1, P2)``,
+* the regularized second-order system for the smooth parts ``P``,
   ``lap(P) = A @ E + Phi`` with the radial Laplacian ``P'' + P'/r``, a
   zero-slope (Neumann) condition at the innermost node and ``u = 0``
   imposed at the outer radius -- valid for arbitrary multiplicities;
@@ -14,6 +14,10 @@ Both use damped Newton iterations with exact banded Jacobians.  Meshes are
 geometrically graded near the origin (adjacent spacings in constant ratio)
 and switch to uniform spacing further out, with the two sections joined at
 matching slope so refinement stays second order.
+
+The species are the leading axis of every field of a radial solution:
+``P``, ``u = u0 + P`` and ``E = exp(2u) - 1`` have shape ``(2, n)``, index
+0 holding species 1.
 """
 
 from __future__ import annotations
@@ -95,8 +99,11 @@ def radial_mesh(r_min: float = 1e-4, r_max: float = 30.0, n: int = 4000) -> Radi
     by ``(r_min, r_max)`` alone, so doubling the interval count halves
     every spacing -- clean second-order refinement.
     """
-    if not (0.0 < r_min < GRADING_SWITCH_RADIUS < r_max):
-        raise ValueError("need 0 < r_min < switch radius < r_max")
+    if not (0.0 < r_min < GRADING_SWITCH_RADIUS < r_max < math.inf):
+        raise ValueError(
+            f"need 0 < r_min < {GRADING_SWITCH_RADIUS:g} < r_max < inf, "
+            f"got r_min={r_min}, r_max={r_max}"
+        )
     c = GRADING_OFFSET
     K = (GRADING_SWITCH_RADIUS + c) / (r_min + c)
     lnk = math.log(K)
@@ -114,16 +121,16 @@ def radial_mesh(r_min: float = 1e-4, r_max: float = 30.0, n: int = 4000) -> Radi
 
 @dataclass
 class RadialSolution:
-    """Converged fields of the regularized radial system plus derived data."""
+    """Converged fields of the regularized radial system plus derived data.
+
+    ``P``, ``u`` and ``E`` have shape ``(2, n)``, one row per species.
+    """
 
     params: ModelParams
     mesh: RadialMesh
-    P1: np.ndarray
-    P2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
+    P: np.ndarray
+    u: np.ndarray
+    E: np.ndarray
     iterations: int
     residual: float
 
@@ -157,29 +164,30 @@ def central_derivative(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second-order first derivative on a nonuniform mesh.
 
     Weighted central differences at interior nodes, one-sided 3-point
-    formulas at the two endpoints.
+    formulas at the two endpoints.  Differentiates along the last axis of
+    ``y``, so a ``(2, n)`` stack is differentiated per species.
     """
     r = np.asarray(r, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
-    out[1:-1] = (
-        -hp / (hm * (hm + hp)) * y[:-2]
-        + (hp - hm) / (hm * hp) * y[1:-1]
-        + hm / (hp * (hm + hp)) * y[2:]
+    out[..., 1:-1] = (
+        -hp / (hm * (hm + hp)) * y[..., :-2]
+        + (hp - hm) / (hm * hp) * y[..., 1:-1]
+        + hm / (hp * (hm + hp)) * y[..., 2:]
     )
     h0, h1 = r[1] - r[0], r[2] - r[1]
-    out[0] = (
-        -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * y[0]
-        + (h0 + h1) / (h0 * h1) * y[1]
-        - h0 / (h1 * (h0 + h1)) * y[2]
+    out[..., 0] = (
+        -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * y[..., 0]
+        + (h0 + h1) / (h0 * h1) * y[..., 1]
+        - h0 / (h1 * (h0 + h1)) * y[..., 2]
     )
     g0, g1 = r[-1] - r[-2], r[-2] - r[-3]
-    out[-1] = (
-        (2.0 * g0 + g1) / (g0 * (g0 + g1)) * y[-1]
-        - (g0 + g1) / (g0 * g1) * y[-2]
-        + g0 / (g1 * (g0 + g1)) * y[-3]
+    out[..., -1] = (
+        (2.0 * g0 + g1) / (g0 * (g0 + g1)) * y[..., -1]
+        - (g0 + g1) / (g0 * g1) * y[..., -2]
+        + g0 / (g1 * (g0 + g1)) * y[..., -3]
     )
     return out
 
@@ -220,10 +228,11 @@ def apply_radial_laplacian(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _apply_stencil(stencil, y: np.ndarray) -> np.ndarray:
+    # Along the last axis: one species or a (2, n) stack.
     sub, dia, sup = stencil
     out = np.zeros_like(y)
-    out[0] = dia[0] * y[0] + sup[0] * y[1]
-    out[1:-1] = sub[1:-1] * y[:-2] + dia[1:-1] * y[1:-1] + sup[1:-1] * y[2:]
+    out[..., 0] = dia[0] * y[..., 0] + sup[0] * y[..., 1]
+    out[..., 1:-1] = sub[1:-1] * y[..., :-2] + dia[1:-1] * y[..., 1:-1] + sup[1:-1] * y[..., 2:]
     return out
 
 
@@ -241,10 +250,11 @@ class _RegularizedSystem:
     """Discrete regularized radial system on interleaved unknowns.
 
     The unknowns are ``z = (P1_0, P2_0, P1_1, P2_1, ...)``, so the Jacobian
-    is banded with widths (2, 2).  The residual is ``lap_h(P) - A @ E -
-    Phi_h`` with the finite-volume stencil and the scheme-consistent
-    source; the outer node carries the Dirichlet mismatch ``P_i +
-    u0_i(r_max)``.  Coupling matrix, background, source and stencil are
+    is banded with widths (2, 2); ``z.reshape(-1, 2).T`` is the ``(2, n)``
+    view of ``P``.  The residual is ``lap_h(P) - A @ E - Phi_h`` with the
+    finite-volume stencil and the scheme-consistent source; the outer node
+    carries the Dirichlet mismatch ``P_i + u0_i(r_max)``.  Coupling matrix,
+    background ``u0``, source ``phi`` (both ``(2, n)``) and stencil are
     derived from ``params`` once, on construction.
     """
 
@@ -254,8 +264,7 @@ class _RegularizedSystem:
         n = r.size
         r2 = r * r
         self.A = coupling_matrix(params).A
-        self.u01 = bg.u0_1(r2)
-        self.u02 = bg.u0_2(r2)
+        self.u0 = np.stack([bg.u0_1(r2), bg.u0_2(r2)])
         self.stencil = _laplacian_coefficients(r)
         # Near the origin the source is the analytic phi_i (the smooth parts
         # carry the truncation there and it is tiny).  In the far field it is
@@ -264,8 +273,9 @@ class _RegularizedSystem:
         # discrete solution tracks the exponentially small fields instead of
         # an O(h^2/r^6) error floor.
         far = r > SOURCE_BLEND_RADIUS
-        self.phi1 = np.where(far, -_apply_stencil(self.stencil, self.u01), bg.phi_1(r2))
-        self.phi2 = np.where(far, -_apply_stencil(self.stencil, self.u02), bg.phi_2(r2))
+        self.phi = np.where(
+            far, -_apply_stencil(self.stencil, self.u0), np.stack([bg.phi_1(r2), bg.phi_2(r2)])
+        )
         sub, self.dia, sup = self.stencil
         # Stencil bands of the Jacobian; the last node's coefficients are zero.
         self.bands = np.zeros((5, 2 * n))
@@ -273,33 +283,31 @@ class _RegularizedSystem:
         self.bands[4, : 2 * n - 2] = np.repeat(sub[1:], 2)
 
     def fields(self, z):
+        """``E = expm1(2 u)`` of the interleaved unknowns, shape ``(2, n)``."""
         with np.errstate(over="ignore"):
-            E1 = np.expm1(2.0 * (self.u01 + z[0::2]))
-            E2 = np.expm1(2.0 * (self.u02 + z[1::2]))
-        return E1, E2
+            return np.expm1(2.0 * (self.u0 + z.reshape(-1, 2).T))
 
     def residual(self, z):
         A = self.A
-        E1, E2 = self.fields(z)
+        E = self.fields(z)
+        P = z.reshape(-1, 2).T
         F = np.empty(z.size)
-        F[0::2] = _apply_stencil(self.stencil, z[0::2]) - (A[0, 0] * E1 + A[0, 1] * E2 + self.phi1)
-        F[1::2] = _apply_stencil(self.stencil, z[1::2]) - (A[1, 0] * E1 + A[1, 1] * E2 + self.phi2)
-        F[-2] = z[-2] + self.u01[-1]
-        F[-1] = z[-1] + self.u02[-1]
+        # ``A @ E`` written out, so each row keeps its order of operations.
+        F.reshape(-1, 2).T[...] = _apply_stencil(self.stencil, P) - (
+            A[:, :1] * E[0] + A[:, 1:] * E[1] + self.phi
+        )
+        F[-2:] = P[:, -1] + self.u0[:, -1]
         return F
 
     def jacobian(self, z):
         A, dia = self.A, self.dia
-        E1, E2 = self.fields(z)
-        dE1 = 2.0 * (E1 + 1.0)
-        dE2 = 2.0 * (E2 + 1.0)
-        dE1[-1] = dE2[-1] = 0.0  # Dirichlet rows carry no coupling
+        dE = 2.0 * (self.fields(z) + 1.0)
+        dE[:, -1] = 0.0  # Dirichlet rows carry no coupling
         ab = self.bands.copy()
-        ab[1, 1::2] = -A[0, 1] * dE2  # dF1/dP2 at the same node
-        ab[2, 0::2] = dia - A[0, 0] * dE1
-        ab[2, 1::2] = dia - A[1, 1] * dE2
+        ab[1, 1::2] = -A[0, 1] * dE[1]  # dF1/dP2 at the same node
+        ab[2].reshape(-1, 2).T[...] = dia - np.diag(A)[:, None] * dE
         ab[2, -2:] = 1.0
-        ab[3, 0::2] = -A[1, 0] * dE1  # dF2/dP1 at the same node
+        ab[3, 0::2] = -A[1, 0] * dE[0]  # dF2/dP1 at the same node
         return ab
 
     def floor(self, z):
@@ -369,27 +377,25 @@ def solve_radial_P(
     Boundary conditions: ``P'(r_min) = 0`` (the smooth parts have zero
     slope at the axis) and ``P_i(r_max) = -u0_i(r_max)`` so the physical
     fields vanish at the outer radius.  Converges when the sup norm of the
-    discrete residual drops below ``tol``.  A :class:`NonConvergenceError`
-    carries the last iterate interleaved as ``(P1_0, P2_0, P1_1, ...)``.
+    discrete residual drops below ``tol``, which must be positive and
+    finite.  The solution's ``P``, ``u`` and ``E`` have shape ``(2, n)``.
+    A :class:`NonConvergenceError` carries the last iterate interleaved as
+    ``(P1_0, P2_0, P1_1, ...)``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     system = _RegularizedSystem(params, mesh)
     z, iterations, norm = _damped_newton(
         system.residual, system.jacobian, (2, 2), np.zeros(2 * mesh.n), tol, max_iter, "radial",
         floor=system.floor,
     )
-    P1, P2 = z[0::2].copy(), z[1::2].copy()
-    E1, E2 = system.fields(z)
+    P = z.reshape(-1, 2).T.copy()
     return RadialSolution(
         params=params,
         mesh=mesh,
-        P1=P1,
-        P2=P2,
-        u1=system.u01 + P1,
-        u2=system.u02 + P2,
-        E1=E1,
-        E2=E2,
+        P=P,
+        u=system.u0 + P,
+        E=system.fields(z),
         iterations=iterations,
         residual=norm,
     )
@@ -429,10 +435,10 @@ def solve_profile_bps(
     A :class:`NonConvergenceError` carries the last iterate packed as
     ``(c1, c2, f_0, f_NA_0, Q1_0, Q2_0, f_1, ...)``.
     """
-    if N < 2 or int(N) != N:
+    if N < 2 or N % 1 != 0:  # a non-finite N leaves a NaN remainder
         raise ValueError(f"rank N must be an integer >= 2, got {N!r}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     N = int(N)
     mesh = radial_mesh(r_min=r_min, r_max=r_max, n=n)
     r = mesh.r
@@ -545,18 +551,16 @@ def solve_profile_bps(
 # ---------------------------------------------------------------------------
 
 
-def radial_system_residual(
-    params: ModelParams, mesh: RadialMesh, P1: np.ndarray, P2: np.ndarray
-) -> np.ndarray:
-    """Componentwise residual of the discrete regularized system, shape (2, n).
+def radial_system_residual(params: ModelParams, mesh: RadialMesh, P: np.ndarray) -> np.ndarray:
+    """Componentwise residual of the discrete regularized system at ``P``.
 
-    Evaluates ``lap_h(P) - A @ E - Phi_h`` with the solver's own stencil and
-    source; the outer node carries the Dirichlet mismatch.  This is the
-    quantity the radial Newton iteration drives to zero.
+    ``P`` and the result have shape ``(2, n)``.  Evaluates ``lap_h(P) - A @
+    E - Phi_h`` with the solver's own stencil and source; the outer node
+    carries the Dirichlet mismatch.  This is the quantity the radial
+    Newton iteration drives to zero.
     """
-    z = np.stack([P1, P2], axis=1).ravel()
-    F = _RegularizedSystem(params, mesh).residual(z)
-    return np.stack([F[0::2], F[1::2]])
+    F = _RegularizedSystem(params, mesh).residual(np.asarray(P).T.ravel())
+    return F.reshape(-1, 2).T
 
 
 def reconstruct_profiles(sol: RadialSolution) -> ProfileSet:
@@ -570,15 +574,12 @@ def reconstruct_profiles(sol: RadialSolution) -> ProfileSet:
     params = sol.params
     r = sol.mesh.r
     bg = background(params)
-    du1 = bg.u0_prime_1(r) + central_derivative(r, sol.P1)
-    du2 = bg.u0_prime_2(r) + central_derivative(r, sol.P2)
-    f_na = r * (du1 - du2)
-    f = r * (du1 + (params.N - 1.0) * du2)
+    du = np.stack([bg.u0_prime_1(r), bg.u0_prime_2(r)]) + central_derivative(r, sol.P)
+    f_na = r * (du[0] - du[1])
+    f = r * (du[0] + (params.N - 1.0) * du[1])
     r2 = r * r
-    tau = params.tau
-    Q1 = (r2 / (r2 + tau)) ** params.n1 * np.exp(sol.P1)
-    Q2 = (r2 / (r2 + tau)) ** params.n2 * np.exp(sol.P2)
-    return ProfileSet(mesh=sol.mesh, f=f, f_NA=f_na, Q1=Q1, Q2=Q2)
+    Q = (r2 / (r2 + params.tau)) ** params.multiplicities[:, None] * np.exp(sol.P)
+    return ProfileSet(mesh=sol.mesh, f=f, f_NA=f_na, Q1=Q[0], Q2=Q[1])
 
 
 def ode_residual(ps: ProfileSet, params: ModelParams) -> float:

@@ -15,7 +15,9 @@ into a measurement on a discrete one:
   consequences of strict convexity.
 
 Every check takes solutions only: the coupling data, background and
-spectral constants it needs are derived from ``sol.params``.
+spectral constants it needs are derived from ``sol.params``.  The checks
+work on the solutions' species-stacked fields (``sol.u``, ``sol.E``, ...,
+leading axis of length 2) and compute both species in one expression.
 """
 
 from __future__ import annotations
@@ -105,18 +107,13 @@ def scalar_constants(params: ModelParams) -> dict:
     }
 
 
-def _flux_sums(sol: Solution) -> tuple[float, float]:
+def _flux_sums(sol: Solution) -> np.ndarray:
     """Plane integrals of (E1, E2): trapezoid in r or cell sum on the grid."""
     if isinstance(sol, RadialSolution):
         r = sol.mesh.r
-        w = 2.0 * math.pi * r
-        f1 = float(np.trapezoid(sol.E1 * w, r))
-        f2 = float(np.trapezoid(sol.E2 * w, r))
-        # Inner disc r < r_min, where E is essentially constant.
-        inner = math.pi * r[0] ** 2
-        return f1 + inner * float(sol.E1[0]), f2 + inner * float(sol.E2[0])
-    h2 = sol.grid.cell_area
-    return h2 * float(np.sum(sol.E1)), h2 * float(np.sum(sol.E2))
+        # Plus the inner disc r < r_min, where E is essentially constant.
+        return np.trapezoid(sol.E * (2.0 * math.pi * r), r) + math.pi * r[0] ** 2 * sol.E[:, 0]
+    return sol.grid.cell_area * np.sum(sol.E, axis=(1, 2))
 
 
 def flux_integrals(sol: Solution) -> dict:
@@ -128,7 +125,7 @@ def flux_integrals(sol: Solution) -> dict:
     params = sol.params
     cd = coupling_matrix(params)
     sc = spectral_constants(cd)
-    s1, s2 = _flux_sums(sol)
+    s1, s2 = (float(s) for s in _flux_sums(sol))
     rows = flux_integrand_rows(cd, sc)
     targets = flux_targets(params, sc)
     records = []
@@ -184,11 +181,10 @@ def _fit_rate(r: np.ndarray, values: np.ndarray, window: tuple[float, float]) ->
     }
 
 
-def _axis_fields(sol: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _axis_fields(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(sol, RadialSolution):
-        return sol.mesh.r, sol.u1, sol.u2
-    sl = extract_radial_slice(sol)
-    return sl.r, sl.u1, sl.u2
+        return sol.mesh.r, sol.u
+    return extract_radial_slice(sol)
 
 
 def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list:
@@ -201,16 +197,21 @@ def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list
     absent whenever ``n1 == n2``, at every rank, because the rows of ``A``
     sum to ``N`` and so ``u1 == u2`` solves the system; the fitted rate then
     sits near the fast-mode rate ``sqrt(2*lambda3)`` instead of 1.
+
+    The window ``(lo, hi)`` must have finite ends with ``lo < hi``.
     """
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"decay window must have finite ends lo < hi, got {list(window)}")
     sc = spectral_constants(coupling_matrix(sol.params))
-    r, u1, u2 = _axis_fields(sol)
+    r, u = _axis_fields(sol)
     m, p, q = sc.m, sc.p, sc.q
     grad_bound = math.sqrt(sc.lambda_)
 
     tracked = [
-        ("field", np.hypot(p * u1, 2.0 * u2), math.sqrt(sc.lambda0)),
-        ("grad_m2", np.abs(central_derivative(r, m * u1 + 2.0 * u2)), grad_bound),
-        ("grad_pq", np.abs(central_derivative(r, p * u1 + q * u2)), grad_bound),
+        ("field", np.hypot(p * u[0], 2.0 * u[1]), math.sqrt(sc.lambda0)),
+        ("grad_m2", np.abs(central_derivative(r, m * u[0] + 2.0 * u[1])), grad_bound),
+        ("grad_pq", np.abs(central_derivative(r, p * u[0] + q * u[1])), grad_bound),
     ]
     return [
         {"quantity": name, "paper_bound": bound, **_fit_rate(r, values, window)}
@@ -222,24 +223,19 @@ def pde_residual(sol: Solution) -> float:
     """Sup norm of the governing-system residual, scheme-consistent.
 
     For radial solutions this is the solver's own discrete system.  For
-    planar solutions the 5-point Laplacian of ``(P1, P2)`` is compared
-    with ``A @ E + Phi`` at interior nodes.
+    planar solutions the 5-point Laplacian of ``P`` is compared with ``A @
+    E + Phi`` at interior nodes.
     """
     if isinstance(sol, RadialSolution):
-        res = radial_system_residual(sol.params, sol.mesh, sol.P1, sol.P2)
+        res = radial_system_residual(sol.params, sol.mesh, sol.P)
         return float(np.max(np.abs(res[:, :-1])))
     bg = background(sol.params)
-    h2 = sol.grid.cell_area
     r2 = sol.grid.radius_squared()
-    phi1 = bg.phi_1(r2)[1:-1, 1:-1]
-    phi2 = bg.phi_2(r2)[1:-1, 1:-1]
-    A = coupling_matrix(sol.params).A
-    sup = 0.0
-    for P, phi, row in ((sol.P1, phi1, A[0]), (sol.P2, phi2, A[1])):
-        lap = -_neighbor_sum(P) / h2
-        rhs = row[0] * sol.E1[1:-1, 1:-1] + row[1] * sol.E2[1:-1, 1:-1] + phi
-        sup = max(sup, float(np.max(np.abs(lap - rhs))))
-    return sup
+    phi = np.stack([bg.phi_1(r2), bg.phi_2(r2)])[:, 1:-1, 1:-1]
+    A = coupling_matrix(sol.params).A[:, :, None, None]
+    E = sol.E[:, 1:-1, 1:-1]
+    lap = -np.stack([_neighbor_sum(P) for P in sol.P]) / sol.grid.cell_area
+    return float(np.max(np.abs(lap - (A[:, 0] * E[0] + A[:, 1] * E[1] + phi))))
 
 
 def _params_match(a: ModelParams, b: ModelParams) -> bool:
@@ -254,20 +250,17 @@ def cross_validate(radial: RadialSolution, planar: PlanarSolution) -> dict:
     """
     if not _params_match(radial.params, planar.params):
         raise ValueError("cross-validation requires matching model parameters")
-    sl = extract_radial_slice(planar)
+    r, u = extract_radial_slice(planar)
     hi = min(10.0, planar.grid.half_width - 5.0)
-    mask = (sl.r >= 0.5) & (sl.r <= hi)
+    mask = (r >= 0.5) & (r <= hi)
     if not np.any(mask):
         raise ValueError("empty cross-validation window; enlarge the box")
-    r = sl.r[mask]
+    r = r[mask]
     bg = background(radial.params)
     r2 = r * r
-    u1_rad = np.interp(r, radial.mesh.r, radial.P1) + bg.u0_1(r2)
-    u2_rad = np.interp(r, radial.mesh.r, radial.P2) + bg.u0_2(r2)
-    sup = max(
-        float(np.max(np.abs(sl.u1[mask] - u1_rad))),
-        float(np.max(np.abs(sl.u2[mask] - u2_rad))),
-    )
+    u_rad = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
+    u_rad += np.stack([bg.u0_1(r2), bg.u0_2(r2)])
+    sup = float(np.max(np.abs(u[:, mask] - u_rad)))
     return {"sup_difference": sup, "window": [0.5, hi], "n_points": int(np.count_nonzero(mask))}
 
 

@@ -261,10 +261,10 @@ def test_criterion_5_planar_rank2(radial_rank2, planar_rank2):
     rec1, rec2, _ = flux_errors(sol)
     cross = cross_validate(radial_rank2, sol)
     sym = max(
-        float(np.max(np.abs(sol.u1 - sol.u1[::-1, :]))),
-        float(np.max(np.abs(sol.u1 - sol.u1[:, ::-1]))),
-        float(np.max(np.abs(sol.u2 - sol.u2[::-1, :]))),
-        float(np.max(np.abs(sol.u2 - sol.u2[:, ::-1]))),
+        float(np.max(np.abs(sol.u[0] - sol.u[0][::-1, :]))),
+        float(np.max(np.abs(sol.u[0] - sol.u[0][:, ::-1]))),
+        float(np.max(np.abs(sol.u[1] - sol.u[1][::-1, :]))),
+        float(np.max(np.abs(sol.u[1] - sol.u[1][:, ::-1]))),
     )
     checks = [
         ("converged at tol 1e-8", sol.final_gradient_norm < 1e-8,

@@ -110,6 +110,49 @@ class TestMaxIter:
         assert "did not reach" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("solve-radial --N 2 --nodes 1000 --tol inf", "tol must be positive and finite, got inf"),
+            ("solve-profile --N 2 --nodes 2000 --tol nan", "tol must be positive and finite, got nan"),
+            ("solve-planar --N 2 --grid 32 --tol inf", "tol must be positive and finite, got inf"),
+            (
+                "solve-planar --N 2 --grid 32 --max-iter 3 --tol nan",
+                "tol must be positive and finite, got nan",
+            ),
+            ("solve-planar --N 2 --grid 32 --box inf", "half_width must be positive and finite, got inf"),
+            (
+                "solve-radial --N 2 --nodes 1000 --tau inf",
+                "background scale tau must be positive and finite, got inf",
+            ),
+            (
+                "solve-planar --N 2 --grid 32 --tau inf",
+                "background scale tau must be positive and finite, got inf",
+            ),
+            (
+                "solve-radial --N 2 --nodes 1000 --rmax inf",
+                "need 0 < r_min < 2 < r_max < inf, got r_min=0.0001, r_max=inf",
+            ),
+        ],
+        ids=[
+            "radial-tol-inf",
+            "profile-tol-nan",
+            "planar-tol-inf",
+            "planar-tol-nan",
+            "planar-box-inf",
+            "radial-tau-inf",
+            "planar-tau-inf",
+            "radial-rmax-inf",
+        ],
+    )
+    def test_exits_2_naming_the_parameter(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestSolveProfile:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -165,6 +208,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: requested N=3 does not match the solution file (N=2)\n"
+
+    @pytest.mark.parametrize(
+        "window", [("14", "10"), ("nan", "14"), ("10", "inf")], ids=["reversed", "nan", "inf"]
+    )
+    def test_bad_window_exits_2(self, tmp_path, capsys, window):
+        csv = tmp_path / "radial.csv"
+        run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
+        code, out, err = run(capsys, "verify", "--input", str(csv), "--window", *window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: decay window must have finite ends lo < hi, got [")
 
     @staticmethod
     def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False):
@@ -344,10 +398,9 @@ class TestOutput:
             back = _load_radial_csv(str(first))
         assert back.params == params and back.iterations == 7
         np.testing.assert_array_equal(back.mesh.r, r)
-        np.testing.assert_array_equal(back.u1, u[0])
-        np.testing.assert_array_equal(back.u2, u[1])
-        assert not np.signbit(back.u1[0]) and not np.signbit(back.u2[1])  # -0.0 reads as 0.0
+        np.testing.assert_array_equal(back.u, u)
+        assert not np.signbit(back.u[0, 0]) and not np.signbit(back.u[1, 1])  # -0.0 reads as 0.0
         assert back.residual == residual or (math.isnan(back.residual) and math.isnan(residual))
         second = first.with_name("again.csv")
-        write(second, back.params, back.mesh.r, back.u1, back.u2, back.residual)
+        write(second, back.params, back.mesh.r, back.u[0], back.u[1], back.residual)
         assert second.read_bytes() == first.read_bytes()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vortexlab.errors import FieldOverflowError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
@@ -62,6 +64,29 @@ class TestPlanarGrid:
             PlanarGrid(half_width=0.0, points_per_side=32)
         with pytest.raises(ValueError):
             PlanarGrid(half_width=5.0, points_per_side=8)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        half_width=st.integers(-5, 100) | st.floats(),
+        # Sizes stay small: a grid allocates its node coordinates.
+        points=st.integers(-10, 4096)
+        | st.floats(max_value=4096, allow_infinity=True)
+        | st.sampled_from([math.inf, math.nan]),
+    )
+    @example(half_width=math.inf, points=32)
+    @example(half_width=15.0, points=math.inf)
+    @example(half_width=math.nan, points=32)
+    def test_accepts_exactly_the_documented_values(self, half_width, points):
+        # The docstring: half_width positive and finite, points_per_side an
+        # integral number >= 16.
+        integral = isinstance(points, int) or (math.isfinite(points) and points.is_integer())
+        if not (0 < half_width < math.inf and integral and points >= 16):
+            with pytest.raises(ValueError):
+                PlanarGrid(half_width=half_width, points_per_side=points)
+            return
+        grid = PlanarGrid(half_width=half_width, points_per_side=points)
+        assert grid.points_per_side == points and type(grid.points_per_side) is int
+        assert grid.coords.shape == (points,)
 
     def test_even_grid_is_symmetric_and_misses_origin(self):
         g = PlanarGrid(half_width=15.0, points_per_side=32)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vortexlab.model import (
     ModelParams,
@@ -17,6 +19,9 @@ from vortexlab.model import (
 )
 
 RANKS = list(range(2, 65))
+
+#: Integers and every kind of float: -0.0, subnormals, huge, +-inf and NaN.
+NUMBERS = st.integers(-10, 10**6) | st.floats()
 
 
 def make(N, n1=1, n2=1, tau=1.0, theorem_mode=True):
@@ -43,6 +48,36 @@ class TestModelParams:
         assert p.n1 == 0.5 and p.n2 == 0.0
         with pytest.raises(ValueError):
             ModelParams(N=2, n1=-1.0, theorem_mode=False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(N=NUMBERS, n1=NUMBERS, n2=NUMBERS, tau=NUMBERS, theorem_mode=st.booleans())
+    @example(N=2, n1=1, n2=1, tau=math.inf, theorem_mode=True)
+    @example(N=math.inf, n1=1, n2=1, tau=1.0, theorem_mode=True)
+    @example(N=math.nan, n1=1, n2=1, tau=1.0, theorem_mode=True)
+    @example(N=2, n1=math.inf, n2=1, tau=1.0, theorem_mode=False)
+    @example(N=2, n1=1 - 1e-13, n2=2 + 1e-13, tau=1.0, theorem_mode=True)
+    def test_accepts_exactly_the_documented_values(self, N, n1, n2, tau, theorem_mode):
+        # The docstring: N an integral number >= 2, tau positive and finite,
+        # multiplicities nonnegative and finite, and in theorem mode at least
+        # 1 and within 1e-12 of an integer.
+        def integral(x):
+            return isinstance(x, int) or (math.isfinite(x) and x.is_integer())
+
+        def multiplicity(n):
+            if not (math.isfinite(n) and n >= 0):
+                return False
+            return not theorem_mode or (n >= 1 and abs(n - round(n)) <= 1e-12)
+
+        allowed = (
+            integral(N) and N >= 2 and 0 < tau < math.inf and multiplicity(n1) and multiplicity(n2)
+        )
+        if not allowed:
+            with pytest.raises(ValueError):
+                ModelParams(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=theorem_mode)
+            return
+        p = ModelParams(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=theorem_mode)
+        assert (p.N, p.n1, p.n2, p.tau) == (N, n1, n2, tau)
+        assert type(p.N) is int and type(p.n1) is float and type(p.n2) is float
 
 
 class TestCouplingMatrix:

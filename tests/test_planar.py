@@ -32,14 +32,14 @@ class TestVacuum:
         assert sol.final_gradient_norm < 1e-8 and sol.iterations <= 2
         assert sol.final_energy == 0.0
         assert np.max(np.abs(sol.w[0])) == 0.0
-        assert np.max(np.abs(sol.u1)) == 0.0
+        assert np.max(np.abs(sol.u[0])) == 0.0
 
     def test_vacuum_slice_is_zero(self):
         params = make(n1=0, n2=0)
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         sol = solve_planar(params, grid, tol=1e-8)
-        sl = extract_radial_slice(sol)
-        assert np.max(np.abs(sl.u1)) == 0.0 and np.max(np.abs(sl.u2)) == 0.0
+        _, u = extract_radial_slice(sol)
+        assert np.max(np.abs(u)) == 0.0
 
 
 class TestSolve:
@@ -56,20 +56,20 @@ class TestSolve:
 
     def test_boundary_pins_fields_to_zero(self, default_solution):
         *_, sol = default_solution
-        for u in (sol.u1, sol.u2):
+        for u in sol.u:
             edge = np.concatenate([u[0, :], u[-1, :], u[:, 0], u[:, -1]])
             assert np.max(np.abs(edge)) < 1e-14
 
     def test_four_fold_symmetry(self, default_solution):
         *_, sol = default_solution
-        for u in (sol.u1, sol.u2):
+        for u in sol.u:
             assert np.max(np.abs(u - u[::-1, :])) < 1e-9
             assert np.max(np.abs(u - u[:, ::-1])) < 1e-9
 
     def test_fields_within_sanity_bounds(self, default_solution):
         *_, sol = default_solution
-        assert np.all(sol.E1 > -1.0) and np.all(sol.E2 > -1.0)
-        assert sol.u1.max() <= 0.05 and sol.u2.max() <= 0.05
+        assert np.all(sol.E > -1.0)
+        assert sol.u.max() <= 0.05
 
     def test_uniqueness_from_random_start(self, default_solution):
         params, grid, sol = default_solution
@@ -110,8 +110,7 @@ class TestSolve:
         sa = solve_planar(params, grid, tol=1e-8, initial=a)
         sb = solve_planar(params, grid, tol=1e-8, initial=b)
         np.testing.assert_array_equal(sa.w, sb.w)
-        np.testing.assert_array_equal(sa.u1, sb.u1)
-        np.testing.assert_array_equal(sa.u2, sb.u2)
+        np.testing.assert_array_equal(sa.u, sb.u)
         assert sa.energy_history == sb.energy_history
 
     def test_overflow_initial_field_raises(self):
@@ -188,16 +187,16 @@ class TestRadialSlice:
         bg = background(params)
         mesh = radial_mesh(n=2000)
         rsol = solve_radial_P(params, mesh, tol=1e-9)
-        sl = extract_radial_slice(sol)
-        mask = (sl.r >= 0.5) & (sl.r <= 10.0)
-        r = sl.r[mask]
-        u1 = np.interp(r, mesh.r, rsol.P1) + bg.u0_1(r * r)
-        u2 = np.interp(r, mesh.r, rsol.P2) + bg.u0_2(r * r)
-        sup = max(np.max(np.abs(sl.u1[mask] - u1)), np.max(np.abs(sl.u2[mask] - u2)))
+        r, u = extract_radial_slice(sol)
+        mask = (r >= 0.5) & (r <= 10.0)
+        r = r[mask]
+        u1 = np.interp(r, mesh.r, rsol.P[0]) + bg.u0_1(r * r)
+        u2 = np.interp(r, mesh.r, rsol.P[1]) + bg.u0_2(r * r)
+        sup = max(np.max(np.abs(u[0, mask] - u1)), np.max(np.abs(u[1, mask] - u2)))
         assert sup < 5e-3
 
     def test_slice_boundary_value(self, default_solution):
         *_, sol = default_solution
-        sl = extract_radial_slice(sol)
+        _, u = extract_radial_slice(sol)
         # Outermost axis sample sits next to the zero-field edge.
-        assert abs(sl.u1[-1]) < 1e-3
+        assert abs(u[0, -1]) < 1e-3

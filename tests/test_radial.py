@@ -90,7 +90,7 @@ class TestSolveRadial:
         params = ModelParams(N=3, n1=0, n2=0, theorem_mode=False)
         sol = solve(params, n=1000)
         assert sol.iterations == 0
-        assert np.max(np.abs(sol.P1)) == 0.0 and np.max(np.abs(sol.P2)) == 0.0
+        assert np.max(np.abs(sol.P)) == 0.0
         assert sol.residual < 1e-12
 
     def test_symmetric_pair(self):
@@ -98,30 +98,30 @@ class TestSolveRadial:
         sol = solve(params)
         assert sol.residual < 1e-8
         # Outer boundary pins the physical fields to zero.
-        assert sol.u1[-1] == 0.0 and sol.u2[-1] == 0.0
+        assert sol.u[0, -1] == 0.0 and sol.u[1, -1] == 0.0
         # The rank-2 equal-multiplicity system is swap-symmetric.
-        assert np.max(np.abs(sol.u1 - sol.u2)) < 1e-12
-        f1 = disc_flux(sol.mesh, sol.E1)
-        f2 = disc_flux(sol.mesh, sol.E2)
+        assert np.max(np.abs(sol.u[0] - sol.u[1])) < 1e-12
+        f1 = disc_flux(sol.mesh, sol.E[0])
+        f2 = disc_flux(sol.mesh, sol.E[1])
         comp = component_flux_targets(params, coupling_matrix(params))
         assert abs(f1 - comp[0]) < 0.005 * abs(comp[0])
         assert abs(f2 - comp[1]) < 0.005 * abs(comp[1])
         # Diagnostic expectation (not a theorem): fields nonpositive up to
         # discretization noise.
-        assert sol.u1.max() < 1e-6
+        assert sol.u[0].max() < 1e-6
 
     def test_reported_residual_matches_recheck(self):
         # The solver and the public residual evaluate the same code.
         for N, n1, n2 in ((2, 1, 1), (3, 1, 2), (5, 2, 3)):
             sol = solve(ModelParams(N=N, n1=n1, n2=n2))
-            res = radial_system_residual(sol.params, sol.mesh, sol.P1, sol.P2)
+            res = radial_system_residual(sol.params, sol.mesh, sol.P)
             assert np.max(np.abs(res)) == sol.residual
 
     def test_flux_identity_general_rank(self):
         params = ModelParams(N=3, n1=1, n2=2)
         sol = solve(params)
-        f1 = disc_flux(sol.mesh, sol.E1)
-        f2 = disc_flux(sol.mesh, sol.E2)
+        f1 = disc_flux(sol.mesh, sol.E[0])
+        f2 = disc_flux(sol.mesh, sol.E[1])
         comp = component_flux_targets(params, coupling_matrix(params))
         scale = max(abs(comp[0]), abs(comp[1]))
         assert abs(f1 - comp[0]) < 0.01 * scale
@@ -133,7 +133,7 @@ class TestSolveRadial:
         errs = []
         for n in (2000, 3999):
             sol = solve(params, n=n)
-            errs.append(abs(disc_flux(sol.mesh, sol.E1) - comp[0]))
+            errs.append(abs(disc_flux(sol.mesh, sol.E[0]) - comp[0]))
         assert errs[0] / errs[1] >= 3.0
 
     def test_decay_rate_bounds(self):
@@ -147,7 +147,7 @@ class TestSolveRadial:
             sol = solve(params, n=4000)
             sc = spectral_constants(coupling_matrix(params))
             r = sol.mesh.r
-            v = np.hypot(sc.p * sol.u1, 2.0 * sol.u2)
+            v = np.hypot(sc.p * sol.u[0], 2.0 * sol.u[1])
             mask = (r >= 10.0) & (r <= 14.0)
             rate = -np.polyfit(r[mask], np.log(v[mask]), 1)[0]
             assert rate >= 0.85 * math.sqrt(sc.lambda0)
@@ -289,8 +289,9 @@ class TestProfileSolver:
         assert np.max(np.abs(ab - fd)) < 1e-7
 
     def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            solve_profile_bps(1)
+        for N in (1, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rank N"):
+                solve_profile_bps(N)
 
     def test_rejects_negative_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -4,9 +4,10 @@
 ``DiscreteFunctional`` methods from outside the package; a renamed
 function or a changed call shape would leave its counts at zero without
 any error, and so would a command that called a local alias of a wrapped
-function such as ``emit_report`` or ``build_report``.  This runs the tracer
-on four small CLI commands and checks that the counts and times it derives
-are positive.
+function such as ``emit_report`` or ``build_report``, or that bypassed the
+wrapped ``BackgroundField`` evaluators (``model.s`` would read 0).  This
+runs the tracer on four small CLI commands and checks that the counts and
+times it derives are positive.
 """
 
 import json
@@ -52,5 +53,6 @@ def test_tracer_counts_are_positive(tmp_path):
         "radial.profile_iters",
         "cli.emit_report_s",
         "verify.build_report_s",
+        "model.s",
     ):
         assert metrics[name] > 0, name

@@ -124,6 +124,15 @@ class TestDecayFit:
         assert by_name["field"]["fitted_rate"] >= 0.85 * by_name["field"]["paper_bound"]
         assert by_name["grad_m2"]["fitted_rate"] >= 0.85 * math.sqrt(sc.lambda_)
 
+    @pytest.mark.parametrize(
+        "window",
+        [(14.0, 10.0), (10.0, 10.0), (math.nan, 14.0), (10.0, math.inf), (-math.inf, 14.0)],
+        ids=["reversed", "empty", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_window_is_rejected(self, radial_case, window):
+        with pytest.raises(ValueError, match="decay window must have finite ends lo < hi"):
+            decay_fit(radial_case, window=window)
+
     def test_planar_solution_supported(self, planar_case):
         records = decay_fit(planar_case, window=(8.0, 12.0))
         by_name = {r["quantity"]: r for r in records}
@@ -142,7 +151,7 @@ class TestPdeResidual:
 
         bumped = copy.deepcopy(planar_case)
         n = bumped.grid.points_per_side
-        bumped.P1[n // 2, n // 2] += 1e-3
+        bumped.w[0, n // 2, n // 2] += 1e-3  # P[0] is w[0]
         h2 = bumped.grid.cell_area
         res = pde_residual(bumped)
         assert res == pytest.approx(1e-3 * 4.0 / h2, rel=0.05)
