@@ -57,7 +57,7 @@ from .radial import (
     solve_profile_bps,
     solve_radial_P,
 )
-from .verify import VerificationReport, build_report, scalar_constants
+from .verify import VerificationReport, build_report, check_decay_window, scalar_constants
 
 __all__ = ["main", "emit_report", "parse_report"]
 
@@ -91,22 +91,31 @@ def parse_report(text: str) -> VerificationReport:
     return VerificationReport(**json.loads(text))
 
 
+#: Rows per ``fh.write`` of a CSV: enough to amortize the per-call cost,
+#: few enough that one block's text stays a few hundred kB.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _csv_writer(meta: dict, columns: dict):
     """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
-    One row per node; the names are the keys of ``columns``.  Adding
-    ``0.0`` folds ``-0.0`` into ``0``.
+    One row per node; the names are the keys of ``columns``.  Every value
+    is written as the bytes ``"%.17g" % value`` gives, comma-separated, a
+    block of :data:`_CSV_BLOCK_ROWS` rows per format call and per write.
+    Adding ``0.0`` folds ``-0.0`` into ``0``.
     """
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
-    header += "\n" + ",".join(columns)
-    return lambda fh: np.savetxt(
-        fh,
-        np.column_stack(list(columns.values())) + 0.0,
-        fmt="%.17g",
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+    header += "\n" + ",".join(columns) + "\n"
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+
+    def write(fh) -> None:
+        fh.write(header)
+        data = np.column_stack(list(columns.values()))
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start : start + _CSV_BLOCK_ROWS] + 0.0
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+    return write
 
 
 def _emit(path: Optional[str], write, note: str) -> None:
@@ -300,6 +309,7 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
+    check_decay_window(args.window)  # a bad window fails before the solves
     params = _params_from_args(args)
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     radial_sol = solve_radial_P(params, mesh, tol=args.tol)

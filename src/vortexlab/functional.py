@@ -49,7 +49,8 @@ class PlanarGrid:
     """Uniform tensor grid on the closed box ``[-L, L]^2``.
 
     ``half_width`` is a positive finite real and ``points_per_side`` an
-    integer (or an integral real) ``>= 16``; anything else raises
+    integer (or an integral real) ``>= 16``, with a finite spacing
+    ``h = 2 * half_width / (points_per_side - 1)``; anything else raises
     ``ValueError``.  No node sits at the exact origin: for an even
     ``points_per_side`` the symmetric grid already avoids it, for an odd
     count every node is shifted by ``h/2`` (which sacrifices the exact
@@ -68,6 +69,8 @@ class PlanarGrid:
         if n % 1 != 0 or n < 16:  # a non-finite n leaves a NaN remainder
             raise ValueError(f"points_per_side must be an integer >= 16, got {n!r}")
         object.__setattr__(self, "points_per_side", int(n))
+        if not math.isfinite(self.spacing):
+            raise ValueError(f"half_width {self.half_width} overflows the grid spacing")
         ticks = 2 * np.arange(self.points_per_side) - (self.points_per_side - 1)
         if self.points_per_side % 2 == 1:
             ticks = ticks + 1  # shift by h/2; no node at the origin

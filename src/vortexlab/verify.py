@@ -52,6 +52,7 @@ __all__ = [
     "DECAY_FLOOR",
     "scalar_constants",
     "flux_integrals",
+    "check_decay_window",
     "decay_fit",
     "pde_residual",
     "cross_validate",
@@ -187,6 +188,13 @@ def _axis_fields(sol: Solution) -> tuple[np.ndarray, np.ndarray]:
     return extract_radial_slice(sol)
 
 
+def check_decay_window(window: tuple[float, float]) -> None:
+    """Raise ``ValueError`` unless ``window`` has finite ends ``lo < hi``."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"decay window must have finite ends lo < hi, got {list(window)}")
+
+
 def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list:
     """Fitted exponential decay rates of the tracked far-field quantities.
 
@@ -198,11 +206,9 @@ def decay_fit(sol: Solution, window: tuple[float, float] = (10.0, 14.0)) -> list
     sum to ``N`` and so ``u1 == u2`` solves the system; the fitted rate then
     sits near the fast-mode rate ``sqrt(2*lambda3)`` instead of 1.
 
-    The window ``(lo, hi)`` must have finite ends with ``lo < hi``.
+    The window ``(lo, hi)`` must pass :func:`check_decay_window`.
     """
-    lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"decay window must have finite ends lo < hi, got {list(window)}")
+    check_decay_window(window)
     sc = spectral_constants(coupling_matrix(sol.params))
     r, u = _axis_fields(sol)
     m, p, q = sc.m, sc.p, sc.q

@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vortexlab.cli import _csv_writer, _fmt, _load_radial_csv, emit_report, main, parse_report
+from vortexlab import cli
+from vortexlab.cli import (
+    _CSV_BLOCK_ROWS,
+    _csv_writer,
+    _fmt,
+    _load_radial_csv,
+    emit_report,
+    main,
+    parse_report,
+)
 from vortexlab.model import ModelParams
 from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import VerificationReport, build_report
@@ -275,6 +284,22 @@ class TestReportCommand:
         assert emit_report(report) == text
         assert parse_report(emit_report(report)) == report
 
+    @pytest.mark.parametrize(
+        "window", [("14", "10"), ("nan", "14"), ("10", "inf")], ids=["reversed", "nan", "inf"]
+    )
+    def test_bad_window_exits_2_before_any_solve(self, capsys, monkeypatch, window):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the window was checked")
+
+        monkeypatch.setattr(cli, "solve_radial_P", no_solve)
+        monkeypatch.setattr(cli, "solve_planar", no_solve)
+        code, out, err = run(
+            capsys, "report", "--N", "2", "--planar", "--grid", "256", "--window", *window
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: decay window must have finite ends lo < hi, got [")
+
 
 class TestReportSerialization:
     def test_round_trip_by_value(self):
@@ -375,6 +400,32 @@ class TestOutput:
         _csv_writer({"N": 2}, dict(zip("abcd", columns)))(fh)
         rows = fh.getvalue().splitlines()[2:]
         assert rows == [",".join(_fmt(float(v)) for v in row) for row in np.column_stack(columns)]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3],
+    )
+    def test_csv_blocks_match_savetxt(self, rows):
+        # Reference: numpy's row-by-row writer with the same format.
+        rng = np.random.default_rng(rows)
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]
+        data = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-320, 300, (rows, 4))
+        flat = data.ravel()  # a view: writes land in data
+        picks = rng.random(flat.size) < 0.2
+        flat[picks] = rng.choice(special, np.count_nonzero(picks))
+        flat[: len(special)] = special[: flat.size]
+        fh = io.StringIO()
+        _csv_writer({"N": 3, "tau": 0.1}, dict(zip("abcd", data.T)))(fh)
+        expected = io.StringIO()
+        np.savetxt(
+            expected,
+            data + 0.0,
+            fmt="%.17g",
+            delimiter=",",
+            header="# N=3 tau=0.10000000000000001\na,b,c,d",
+            comments="",
+        )
+        assert fh.getvalue() == expected.getvalue()
 
     @settings(max_examples=50, deadline=None)
     @given(

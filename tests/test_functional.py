@@ -76,17 +76,24 @@ class TestPlanarGrid:
     @example(half_width=math.inf, points=32)
     @example(half_width=15.0, points=math.inf)
     @example(half_width=math.nan, points=32)
+    @example(half_width=1e308, points=16)
     def test_accepts_exactly_the_documented_values(self, half_width, points):
         # The docstring: half_width positive and finite, points_per_side an
-        # integral number >= 16.
+        # integral number >= 16, and a finite spacing 2*half_width/(points-1).
         integral = isinstance(points, int) or (math.isfinite(points) and points.is_integer())
-        if not (0 < half_width < math.inf and integral and points >= 16):
+        if not (
+            0 < half_width < math.inf
+            and integral
+            and points >= 16
+            and math.isfinite(2.0 * half_width / (points - 1))
+        ):
             with pytest.raises(ValueError):
                 PlanarGrid(half_width=half_width, points_per_side=points)
             return
         grid = PlanarGrid(half_width=half_width, points_per_side=points)
         assert grid.points_per_side == points and type(grid.points_per_side) is int
         assert grid.coords.shape == (points,)
+        assert math.isfinite(grid.spacing) and np.all(np.isfinite(grid.coords))
 
     def test_even_grid_is_symmetric_and_misses_origin(self):
         g = PlanarGrid(half_width=15.0, points_per_side=32)
