@@ -25,7 +25,9 @@ The Hessian's far-field part (curvature frozen at ``exp(2*u0) = 1``,
 ``w = 0``) has constant coefficients, so an orthonormal DST-I
 diagonalizes it; its inverse is the fast-Poisson preconditioner of Concus
 & Golub (1973), applied with the direct sine-transform solve of Buzbee,
-Golub & Nielson (1970).
+Golub & Nielson (1970).  The transforms run in float32 and the per-mode
+2x2 solve in float64, so the preconditioner is exact to single-precision
+rounding; energy, gradient and Hessian stay float64.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class PlanarGrid:
     """Uniform tensor grid on the closed box ``[-L, L]^2``.
 
     ``half_width`` is a positive finite real and ``points_per_side`` an
-    integer (or an integral real) ``>= 16``, with a finite spacing
-    ``h = 2 * half_width / (points_per_side - 1)``; anything else raises
+    integer (or an integral real) ``>= 16``, such that the spacing
+    ``h = 2 * half_width / (points_per_side - 1)`` and the cell area
+    ``h**2`` are both positive and finite; anything else raises
     ``ValueError``.  No node sits at the exact origin: for an even
     ``points_per_side`` the symmetric grid already avoids it, for an odd
     count every node is shifted by ``h/2`` (which sacrifices the exact
@@ -69,8 +72,12 @@ class PlanarGrid:
         if n % 1 != 0 or n < 16:  # a non-finite n leaves a NaN remainder
             raise ValueError(f"points_per_side must be an integer >= 16, got {n!r}")
         object.__setattr__(self, "points_per_side", int(n))
-        if not math.isfinite(self.spacing):
-            raise ValueError(f"half_width {self.half_width} overflows the grid spacing")
+        h = self.spacing
+        if not (0.0 < h < math.inf and 0.0 < h * h < math.inf):
+            raise ValueError(
+                f"half_width {self.half_width} gives a grid spacing {h!r} whose square "
+                "is not positive and finite"
+            )
         ticks = 2 * np.arange(self.points_per_side) - (self.points_per_side - 1)
         if self.points_per_side % 2 == 1:
             ticks = ticks + 1  # shift by h/2; no node at the origin
@@ -266,44 +273,51 @@ class DiscreteFunctional:
         ``S`` diagonalizes the 5-point stencil ``K_h`` (eigenvalues
         ``mu_j + mu_k``), leaving one 2x2 solve per mode, so the inverse is
         ``S (M_jk^-1 (S r S)) S`` on interior nodes: symmetric positive
-        definite.  Inputs are full node arrays; outputs carry zero boundary
+        definite.
+
+        The four ``S @ X @ S`` transforms run in float32 (``S`` and the
+        transformed slices); the per-mode 2x2 solve runs in float64.  The
+        apply is therefore the exact inverse, and symmetric, only to
+        single-precision rounding (about ``1e-6`` relative).  It only shapes
+        the CG search direction: the CG vectors, the Hessian and the stopping
+        test stay float64, so a solve still meets its float64 tolerance.
+        Inputs are full node arrays; outputs are float64 with zero boundary
         entries.
         """
         fc = self.fc
         a = fc.a_mix
         h2 = self.grid.cell_area
         m = self.grid.points_per_side - 2
-        S = _sine_matrix(m)
+        S = _sine_matrix(m).astype(np.float32)
         mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
         lam = mu[:, None] + mu[None, :]
         S0 = 4.0 * h2
         T0 = S0 * fc.c_exp1
-        # Per-mode symbol [[a11, a12], [a12, a22]]; the off-diagonal is constant.
+        # Per-mode symbol [[a11, a12], [a12, a22]]; the off-diagonal is constant,
+        # a NumPy float64 so that its products with float32 modes are float64.
         a11 = 2.0 * fc.c_grad1 * lam + (T0 + a * a * S0)
         a22 = 2.0 * fc.c_grad2 * lam + S0
-        a12 = a * S0
+        a12 = np.float64(a * S0)
         inv_det = a11 * a22
         inv_det -= a12 * a12
         np.reciprocal(inv_det, out=inv_det)
 
         def apply(r: np.ndarray) -> np.ndarray:
             # Each species is transformed as its own 2-D slice (stacked
-            # transforms raised peak RSS), and in-place updates keep at most
-            # four interior-sized temporaries.
-            x1 = S @ r[0, 1:-1, 1:-1] @ S
-            x2 = S @ r[1, 1:-1, 1:-1] @ S
+            # transforms raised peak RSS).  The mode solve runs in float64
+            # and is rounded back into the float32 mode arrays x1, x2.
+            x1 = S @ r[0, 1:-1, 1:-1].astype(np.float32) @ S
+            x2 = S @ r[1, 1:-1, 1:-1].astype(np.float32) @ S
             y1 = a22 * x1
             y1 -= a12 * x2
-            y1 *= inv_det
-            x1 *= a12
-            x2 *= a11
-            x2 -= x1
-            x2 *= inv_det
-            del x1
-            z = np.zeros_like(r)
-            np.matmul(S @ y1, S, out=z[0, 1:-1, 1:-1])
-            del y1
-            np.matmul(S @ x2, S, out=z[1, 1:-1, 1:-1])
+            y2 = a11 * x2
+            y2 -= a12 * x1
+            np.multiply(y1, inv_det, out=x1, casting="same_kind")
+            np.multiply(y2, inv_det, out=x2, casting="same_kind")
+            del y1, y2
+            z = np.zeros(r.shape)
+            z[0, 1:-1, 1:-1] = S @ x1 @ S
+            z[1, 1:-1, 1:-1] = S @ x2 @ S
             return z
 
         return apply

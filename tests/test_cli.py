@@ -132,6 +132,11 @@ class TestNonFiniteInput:
             ),
             ("solve-planar --N 2 --grid 32 --box inf", "half_width must be positive and finite, got inf"),
             (
+                "solve-planar --N 2 --grid 32 --box 1e-200",
+                "half_width 1e-200 gives a grid spacing 6.451612903225806e-202 whose square "
+                "is not positive and finite",
+            ),
+            (
                 "solve-radial --N 2 --nodes 1000 --tau inf",
                 "background scale tau must be positive and finite, got inf",
             ),
@@ -150,6 +155,7 @@ class TestNonFiniteInput:
             "planar-tol-inf",
             "planar-tol-nan",
             "planar-box-inf",
+            "planar-box-underflow",
             "radial-tau-inf",
             "planar-tau-inf",
             "radial-rmax-inf",

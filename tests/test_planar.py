@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexlab import functional
+from vortexlab import functional, planar
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams, background, coupling_matrix
@@ -142,6 +142,49 @@ class TestSolve:
         sol = solve_planar(params, grid, tol=1e-8)
         assert sol.cg_iterations <= 5 * sol.iterations
 
+    @pytest.mark.parametrize(
+        "N, n_pair, n, newton, cg",
+        [
+            (2, (1, 1), 64, 6, 12),
+            (2, (1, 1), 256, 7, 16),
+            (3, (1, 2), 64, 8, 21),
+            (3, (1, 2), 256, 8, 22),
+        ],
+    )
+    def test_counts_match_the_float64_preconditioner(self, N, n_pair, n, newton, cg):
+        # Newton and CG counts from the zero start with float64 transforms in
+        # the preconditioner; float32 transforms must leave them within one.
+        params = make(N=N, n1=n_pair[0], n2=n_pair[1])
+        sol = solve_planar(params, PlanarGrid(half_width=15.0, points_per_side=n), tol=1e-8)
+        assert abs(sol.iterations - newton) <= 1
+        assert abs(sol.cg_iterations - cg) <= 1
+
+    def test_cg_vectors_and_iterate_stay_float64(self, default_solution):
+        # The preconditioner's float32 transforms stay inside it: every vector
+        # the CG hands to the preconditioner or the Hessian, each result, the
+        # direction and the converged iterate are float64.
+        params, grid, sol = default_solution
+        func = DiscreteFunctional(params, grid)
+        dtypes = set()
+
+        def spy(op):
+            def apply(x):
+                y = op(x)
+                dtypes.update((x.dtype, y.dtype))
+                return y
+
+            return apply
+
+        hessian_operator = func.hessian_operator
+        func.hessian_operator = lambda w: spy(hessian_operator(w))
+        w = boundary_values(params, grid)
+        g = func.gradient(w)
+        d, cg_iters = _newton_direction(func, spy(func.far_field_preconditioner()), w, g, 1e-6, 0, 1.0)
+        assert cg_iters > 1
+        assert dtypes == {np.dtype(np.float64)}
+        assert d.dtype == np.float64
+        assert sol.w.dtype == np.float64
+
     def test_energy_change_resolves_last_newton_decrease(self, default_solution):
         params, grid, sol = default_solution
         func = DiscreteFunctional(params, grid)
@@ -156,6 +199,12 @@ class TestSolve:
         change = func.energy_change(sol.w, d)
         assert change < 0.0
         assert change == pytest.approx(predicted, rel=1e-3)
+
+    def test_cg_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(planar, "CG_MAX_ITER", 1)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        with pytest.raises(NonConvergenceError, match="conjugate gradient exceeded its iteration cap"):
+            solve_planar(make(), grid, tol=1e-8)
 
     def test_max_iter_exhaustion(self):
         params = make()
