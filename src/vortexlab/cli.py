@@ -184,6 +184,9 @@ def _load_radial_csv(path: str) -> RadialSolution:
         theorem_mode=meta.get("theorem_mode", "true") == "true",
     )
     col = {name: data[:, k] for k, name in enumerate(header)}
+    for name in ("r", "u1", "u2"):
+        if not np.all(np.isfinite(col[name])):
+            raise ValueError(f"{path}: non-finite value in column {name}")
     mesh = RadialMesh(r=col["r"])
     u = np.stack([col["u1"], col["u2"]])
     bg = background(params)

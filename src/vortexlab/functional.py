@@ -12,7 +12,12 @@ The field pair ``(w1, w2)`` is one float array of shape ``(2, n, n)``,
 index 0 holding ``w1`` and index 1 ``w2``; the gradient, Hessian
 directions and preconditioner inputs and outputs share that layout.
 Boundary entries are Dirichlet data; only interior entries are degrees of
-freedom.
+freedom.  The background enters through two node arrays of that layout,
+built once per problem: ``weight``, the coefficient of each exponential
+``exp(s_k)`` with ``s = 2 J w`` and ``J = [[1, 0], [a_mix, 1]]``, and
+``source``, the coefficient of each ``w_k``.  Each potential term is one
+expression over both species; only the edge terms, weighted by one
+``c_grad`` per species, run on per-species slices.
 
 Exponential-minus-one terms are evaluated with ``expm1`` so small fields
 do not lose precision, and an exponent cap (``EXP_CAP``) rejects fields
@@ -42,7 +47,7 @@ from .model import ModelParams, background, coupling_matrix, functional_coeffici
 
 __all__ = ["PlanarGrid", "DiscreteFunctional"]
 
-#: Largest ``|2*w1|`` or ``|2*(a_mix*w1 + w2)|`` accepted by an evaluation.
+#: Largest ``|s_k|`` of the exponents ``s = 2 J w`` accepted by an evaluation.
 EXP_CAP = 300.0
 
 
@@ -134,42 +139,54 @@ def _neighbor_sum(w: np.ndarray) -> np.ndarray:
 class DiscreteFunctional:
     """Energy, gradient and Hessian-vector product of one problem on a grid.
 
-    The coefficients ``fc`` and the node arrays of the background are
-    derived from ``params`` once, at construction; evaluation is then pure
-    array arithmetic, deterministic in single-threaded mode.
+    Derived from ``params`` once, at construction: the coefficients ``fc``,
+    the per-species ``c_grad`` of the edge terms, and the ``(2, n, n)`` node
+    arrays ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]`` and
+    ``source = [c_psi1 * psi_1 - c_lin1, c_psi2 * psi_2 - 2]``, so that the
+    node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
+    Evaluation is then pure array arithmetic, deterministic in
+    single-threaded mode.
     """
 
     def __init__(self, params: ModelParams, grid: PlanarGrid):
         self.grid = grid
-        self.fc = functional_coefficients(coupling_matrix(params))
+        fc = self.fc = functional_coefficients(coupling_matrix(params))
+        self.c_grad = (fc.c_grad1, fc.c_grad2)
         bg = background(params)
         r2 = grid.radius_squared()
-        self.e2u01 = bg.exp_two_u0_1(r2)
-        self.e2u02 = bg.exp_two_u0_2(r2)
-        self.psi1 = bg.psi_1(r2)
-        self.psi2 = bg.psi_2(r2)
+        self.weight = np.stack([fc.c_exp1 * bg.exp_two_u0_1(r2), bg.exp_two_u0_2(r2)])
+        self.source = np.stack(
+            [fc.c_psi1 * bg.psi_1(r2) - fc.c_lin1, fc.c_psi2 * bg.psi_2(r2) - 2.0]
+        )
 
     # -- helpers -----------------------------------------------------------
 
-    def _exponents(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1 = 2.0 * w[0]
-        s2 = 2.0 * (self.fc.a_mix * w[0] + w[1])
-        self._check_cap(s1, s2)
-        return s1, s2
+    def _exponents(self, w: np.ndarray) -> np.ndarray:
+        """``s = 2 J w`` as a new ``(2, n, n)`` array, checked against the cap."""
+        s = 2.0 * w
+        s[1] += self.fc.a_mix * s[0]
+        self._check_cap(s)
+        return s
 
-    def _check_cap(self, s1: np.ndarray, s2: np.ndarray) -> None:
-        m1 = float(np.max(np.abs(s1)))
-        m2 = float(np.max(np.abs(s2)))
-        if m1 > EXP_CAP or m2 > EXP_CAP:
+    def _check_cap(self, s: np.ndarray) -> None:
+        # max |s| from two reductions, without an abs() copy of s.
+        m = max(float(s.max()), -float(s.min()))
+        if m > EXP_CAP:
             raise FieldOverflowError(
-                f"exponent argument {max(m1, m2):.3g} exceeds cap {EXP_CAP:.3g}; "
+                f"exponent argument {m:.3g} exceeds cap {EXP_CAP:.3g}; "
                 "the outer iteration is diverging"
             )
+
+    def _weighted_exp(self, s: np.ndarray) -> np.ndarray:
+        """``weight * exp(s)``, overwriting and returning ``s``."""
+        np.exp(s, out=s)
+        s *= self.weight
+        return s
 
     def _stiffness(self, w: np.ndarray) -> np.ndarray:
         """Gradient terms' part ``2*c_grad_k * K_h w_k`` per species; zero edge."""
         out = np.zeros_like(w)
-        for k, c_grad in enumerate((self.fc.c_grad1, self.fc.c_grad2)):
+        for k, c_grad in enumerate(self.c_grad):
             out[k, 1:-1, 1:-1] = 2.0 * c_grad * _neighbor_sum(w[k])
         return out
 
@@ -177,16 +194,10 @@ class DiscreteFunctional:
 
     def energy(self, w: np.ndarray) -> float:
         """Value of the discrete action functional."""
-        fc = self.fc
-        s1, s2 = self._exponents(w)
-        pot = (
-            self.e2u02 * np.expm1(s2)
-            + fc.c_exp1 * self.e2u01 * np.expm1(s1)
-            + (fc.c_psi1 * self.psi1 - fc.c_lin1) * w[0]
-            + (fc.c_psi2 * self.psi2 - 2.0) * w[1]
-        )
-        grad = fc.c_grad1 * _edge_energy(w[0]) + fc.c_grad2 * _edge_energy(w[1])
-        return grad + self.grid.cell_area * float(np.sum(pot))
+        s = self._exponents(w)
+        pot = float(np.vdot(self.weight, np.expm1(s, out=s))) + float(np.vdot(self.source, w))
+        grad = sum(c * _edge_energy(wk) for c, wk in zip(self.c_grad, w))
+        return grad + self.grid.cell_area * pot
 
     def energy_change(self, w: np.ndarray, step: np.ndarray) -> float:
         """``energy(w + step) - energy(w)``, evaluated without cancellation.
@@ -197,57 +208,45 @@ class DiscreteFunctional:
         :class:`FieldOverflowError` if ``w`` or ``w + step`` exceeds the
         exponent cap.  Boundary entries of ``step`` must be zero.
         """
-        fc = self.fc
-        s1, s2 = self._exponents(w)
-        ds1 = 2.0 * step[0]
-        ds2 = 2.0 * (fc.a_mix * step[0] + step[1])
-        self._check_cap(s1 + ds1, s2 + ds2)
-        pot = self.e2u02 * np.exp(s2) * np.expm1(ds2)
-        pot += fc.c_exp1 * self.e2u01 * np.exp(s1) * np.expm1(ds1)
-        pot += (fc.c_psi1 * self.psi1 - fc.c_lin1) * step[0]
-        pot += (fc.c_psi2 * self.psi2 - 2.0) * step[1]
-        grad = fc.c_grad1 * _edge_energy_change(w[0], step[0]) + fc.c_grad2 * _edge_energy_change(
-            w[1], step[1]
-        )
-        return grad + self.grid.cell_area * float(np.sum(pot))
+        s = self._exponents(w)
+        ds = 2.0 * step
+        ds[1] += self.fc.a_mix * ds[0]
+        self._check_cap(s + ds)
+        e = self._weighted_exp(s)
+        pot = float(np.vdot(e, np.expm1(ds, out=ds))) + float(np.vdot(self.source, step))
+        grad = sum(c * _edge_energy_change(wk, dk) for c, wk, dk in zip(self.c_grad, w, step))
+        return grad + self.grid.cell_area * pot
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        """Exact partial derivatives w.r.t. interior node values; boundary zero."""
-        fc = self.fc
-        h2 = self.grid.cell_area
-        s1, s2 = self._exponents(w)
-        exp1 = np.exp(s1)
-        exp2 = np.exp(s2)
+        """Exact partial derivatives w.r.t. interior node values; boundary zero.
 
-        pot1 = (
-            2.0 * fc.a_mix * self.e2u02 * exp2
-            + 2.0 * fc.c_exp1 * self.e2u01 * exp1
-            + fc.c_psi1 * self.psi1
-            - fc.c_lin1
-        )
-        pot2 = 2.0 * self.e2u02 * exp2 + fc.c_psi2 * self.psi2 - 2.0
+        The potential part is ``h^2 * (2 J^T (weight * exp(s)) + source)``.
+        """
+        pot = self._weighted_exp(self._exponents(w))
+        pot[0] += self.fc.a_mix * pot[1]
+        pot *= 2.0
+        pot += self.source
+        pot *= self.grid.cell_area
         g = self._stiffness(w)
-        g[0, 1:-1, 1:-1] += h2 * pot1[1:-1, 1:-1]
-        g[1, 1:-1, 1:-1] += h2 * pot2[1:-1, 1:-1]
+        g[:, 1:-1, 1:-1] += pot[:, 1:-1, 1:-1]
         return g
 
     def hessian_operator(self, w: np.ndarray):
         """Hessian at ``w`` as a reusable callable on directions of shape ``(2, n, n)``.
 
-        The exponentials depend on ``w`` only through ``s1 = 2*w1`` and
-        ``s2 = 2*(a_mix*w1 + w2)``, so their curvature is ``J^T diag(T, S) J``
-        with ``J = [[1, 0], [a_mix, 1]]``; the interior arrays ``T`` and ``S``
-        carry the chain rule's factor 4 and the cell area.  They are evaluated
-        once, so repeated applications (conjugate-gradient inner iterations)
-        cost only stencil arithmetic.  Directions must carry zero boundary
-        entries; outputs do.
+        The exponentials depend on ``w`` only through ``s = 2 J w``, so their
+        curvature is ``J^T diag(T, S) J``, where the interior arrays
+        ``T, S = 4 h^2 * weight * exp(s)`` carry the chain rule's factor 4 and
+        the cell area.  They are evaluated once, so repeated applications
+        (conjugate-gradient inner iterations) cost only stencil arithmetic.
+        Directions must carry zero boundary entries; outputs do.
         """
-        fc = self.fc
-        a = fc.a_mix
-        s1, s2 = self._exponents(w)
-        h2 = self.grid.cell_area
-        T = (4.0 * h2 * fc.c_exp1) * (self.e2u01 * np.exp(s1))[1:-1, 1:-1]
-        S = (4.0 * h2) * (self.e2u02 * np.exp(s2))[1:-1, 1:-1]
+        a = self.fc.a_mix
+        s = self._exponents(w)
+        c = 4.0 * self.grid.cell_area
+        # One array per species: a stacked (2, m, m) product, or views into
+        # the full weight * exp(s), raised the solve's peak RSS or page faults.
+        T, S = (c * (wk * np.exp(sk))[1:-1, 1:-1] for wk, sk in zip(self.weight, s))
 
         def apply(d: np.ndarray) -> np.ndarray:
             out = self._stiffness(d)

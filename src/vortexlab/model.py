@@ -42,7 +42,6 @@ __all__ = [
     "flux_integrand_rows",
     "component_flux_targets",
     "background",
-    "solve_2x2",
 ]
 
 #: Tolerance used when validating that a theorem-mode multiplicity is integer.
@@ -209,19 +208,6 @@ def _symmetric_eig_2x2(S: np.ndarray) -> tuple[float, float, np.ndarray]:
     return lam_hi, lam_lo, O
 
 
-def solve_2x2(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``K @ x = rhs`` for a 2x2 matrix by the explicit inverse."""
-    det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
-    if det == 0.0:
-        raise ZeroDivisionError("singular 2x2 system")
-    return np.array(
-        [
-            (K[1, 1] * rhs[0] - K[0, 1] * rhs[1]) / det,
-            (K[0, 0] * rhs[1] - K[1, 0] * rhs[0]) / det,
-        ]
-    )
-
-
 def spectral_constants(cd: CouplingData) -> SpectralConstants:
     """Eigen-data and decay/flux constants derived from the coupling data."""
     N = cd.N
@@ -296,9 +282,19 @@ def flux_integrand_rows(cd: CouplingData, sc: SpectralConstants) -> np.ndarray:
 
 
 def component_flux_targets(params: ModelParams, cd: CouplingData) -> np.ndarray:
-    """Exact plane integrals of ``(E1, E2)``: the solution of ``A @ x = -4*pi*n``."""
+    """Exact plane integrals of ``(E1, E2)``: the solution of ``A @ x = -4*pi*n``.
+
+    Solved by the explicit inverse; ``det(A) = N/2`` is never zero.
+    """
+    A = cd.A
     rhs = -4.0 * math.pi * params.multiplicities
-    return solve_2x2(cd.A, rhs)
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return np.array(
+        [
+            (A[1, 1] * rhs[0] - A[0, 1] * rhs[1]) / det,
+            (A[0, 0] * rhs[1] - A[1, 0] * rhs[0]) / det,
+        ]
+    )
 
 
 class BackgroundField:

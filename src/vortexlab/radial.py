@@ -42,7 +42,6 @@ __all__ = [
     "reconstruct_profiles",
     "ode_residual",
     "central_derivative",
-    "apply_radial_laplacian",
     "radial_system_residual",
 ]
 
@@ -59,7 +58,11 @@ GRADING_OFFSET = 0.1
 
 @dataclass(frozen=True)
 class RadialMesh:
-    """Strictly increasing radial nodes, graded near zero then uniform."""
+    """Strictly increasing finite radial nodes, graded near zero then uniform.
+
+    At least 1000 nodes, the first positive and the last at least 20;
+    anything else raises ``ValueError``.
+    """
 
     r: np.ndarray
 
@@ -67,6 +70,8 @@ class RadialMesh:
         r = np.asarray(self.r, dtype=float)
         if r.ndim != 1 or r.size < 1000:
             raise ValueError("radial mesh needs at least 1000 nodes")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("radial nodes must be finite")
         if r[0] <= 0.0:
             raise ValueError("innermost radius must be positive")
         if r[-1] < 20.0:
@@ -217,14 +222,6 @@ def _laplacian_coefficients(r: np.ndarray):
     sup[1:-1] = rp[1:] / (h[1:] * vol)
     dia[1:-1] = -(sub[1:-1] + sup[1:-1])
     return sub, dia, sup
-
-
-def apply_radial_laplacian(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Scheme-consistent discrete radial Laplacian of ``y`` (nodes 0..n-2).
-
-    The last entry is not meaningful (Dirichlet row) and is returned as 0.
-    """
-    return _apply_stencil(_laplacian_coefficients(r), y)
 
 
 def _apply_stencil(stencil, y: np.ndarray) -> np.ndarray:

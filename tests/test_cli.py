@@ -236,23 +236,45 @@ class TestVerify:
         assert err.startswith("error: decay window must have finite ends lo < hi, got [")
 
     @staticmethod
-    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False):
-        """Copy a radial CSV without the named columns or metadata key."""
+    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False, cell=None):
+        """Copy a radial CSV without the named columns or metadata key.
+
+        ``cell = (row, column, text)`` replaces one data cell.
+        """
         meta, header, *rows = csv.read_text().splitlines()
         if meta_drop is not None:
             meta = " ".join(item for item in meta.split() if not item.startswith(meta_drop + "="))
         names = header.split(",")
         keep = [k for k, name in enumerate(names) if name not in drop]
         lines = [meta, ",".join(names[k] for k in keep) + (",extra" if extra_name else "")]
-        for row in rows:
+        for i, row in enumerate(rows):
             values = row.split(",")
+            if cell is not None and i == cell[0]:
+                values[names.index(cell[1])] = cell[2]
             lines.append(",".join(values[k] for k in keep))
         out.write_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "broken",
-        [{"drop": ("u2",)}, {"meta_drop": "tau"}, {"extra_name": True}],
-        ids=["no-u2-column", "no-tau-key", "header-longer-than-rows"],
+        [
+            {"drop": ("u2",)},
+            {"meta_drop": "tau"},
+            {"extra_name": True},
+            # A non-finite value in data row 500 must not reach the report.
+            {"cell": (500, "r", "nan")},
+            {"cell": (500, "u1", "nan")},
+            {"cell": (500, "u2", "nan")},
+            {"cell": (500, "u1", "inf")},
+        ],
+        ids=[
+            "no-u2-column",
+            "no-tau-key",
+            "header-longer-than-rows",
+            "r-nan",
+            "u1-nan",
+            "u2-nan",
+            "u1-inf",
+        ],
     )
     def test_malformed_csv_exits_2(self, tmp_path, capsys, broken):
         csv = tmp_path / "radial.csv"

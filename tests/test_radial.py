@@ -15,7 +15,8 @@ from vortexlab.model import (
 )
 from vortexlab.radial import (
     RadialMesh,
-    apply_radial_laplacian,
+    _apply_stencil,
+    _laplacian_coefficients,
     central_derivative,
     ode_residual,
     radial_mesh,
@@ -44,6 +45,18 @@ class TestRadialMesh:
             RadialMesh(r=np.linspace(1e-4, 15.0, 2000))  # too short
         with pytest.raises(ValueError):
             radial_mesh(n=500)  # below the node floor
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, math.nan), (500, math.nan), (-1, math.inf)],
+        ids=["nan-first", "nan-middle", "inf-last"],
+    )
+    def test_rejects_non_finite_nodes(self, index, value):
+        # Each passes the order checks: NaN compares False, inf is a valid last node.
+        r = radial_mesh(n=1000).r.copy()
+        r[index] = value
+        with pytest.raises(ValueError, match="radial nodes must be finite"):
+            RadialMesh(r=r)
 
     def test_grading(self):
         mesh = radial_mesh(n=1000)
@@ -81,7 +94,7 @@ class TestDerivatives:
 
     def test_laplacian_exact_on_r_squared(self):
         r = radial_mesh(n=1500).r
-        lap = apply_radial_laplacian(r, r * r)
+        lap = _apply_stencil(_laplacian_coefficients(r), r * r)
         np.testing.assert_allclose(lap[:-1], 4.0, rtol=1e-7)
 
 
