@@ -58,6 +58,7 @@ from .radial import (
     solve_radial_P,
 )
 from .verify import VerificationReport, build_report, check_decay_window, scalar_constants
+from .verify import cross_validation_window
 
 __all__ = ["main", "emit_report", "parse_report"]
 
@@ -312,7 +313,10 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
-    check_decay_window(args.window)  # a bad window fails before the solves
+    check_decay_window(args.window)  # a bad window, grid or box fails before the solves
+    if args.planar:
+        grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
+        cross_validation_window(grid)
     params = _params_from_args(args)
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     radial_sol = solve_radial_P(params, mesh, tol=args.tol)
@@ -320,7 +324,6 @@ def _cmd_report(args):
     planar_sol = None
     planar_alt = None
     if args.planar:
-        grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
         planar_sol = solve_planar(params, grid, tol=args.planar_tol)
         if args.uniqueness:
             rng = np.random.default_rng(args.seed)

@@ -27,12 +27,12 @@ totals, so a line search can resolve decreases far below the rounding of
 the energy itself.
 
 The Hessian's far-field part (curvature frozen at ``exp(2*u0) = 1``,
-``w = 0``) has constant coefficients, so an orthonormal DST-I
-diagonalizes it; its inverse is the fast-Poisson preconditioner of Concus
-& Golub (1973), applied with the direct sine-transform solve of Buzbee,
-Golub & Nielson (1970).  The transforms run in float32 and the per-mode
-2x2 solve in float64, so the preconditioner is exact to single-precision
-rounding; energy, gradient and Hessian stay float64.
+``w = 0``) has constant coefficients: one constant change of species
+variables splits it into two scalar operators, each diagonalized by an
+orthonormal DST-I.  Its inverse, the fast-Poisson preconditioner of Concus
+& Golub (1973), is two decoupled direct sine-transform solves (Buzbee,
+Golub & Nielson 1970), run in float32 with a float64 result: exact to
+single-precision rounding.  Energy, gradient and Hessian stay float64.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import FieldOverflowError
 from .model import ModelParams, background, coupling_matrix, functional_coefficients
+from .model import _symmetric_eig_2x2
 
 __all__ = ["PlanarGrid", "DiscreteFunctional"]
 
@@ -270,53 +271,45 @@ class DiscreteFunctional:
         ``w = 0``, where ``S0 = 4*h^2`` and ``T0 = 4*h^2*c_exp1``; with a flat
         background it is the Hessian at ``w = 0``.  The orthonormal DST-I
         ``S`` diagonalizes the 5-point stencil ``K_h`` (eigenvalues
-        ``mu_j + mu_k``), leaving one 2x2 solve per mode, so the inverse is
-        ``S (M_jk^-1 (S r S)) S`` on interior nodes: symmetric positive
-        definite.
+        ``lam = mu_j + mu_k``), and with ``D = diag(sqrt(2*c_grad))`` every
+        mode's 2x2 symbol is ``D (lam I + C) D`` for one constant SPD ``C``.
+        Its eigenvectors ``Q`` decouple the species once: with ``V = D^-1 Q``
+        the inverse is ``sum_k v_k v_k^T (x) S diag(1/(lam + kappa_k)) S``,
+        two scalar fast-Poisson solves, symmetric positive definite.
 
-        The four ``S @ X @ S`` transforms run in float32 (``S`` and the
-        transformed slices); the per-mode 2x2 solve runs in float64.  The
-        apply is therefore the exact inverse, and symmetric, only to
-        single-precision rounding (about ``1e-6`` relative).  It only shapes
-        the CG search direction: the CG vectors, the Hessian and the stopping
-        test stay float64, so a solve still meets its float64 tolerance.
-        Inputs are full node arrays; outputs are float64 with zero boundary
-        entries.
+        Everything runs in float32, so the apply is the exact inverse, and
+        symmetric, only to single-precision rounding (about ``1e-6``
+        relative).  It only shapes the CG search direction: the CG vectors,
+        the Hessian and the stopping test stay float64, so a solve still
+        meets its float64 tolerance.  Inputs are full node arrays; outputs
+        are float64 with zero boundary entries.
         """
         fc = self.fc
-        a = fc.a_mix
-        h2 = self.grid.cell_area
         m = self.grid.points_per_side - 2
         S = _sine_matrix(m).astype(np.float32)
         mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
         lam = mu[:, None] + mu[None, :]
-        S0 = 4.0 * h2
-        T0 = S0 * fc.c_exp1
-        # Per-mode symbol [[a11, a12], [a12, a22]]; the off-diagonal is constant,
-        # a NumPy float64 so that its products with float32 modes are float64.
-        a11 = 2.0 * fc.c_grad1 * lam + (T0 + a * a * S0)
-        a22 = 2.0 * fc.c_grad2 * lam + S0
-        a12 = np.float64(a * S0)
-        inv_det = a11 * a22
-        inv_det -= a12 * a12
-        np.reciprocal(inv_det, out=inv_det)
+        d = np.sqrt([2.0 * fc.c_grad1, 2.0 * fc.c_grad2])
+        J = np.array([[1.0, 0.0], [fc.a_mix, 1.0]])
+        curvature = 4.0 * self.grid.cell_area * (J.T @ np.diag([fc.c_exp1, 1.0]) @ J)
+        *kappa, Q = _symmetric_eig_2x2(curvature / np.outer(d, d))
+        inv = [(1.0 / (lam + k)).astype(np.float32) for k in kappa]
+        # Python floats, so that they keep the float32 arithmetic float32.
+        V = (Q / d[:, None]).tolist()
 
         def apply(r: np.ndarray) -> np.ndarray:
-            # Each species is transformed as its own 2-D slice (stacked
-            # transforms raised peak RSS).  The mode solve runs in float64
-            # and is rounded back into the float32 mode arrays x1, x2.
-            x1 = S @ r[0, 1:-1, 1:-1].astype(np.float32) @ S
-            x2 = S @ r[1, 1:-1, 1:-1].astype(np.float32) @ S
-            y1 = a22 * x1
-            y1 -= a12 * x2
-            y2 = a11 * x2
-            y2 -= a12 * x1
-            np.multiply(y1, inv_det, out=x1, casting="same_kind")
-            np.multiply(y2, inv_det, out=x2, casting="same_kind")
-            del y1, y2
+            r32 = r[:, 1:-1, 1:-1].astype(np.float32)
+            x = []
+            for (v1, v2), inv_k in zip(zip(*V), inv):  # the columns v_k of V
+                xk = v1 * r32[0]
+                xk += v2 * r32[1]
+                xk = S @ xk @ S
+                xk *= inv_k
+                x.append(S @ xk @ S)
+            del r32, xk  # freed before z, which gets one float32 sum per species: fewer faults
             z = np.zeros(r.shape)
-            z[0, 1:-1, 1:-1] = S @ x1 @ S
-            z[1, 1:-1, 1:-1] = S @ x2 @ S
+            for zi, (v1, v2) in zip(z, V):
+                zi[1:-1, 1:-1] = v1 * x[0] + v2 * x[1]
             return z
 
         return apply

@@ -162,7 +162,11 @@ def solve_planar(
         # Inexact Newton: the CG forcing tolerance tightens as the outer
         # residual shrinks.
         eta = min(0.5, math.sqrt(gnorm))
-        change, cg_iters = _newton_step(func, precond, w, g, eta, iteration, gnorm)
+        try:
+            change, cg_iters = _newton_step(func, precond, w, g, eta)
+        except NonConvergenceError as exc:
+            exc.iterations, exc.residual, exc.last_iterate = iteration, gnorm, w
+            raise
         cg_total += cg_iters
         energy += change
         history.append(energy)
@@ -176,14 +180,15 @@ def solve_planar(
     )
 
 
-def _newton_step(func, precond, w, g, eta, iteration, gnorm):
+def _newton_step(func, precond, w, g, eta):
     """One damped Newton step: update ``w`` in place.
 
-    Returns the energy change and the CG iteration count.  The direction,
-    its trial scalings and the CG work arrays all live in this frame and in
+    Returns the energy change and the CG iteration count; the caller adds
+    the iterate to a :class:`NonConvergenceError`.  The direction, its trial
+    scalings and the CG work arrays all live in this frame and in
     :func:`_newton_direction`, so none outlives the step.
     """
-    d, cg_iters = _newton_direction(func, precond, w, g, eta, iteration, gnorm)
+    d, cg_iters = _newton_direction(func, precond, w, g, eta)
 
     # Backtracking line search on the energy change (Armijo).  A trial that
     # overflows the exponent cap is rejected like any other.  Halving is
@@ -200,17 +205,12 @@ def _newton_step(func, precond, w, g, eta, iteration, gnorm):
         t *= 0.5
         d *= 0.5
         if t < 2.0**-40:
-            raise NonConvergenceError(
-                "planar line search stalled",
-                iterations=iteration,
-                residual=gnorm,
-                last_iterate=w,
-            )
+            raise NonConvergenceError("planar line search stalled")
     w += d
     return change, cg_iters
 
 
-def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
+def _newton_direction(func, precond, w, g, eta):
     """Preconditioned CG for ``H d = -g`` until ``||r||_2 <= eta * ||g||_2``.
 
     The stopping test is on the unpreconditioned residual.  Running in its
@@ -227,11 +227,7 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
     cg_iters = 0
     while math.sqrt(rr) > target:
         if cg_iters >= CG_MAX_ITER:
-            raise NonConvergenceError(
-                "conjugate gradient exceeded its iteration cap",
-                iterations=iteration,
-                residual=gnorm,
-            )
+            raise NonConvergenceError("conjugate gradient exceeded its iteration cap")
         z = precond(r)
         rz = float(np.vdot(r, z))
         p *= rz / rz_old
@@ -241,11 +237,7 @@ def _newton_direction(func, precond, w, g, eta, iteration, gnorm):
         hp = hess(p)
         php = float(np.vdot(p, hp))
         if php <= 0.0:  # cannot happen for a strictly convex energy
-            raise NonConvergenceError(
-                "nonpositive curvature encountered in CG",
-                iterations=iteration,
-                residual=gnorm,
-            )
+            raise NonConvergenceError("nonpositive curvature encountered in CG")
         alpha = rz / php
         hp *= alpha
         r -= hp

@@ -37,7 +37,7 @@ from .model import (
     flux_targets,
     spectral_constants,
 )
-from .functional import _neighbor_sum
+from .functional import PlanarGrid, _neighbor_sum
 from .planar import PlanarSolution, extract_radial_slice
 from .radial import (
     RadialSolution,
@@ -55,6 +55,7 @@ __all__ = [
     "check_decay_window",
     "decay_fit",
     "pde_residual",
+    "cross_validation_window",
     "cross_validate",
     "uniqueness_check",
     "build_report",
@@ -248,19 +249,29 @@ def _params_match(a: ModelParams, b: ModelParams) -> bool:
     return (a.N, a.n1, a.n2, a.tau) == (b.N, b.n1, b.n2, b.tau)
 
 
+def cross_validation_window(grid: PlanarGrid) -> tuple[float, np.ndarray]:
+    """``hi`` of the window ``[0.5, min(10, L - 5)]`` and its mask on the positive axis nodes.
+
+    Needs only the grid; raises ``ValueError`` if no node is in the window.
+    """
+    r = grid.coords[grid.coords > 0.0]
+    hi = min(10.0, grid.half_width - 5.0)
+    mask = (r >= 0.5) & (r <= hi)
+    if not np.any(mask):
+        raise ValueError("empty cross-validation window; enlarge the box")
+    return hi, mask
+
+
 def cross_validate(radial: RadialSolution, planar: PlanarSolution) -> dict:
     """Sup difference of the physical fields along the axis window.
 
     Both discretizations approximate the same unique solution; the window
-    is ``[0.5, min(10, L - 5)]``.
+    is that of :func:`cross_validation_window`.
     """
     if not _params_match(radial.params, planar.params):
         raise ValueError("cross-validation requires matching model parameters")
+    hi, mask = cross_validation_window(planar.grid)
     r, u = extract_radial_slice(planar)
-    hi = min(10.0, planar.grid.half_width - 5.0)
-    mask = (r >= 0.5) & (r <= hi)
-    if not np.any(mask):
-        raise ValueError("empty cross-validation window; enlarge the box")
     r = r[mask]
     bg = background(radial.params)
     r2 = r * r

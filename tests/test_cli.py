@@ -328,6 +328,25 @@ class TestReportCommand:
         assert out == ""
         assert err.startswith("error: decay window must have finite ends lo < hi, got [")
 
+    @pytest.mark.parametrize(
+        "box, grid, message",
+        [
+            ("5.2", "400", "empty cross-validation window; enlarge the box"),
+            ("15", "8", "points_per_side must be an integer >= 16, got 8"),
+        ],
+        ids=["empty-cross-window", "small-grid"],
+    )
+    def test_bad_planar_box_exits_2_before_any_solve(self, capsys, monkeypatch, box, grid, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the planar grid was checked")
+
+        monkeypatch.setattr(cli, "solve_radial_P", no_solve)
+        monkeypatch.setattr(cli, "solve_planar", no_solve)
+        code, out, err = run(capsys, "report", "--N", "2", "--planar", "--box", box, "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestReportSerialization:
     def test_round_trip_by_value(self):

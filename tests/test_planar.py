@@ -179,7 +179,7 @@ class TestSolve:
         func.hessian_operator = lambda w: spy(hessian_operator(w))
         w = boundary_values(params, grid)
         g = func.gradient(w)
-        d, cg_iters = _newton_direction(func, spy(func.far_field_preconditioner()), w, g, 1e-6, 0, 1.0)
+        d, cg_iters = _newton_direction(func, spy(func.far_field_preconditioner()), w, g, 1e-6)
         assert cg_iters > 1
         assert dtypes == {np.dtype(np.float64)}
         assert d.dtype == np.float64
@@ -189,9 +189,7 @@ class TestSolve:
         params, grid, sol = default_solution
         func = DiscreteFunctional(params, grid)
         g = func.gradient(sol.w)
-        d, _ = _newton_direction(
-            func, func.far_field_preconditioner(), sol.w, g, 1e-6, 0, sol.final_gradient_norm
-        )
+        d, _ = _newton_direction(func, func.far_field_preconditioner(), sol.w, g, 1e-6)
         # Along a Newton direction the quadratic model predicts slope / 2.
         predicted = 0.5 * float(np.vdot(g, d))
         energy = func.energy(sol.w)
@@ -205,6 +203,21 @@ class TestSolve:
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         with pytest.raises(NonConvergenceError, match="conjugate gradient exceeded its iteration cap"):
             solve_planar(make(), grid, tol=1e-8)
+
+    def test_cg_failure_carries_the_iterate(self, monkeypatch):
+        # A CG failure in the first Newton step reports the start: its
+        # iterate, zero completed steps and its Euler-Lagrange residual.
+        monkeypatch.setattr(planar, "CG_MAX_ITER", 0)
+        params = make()
+        grid = PlanarGrid(half_width=15.0, points_per_side=32)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_planar(params, grid, tol=1e-8)
+        w0 = boundary_values(params, grid)
+        residual = float(np.max(np.abs(DiscreteFunctional(params, grid).gradient(w0))))
+        assert err.value.last_iterate.shape == (2, 32, 32)
+        np.testing.assert_array_equal(err.value.last_iterate, w0)
+        assert err.value.iterations == 0
+        assert err.value.residual == residual / grid.cell_area
 
     def test_max_iter_exhaustion(self):
         params = make()

@@ -18,6 +18,7 @@ from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import (
     build_report,
     cross_validate,
+    cross_validation_window,
     decay_fit,
     flux_integrals,
     pde_residual,
@@ -168,6 +169,20 @@ class TestCrossValidate:
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         psol = solve_planar(ModelParams(N=3, n1=1, n2=2), grid, tol=1e-7)
         with pytest.raises(ValueError):
+            cross_validate(radial_case, psol)
+
+    def test_window_is_the_one_cross_validate_uses(self, radial_case, planar_case):
+        hi, mask = cross_validation_window(planar_case.grid)
+        rec = cross_validate(radial_case, planar_case)
+        assert rec["window"] == [0.5, hi]
+        assert rec["n_points"] == int(np.count_nonzero(mask))
+
+    def test_small_box_rejected_by_both(self, radial_case):
+        grid = PlanarGrid(half_width=5.2, points_per_side=16)
+        with pytest.raises(ValueError, match="empty cross-validation window"):
+            cross_validation_window(grid)
+        psol = solve_planar(ModelParams(N=2, n1=1, n2=1), grid, tol=1e-7)
+        with pytest.raises(ValueError, match="empty cross-validation window"):
             cross_validate(radial_case, psol)
 
 
