@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -48,7 +49,7 @@ from .model import (
     flux_targets,
     spectral_constants,
 )
-from .planar import solve_planar
+from .planar import radial_start, solve_planar
 from .radial import (
     RadialMesh,
     RadialSolution,
@@ -273,7 +274,13 @@ def _cmd_solve_profile(args):
 
 def _cmd_solve_planar(args):
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
-    sol = solve_planar(_params_from_args(args), grid, tol=args.tol, max_iter=args.max_iter)
+    params = _params_from_args(args)
+    # Start from the radial solution on a mesh that reaches the box corner.
+    r_max = max(30.0, math.sqrt(2.0) * grid.half_width)
+    radial = solve_radial_P(params, radial_mesh(r_max=r_max))
+    sol = solve_planar(
+        params, grid, tol=args.tol, max_iter=args.max_iter, initial=radial_start(radial, grid)
+    )
     meta = {
         **dataclasses.asdict(sol.params),
         "box": grid.half_width,
@@ -313,7 +320,10 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
-    check_decay_window(args.window)  # a bad window, grid or box fails before the solves
+    # A bad window, grid or box, or --uniqueness alone, fails before the solves.
+    check_decay_window(args.window)
+    if args.uniqueness and not args.planar:
+        raise ValueError("--uniqueness needs --planar")
     if args.planar:
         grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
         cross_validation_window(grid)
@@ -324,8 +334,10 @@ def _cmd_report(args):
     planar_sol = None
     planar_alt = None
     if args.planar:
-        planar_sol = solve_planar(params, grid, tol=args.planar_tol)
-        if args.uniqueness:
+        planar_sol = solve_planar(
+            params, grid, tol=args.planar_tol, initial=radial_start(radial_sol, grid)
+        )
+        if args.uniqueness:  # from a seeded random start, independent of the first
             rng = np.random.default_rng(args.seed)
             n = grid.points_per_side
             init = np.zeros((2, n, n))
@@ -405,7 +417,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=float, default=15.0)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--planar-tol", type=float, default=1e-8)
-    p.add_argument("--uniqueness", action="store_true", help="second planar solve from a random start")
+    p.add_argument(
+        "--uniqueness",
+        action="store_true",
+        help="second planar solve from a random start (needs --planar)",
+    )
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--window", type=float, nargs=2, default=(10.0, 14.0))
     p.add_argument("--out", help="output report path (stdout when omitted)")

@@ -21,7 +21,16 @@ cap is rejected and halved like any other.  Strict convexity makes the
 minimizer unique.  With the default cap of 60 Newton steps the iteration
 was measured to converge from the zero start and from uniform random
 interior starts of amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at
-most 40 steps); random starts of amplitude 20 reach the cap.
+most 40 steps); random starts of amplitude 20 reach the cap.  It also
+converges from :func:`radial_start`, the radial solution interpolated onto
+the grid, which for coincident vortices is the minimizer up to
+discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
+3/9 (rank 2, ``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3,
+``n = (1, 2)``, 384^2).  Over 324 cases (ranks 2, 3 and 5; ``n`` in
+(1, 1), (1, 2), (3, 1), (0, 0.5); tau in 0.2, 1, 5; L in 6, 15, 25;
+32^2, 48^2 and 65^2 grids) it took 1571 Newton steps against the zero
+start's 2378; in 15 cases, all with tau = 0.2 and spacing >= 0.78, it
+took one or two more.
 
 The physical fields must vanish at infinity; on the truncated box this is
 imposed at the edge, so the boundary values of ``w`` are the lifted data
@@ -45,8 +54,15 @@ import numpy as np
 from .errors import FieldOverflowError, NonConvergenceError
 from .functional import DiscreteFunctional, PlanarGrid
 from .model import ModelParams, background, coupling_matrix
+from .radial import RadialSolution
 
-__all__ = ["PlanarSolution", "boundary_values", "solve_planar", "extract_radial_slice"]
+__all__ = [
+    "PlanarSolution",
+    "boundary_values",
+    "radial_start",
+    "solve_planar",
+    "extract_radial_slice",
+]
 
 #: CG iterations allowed in one Newton step: 25 times the largest count
 #: measured in one step (8, over the zero start and uniform random starts of
@@ -105,6 +121,21 @@ def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
     return w
 
 
+def radial_start(radial: RadialSolution, grid: PlanarGrid) -> np.ndarray:
+    """A planar start ``w`` of shape ``(2, n, n)`` from a radial solution.
+
+    Each smooth part ``P_k`` is ``np.interp`` of ``radial.P[k]`` at the node
+    radius ``|x|`` (constant beyond the mesh ends), and ``w1 = P1``,
+    ``w2 = P2 - gamma * P1`` invert :func:`_smooth_parts`.  For coincident
+    vortices the planar minimizer is radial, so this start differs from it
+    by discretization error only; pass it as ``solve_planar(initial=...)``.
+    """
+    r = np.sqrt(grid.radius_squared())
+    w = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
+    w[1] -= coupling_matrix(radial.params).gamma * w[0]
+    return w
+
+
 def solve_planar(
     params: ModelParams,
     grid: PlanarGrid,
@@ -146,6 +177,7 @@ def solve_planar(
         if not np.all(np.isfinite(initial)):
             raise ValueError("initial contains non-finite entries")
         w[:, 1:-1, 1:-1] = initial[:, 1:-1, 1:-1]
+        del initial  # a caller that passed the start inline frees it here
 
     precond = func.far_field_preconditioner()
     energy = func.energy(w)

@@ -21,7 +21,9 @@ from vortexlab.cli import (
     main,
     parse_report,
 )
+from vortexlab.functional import PlanarGrid
 from vortexlab.model import ModelParams
+from vortexlab.planar import solve_planar
 from vortexlab.radial import radial_mesh, solve_radial_P
 from vortexlab.verify import VerificationReport, build_report
 
@@ -193,6 +195,18 @@ class TestSolvePlanar:
         assert lines[1] == "x,y,w1,w2,u1,u2"
         assert len(lines) == 2 + 64 * 64
 
+    def test_radial_start_reaches_the_zero_start_minimizer(self, tmp_path, capsys):
+        out = tmp_path / "planar.csv"
+        code, *_ = run(capsys, "solve-planar", "--N", "3", "--n2", "2", "--grid", "64",
+                       "--out", str(out))
+        assert code == 0
+        meta = dict(item.split("=") for item in out.read_text().splitlines()[0][2:].split())
+        data = np.loadtxt(out, delimiter=",", skiprows=2)
+        zero = solve_planar(ModelParams(N=3, n1=1, n2=2), PlanarGrid(15.0, 64), tol=1e-8)
+        assert int(meta["iterations"]) < zero.iterations
+        w = np.stack([data[:, 2], data[:, 3]]).reshape(zero.w.shape)
+        assert np.max(np.abs(w - zero.w)) < 1e-9
+
 
 class TestVerify:
     def test_missing_solution_file(self, tmp_path, capsys, monkeypatch):
@@ -327,6 +341,17 @@ class TestReportCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: decay window must have finite ends lo < hi, got [")
+
+    def test_uniqueness_without_planar_exits_2_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --uniqueness was checked")
+
+        monkeypatch.setattr(cli, "solve_radial_P", no_solve)
+        monkeypatch.setattr(cli, "solve_planar", no_solve)
+        code, out, err = run(capsys, "report", "--N", "2", "--uniqueness", "--nodes", "1000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --uniqueness needs --planar\n"
 
     @pytest.mark.parametrize(
         "box, grid, message",

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from vortexlab import functional, planar
+from vortexlab.cli import main, parse_report
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams, background, coupling_matrix
-from vortexlab.planar import _newton_direction, boundary_values, extract_radial_slice, solve_planar
+from vortexlab.planar import (
+    _newton_direction,
+    _smooth_parts,
+    boundary_values,
+    extract_radial_slice,
+    radial_start,
+    solve_planar,
+)
 from vortexlab.radial import radial_mesh, solve_radial_P
+from vortexlab.verify import cross_validate
 
 
 def make(N=2, n1=1, n2=1, tau=1.0, theorem_mode=None):
@@ -241,6 +250,48 @@ class TestBoundaryValues:
             assert np.max(np.abs(P[0, :] + u0[0, :])) < 1e-15
             assert np.max(np.abs(P[:, -1] + u0[:, -1])) < 1e-15
         assert np.max(np.abs(g[0, 1:-1, 1:-1])) == 0.0
+
+
+class TestRadialStart:
+    CASES = [(2, 1, 1), (3, 1, 2), (5, 2, 1)]
+
+    @staticmethod
+    def radial(params):
+        return solve_radial_P(params, radial_mesh())
+
+    def test_smooth_parts_interpolate_the_radial_solution(self):
+        params = make(N=3, n1=1, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        rs = self.radial(params)
+        r = np.sqrt(grid.radius_squared())
+        P = _smooth_parts(params, radial_start(rs, grid))
+        for k in range(2):
+            assert np.max(np.abs(P[k] - np.interp(r, rs.mesh.r, rs.P[k]))) < 1e-15
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("N, n1, n2", CASES)
+    def test_reaches_the_zero_start_minimizer_in_no_more_steps(self, N, n1, n2, n):
+        params = make(N=N, n1=n1, n2=n2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        zero = solve_planar(params, grid, tol=1e-8)
+        warm = solve_planar(params, grid, tol=1e-8, initial=radial_start(self.radial(params), grid))
+        assert warm.final_gradient_norm < 1e-8
+        assert np.max(np.abs(warm.w - zero.w)) < 1e-9
+        assert warm.iterations <= zero.iterations
+
+    def test_report_cross_validation_matches_the_zero_start(self, tmp_path):
+        # report --planar starts from its radial solution; the cross-validation
+        # must not see the start.
+        out = tmp_path / "report.json"
+        argv = ["report", "--N", "2", "--planar", "--uniqueness", "--grid", "64"]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = parse_report(out.read_text())
+        params = make()
+        rs = solve_radial_P(params, radial_mesh(), tol=1e-9)  # the report's default radial solve
+        zero = solve_planar(params, PlanarGrid(half_width=15.0, points_per_side=64), tol=1e-8)
+        expected = cross_validate(rs, zero)["sup_difference"]
+        assert abs(report.cross_validation["sup_difference"] - expected) < 1e-10
+        assert report.uniqueness["sup_difference"] < 1e-6
 
 
 class TestRadialSlice:
