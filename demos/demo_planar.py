@@ -32,9 +32,10 @@ out = flux_integrals(sol)
 for rec in out["flux"]:
     print(f"{rec['name']}: value {rec['value']:+.6f}  target {rec['target']:+.6f}")
 
+u1 = sol.u[0]  # derived from w on each read: bind it once
 sym = max(
-    float(np.max(np.abs(sol.u[0] - sol.u[0][::-1, :]))),
-    float(np.max(np.abs(sol.u[0] - sol.u[0][:, ::-1]))),
+    float(np.max(np.abs(u1 - u1[::-1, :]))),
+    float(np.max(np.abs(u1 - u1[:, ::-1]))),
 )
 print(f"four-fold symmetry defect: {sym:.2e}")
 

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonConvergenceError, VortexlabError
+from .errors import NonConvergenceError, VortexlabError, check_solver_options
 from .functional import PlanarGrid
 from .model import (
     ModelParams,
@@ -185,6 +185,9 @@ def _load_radial_csv(path: str) -> RadialSolution:
         tau=float(meta["tau"]),
         theorem_mode=meta.get("theorem_mode", "true") == "true",
     )
+    iterations = float(meta.get("iterations", "0"))
+    if not (iterations >= 0.0 and iterations.is_integer()):
+        raise ValueError(f"{path}: iterations must be a nonnegative integer, got {iterations:g}")
     col = {name: data[:, k] for k, name in enumerate(header)}
     for name in ("r", "u1", "u2"):
         if not np.all(np.isfinite(col[name])):
@@ -198,8 +201,7 @@ def _load_radial_csv(path: str) -> RadialSolution:
         mesh=mesh,
         P=u - np.stack([bg.u0_1(r2), bg.u0_2(r2)]),
         u=u,
-        E=np.expm1(2.0 * u),
-        iterations=int(float(meta.get("iterations", "0"))),
+        iterations=int(iterations),
         residual=float(meta.get("residual", "nan")),
     )
 
@@ -228,6 +230,7 @@ def _cmd_solve_radial(args):
     mesh = radial_mesh(r_min=args.rmin, r_max=args.rmax, n=args.nodes)
     sol = solve_radial_P(_params_from_args(args), mesh, tol=args.tol, max_iter=args.max_iter)
     profiles = reconstruct_profiles(sol)
+    E = sol.E
     meta = {
         **dataclasses.asdict(sol.params),
         "rmin": mesh.r_min,
@@ -245,8 +248,8 @@ def _cmd_solve_radial(args):
         "Q2": profiles.Q2,
         "f": profiles.f,
         "fNA": profiles.f_NA,
-        "E1": sol.E[0],
-        "E2": sol.E[1],
+        "E1": E[0],
+        "E2": E[1],
     }
     note = f" ({sol.iterations} iterations, residual {sol.residual:.3e})"
     return _csv_writer(meta, columns), note
@@ -273,6 +276,8 @@ def _cmd_solve_profile(args):
 
 
 def _cmd_solve_planar(args):
+    # Bad options fail before the radial solve.
+    check_solver_options(args.tol, args.max_iter)
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
     params = _params_from_args(args)
     # Start from the radial solution on a mesh that reaches the box corner.
@@ -291,13 +296,14 @@ def _cmd_solve_planar(args):
         "energy": sol.final_energy,
     }
     n = grid.points_per_side
+    u = sol.u
     columns = {
         "x": np.repeat(grid.coords, n),
         "y": np.tile(grid.coords, n),
         "w1": sol.w[0].ravel(),
         "w2": sol.w[1].ravel(),
-        "u1": sol.u[0].ravel(),
-        "u2": sol.u[1].ravel(),
+        "u1": u[0].ravel(),
+        "u2": u[1].ravel(),
     }
     note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
     return _csv_writer(meta, columns), note
@@ -320,11 +326,12 @@ def _cmd_verify(args):
 
 
 def _cmd_report(args):
-    # A bad window, grid or box, or --uniqueness alone, fails before the solves.
+    # Bad options, or --uniqueness alone, fail before the solves.
     check_decay_window(args.window)
     if args.uniqueness and not args.planar:
         raise ValueError("--uniqueness needs --planar")
     if args.planar:
+        check_solver_options(args.planar_tol)
         grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
         cross_validation_window(grid)
     params = _params_from_args(args)

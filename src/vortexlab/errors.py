@@ -1,4 +1,14 @@
-"""Exception types shared by the solver modules."""
+"""Exception types and the option check shared by the solver modules."""
+
+import math
+
+
+def check_solver_options(tol: float, max_iter: int = 0) -> None:
+    """Raise ``ValueError`` unless ``tol`` is positive and finite and ``max_iter >= 0``."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError("max_iter must be nonnegative")
 
 
 class VortexlabError(Exception):

@@ -39,8 +39,8 @@ would be pinned to the background there, which measurably biases the flux
 integrals).  Interior nodes are the only degrees of freedom.
 
 Every field of a planar solution is a ``(2, n, n)`` array whose leading
-axis is the species: ``w``, the smooth parts ``P = L @ w``, ``u = u0 + P``
-and ``E = exp(2u) - 1``.
+axis is the species: ``w`` is stored, and the smooth parts ``P = L @ w``,
+``u = u0 + P`` and ``E = exp(2u) - 1`` are new arrays derived on each read.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FieldOverflowError, NonConvergenceError
+from .errors import FieldOverflowError, NonConvergenceError, check_solver_options
 from .functional import DiscreteFunctional, PlanarGrid
 from .model import ModelParams, background, coupling_matrix
 from .radial import RadialSolution
@@ -75,28 +75,46 @@ CG_MAX_ITER = 200
 
 @dataclass
 class PlanarSolution:
-    """Converged planar fields plus derived quantities and solve metadata.
+    """Converged planar unknowns ``w`` and solve metadata.
 
-    ``w``, ``u`` and ``E`` have shape ``(2, n, n)``, index 0 holding
-    species 1: ``w[0]`` is ``w1`` and ``w[1]`` is ``w2``.  The smooth
-    parts ``P`` are derived from ``w`` on access, not stored.
+    ``w`` has shape ``(2, n, n)``, index 0 holding species 1: ``w[0]`` is
+    ``w1`` and ``w[1]`` is ``w2``.  ``P``, ``u`` and ``E`` are not stored:
+    each read derives a new ``(2, n, n)`` array from ``w``.
     """
 
     params: ModelParams
     grid: PlanarGrid
     w: np.ndarray
-    u: np.ndarray
-    E: np.ndarray
     iterations: int
     cg_iterations: int
     final_gradient_norm: float
-    final_energy: float
     energy_history: list
 
     @property
     def P(self) -> np.ndarray:
         """Smooth parts ``P = L @ w``, a new ``(2, n, n)`` array."""
         return _smooth_parts(self.params, self.w)
+
+    @property
+    def u(self) -> np.ndarray:
+        """Physical fields ``u = u0 + P``, a new ``(2, n, n)`` array."""
+        bg = background(self.params)
+        r2 = self.grid.radius_squared()
+        u = self.P
+        u[0] += bg.u0_1(r2)
+        u[1] += bg.u0_2(r2)
+        return u
+
+    @property
+    def E(self) -> np.ndarray:
+        """``E = exp(2u) - 1``, a new ``(2, n, n)`` array."""
+        with np.errstate(over="ignore"):
+            return np.expm1(2.0 * self.u)
+
+    @property
+    def final_energy(self) -> float:
+        """Energy of ``w``: the last entry of ``energy_history``."""
+        return self.energy_history[-1]
 
 
 def _smooth_parts(params: ModelParams, w: np.ndarray) -> np.ndarray:
@@ -162,10 +180,7 @@ def solve_planar(
     rejected.  ``energy_history`` accumulates the start energy and the
     accepted changes.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
+    check_solver_options(tol, max_iter)
     func = DiscreteFunctional(params, grid)
     h2 = grid.cell_area
 
@@ -180,14 +195,13 @@ def solve_planar(
         del initial  # a caller that passed the start inline frees it here
 
     precond = func.far_field_preconditioner()
-    energy = func.energy(w)
-    history = [energy]
+    history = [func.energy(w)]
     cg_total = 0
     for iteration in range(max_iter + 1):
         g = func.gradient(w)
         gnorm = float(np.max(np.abs(g))) / h2
         if gnorm < tol:
-            return _finish_planar(params, grid, w, iteration, cg_total, gnorm, energy, history)
+            return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
         if iteration == max_iter:
             break
 
@@ -200,8 +214,7 @@ def solve_planar(
             exc.iterations, exc.residual, exc.last_iterate = iteration, gnorm, w
             raise
         cg_total += cg_iters
-        energy += change
-        history.append(energy)
+        history.append(history[-1] + change)
 
     raise NonConvergenceError(
         f"planar solve did not reach tol={tol:g} within {max_iter} Newton iterations "
@@ -278,30 +291,6 @@ def _newton_direction(func, precond, w, g, eta):
         rr = float(np.vdot(r, r))
         cg_iters += 1
     return d, cg_iters
-
-
-def _finish_planar(params, grid, w, iterations, cg_total, gnorm, energy, history):
-    # u and E are updated in place to save full-grid temporaries (peak memory).
-    bg = background(params)
-    r2 = grid.radius_squared()
-    u = _smooth_parts(params, w)
-    u[0] += bg.u0_1(r2)
-    u[1] += bg.u0_2(r2)
-    E = 2.0 * u
-    with np.errstate(over="ignore"):
-        np.expm1(E, out=E)
-    return PlanarSolution(
-        params=params,
-        grid=grid,
-        w=w,
-        u=u,
-        E=E,
-        iterations=iterations,
-        cg_iterations=cg_total,
-        final_gradient_norm=gnorm,
-        final_energy=energy,
-        energy_history=history,
-    )
 
 
 def extract_radial_slice(sol: PlanarSolution) -> tuple[np.ndarray, np.ndarray]:

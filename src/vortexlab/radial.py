@@ -16,8 +16,8 @@ and switch to uniform spacing further out, with the two sections joined at
 matching slope so refinement stays second order.
 
 The species are the leading axis of every field of a radial solution:
-``P``, ``u = u0 + P`` and ``E = exp(2u) - 1`` have shape ``(2, n)``, index
-0 holding species 1.
+``P`` and ``u = u0 + P`` are stored and ``E = exp(2u) - 1`` is derived on
+each read, all of shape ``(2, n)``, index 0 holding species 1.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, check_solver_options
 from .model import ModelParams, background, coupling_matrix
 
 __all__ = [
@@ -126,18 +126,25 @@ def radial_mesh(r_min: float = 1e-4, r_max: float = 30.0, n: int = 4000) -> Radi
 
 @dataclass
 class RadialSolution:
-    """Converged fields of the regularized radial system plus derived data.
+    """Converged fields of the regularized radial system and solve metadata.
 
-    ``P``, ``u`` and ``E`` have shape ``(2, n)``, one row per species.
+    ``P`` and ``u`` have shape ``(2, n)``, one row per species.  A solve
+    stores the ``P`` it solved for, a loaded file the ``u`` it read, and
+    each also the other; each read of ``E`` derives a new array from ``u``.
     """
 
     params: ModelParams
     mesh: RadialMesh
     P: np.ndarray
     u: np.ndarray
-    E: np.ndarray
     iterations: int
     residual: float
+
+    @property
+    def E(self) -> np.ndarray:
+        """``E = exp(2u) - 1``, a new ``(2, n)`` array."""
+        with np.errstate(over="ignore"):
+            return np.expm1(2.0 * self.u)
 
 
 @dataclass
@@ -325,8 +332,6 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
     stalled.  Returns ``(z, iterations, norm)``; a failure raises
     :class:`NonConvergenceError` carrying the last accepted ``z``.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
     F = system(z)
     norm = float(np.max(np.abs(F)))
     for iteration in range(1, max_iter + 1):
@@ -375,12 +380,11 @@ def solve_radial_P(
     slope at the axis) and ``P_i(r_max) = -u0_i(r_max)`` so the physical
     fields vanish at the outer radius.  Converges when the sup norm of the
     discrete residual drops below ``tol``, which must be positive and
-    finite.  The solution's ``P``, ``u`` and ``E`` have shape ``(2, n)``.
+    finite.  The solution's ``P`` and ``u`` have shape ``(2, n)``.
     A :class:`NonConvergenceError` carries the last iterate interleaved as
     ``(P1_0, P2_0, P1_1, ...)``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_solver_options(tol, max_iter)
     system = _RegularizedSystem(params, mesh)
     z, iterations, norm = _damped_newton(
         system.residual, system.jacobian, (2, 2), np.zeros(2 * mesh.n), tol, max_iter, "radial",
@@ -392,7 +396,6 @@ def solve_radial_P(
         mesh=mesh,
         P=P,
         u=system.u0 + P,
-        E=system.fields(z),
         iterations=iterations,
         residual=norm,
     )
@@ -434,8 +437,7 @@ def solve_profile_bps(
     """
     if N < 2 or N % 1 != 0:  # a non-finite N leaves a NaN remainder
         raise ValueError(f"rank N must be an integer >= 2, got {N!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_solver_options(tol, max_iter)
     N = int(N)
     mesh = radial_mesh(r_min=r_min, r_max=r_max, n=n)
     r = mesh.r
@@ -456,10 +458,7 @@ def solve_profile_bps(
         F[1] = fna[0] - 1.0 - b * r[0] ** 2
         F[2] = q1[0] - c1 * r[0]
         F[3] = q2[0] - c2
-        fm = 0.5 * (f[1:] + f[:-1])
-        fnam = 0.5 * (fna[1:] + fna[:-1])
-        q1m = 0.5 * (q1[1:] + q1[:-1])
-        q2m = 0.5 * (q2[1:] + q2[:-1])
+        fm, fnam, q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (f, fna, q1, q2))
         df, dfna, dq1, dq2 = _profile_rhs(N, rm, fm, fnam, q1m, q2m)
         block = F[4 : 4 + 4 * (n - 1)].reshape(n - 1, 4)
         block[:, 0] = f[1:] - f[:-1] - h * df
@@ -489,10 +488,7 @@ def solve_profile_bps(
         ):
             ab[5 + row - col, col] = value
 
-        fm = 0.5 * (f[1:] + f[:-1])
-        fnam = 0.5 * (fna[1:] + fna[:-1])
-        q1m = 0.5 * (q1[1:] + q1[:-1])
-        q2m = 0.5 * (q2[1:] + q2[:-1])
+        fm, fnam, q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (f, fna, q1, q2))
 
         # 4x4 Jacobian of the right-hand side at the midpoints.
         Jf = np.zeros((n - 1, 4, 4))
@@ -599,11 +595,4 @@ def ode_residual(ps: ProfileSet, params: ModelParams) -> float:
     res2 = dfna[s] / r_i - 0.5 * (q1 * q1 - q2 * q2)
     res3 = r_i * dq1[s] - q1 * ((N - 1.0) * fna + f) / N
     res4 = r_i * dq2[s] - q2 * (-fna + f) / N
-    return float(
-        max(
-            np.max(np.abs(res1)),
-            np.max(np.abs(res2)),
-            np.max(np.abs(res3)),
-            np.max(np.abs(res4)),
-        )
-    )
+    return float(np.max(np.abs([res1, res2, res3, res4])))

@@ -17,7 +17,8 @@ into a measurement on a discrete one:
 Every check takes solutions only: the coupling data, background and
 spectral constants it needs are derived from ``sol.params``.  The checks
 work on the solutions' species-stacked fields (``sol.u``, ``sol.E``, ...,
-leading axis of length 2) and compute both species in one expression.
+leading axis of length 2; ``E`` and a planar ``u`` or ``P`` are derived on
+each read, so a check binds each once) and compute both species together.
 """
 
 from __future__ import annotations
@@ -111,11 +112,12 @@ def scalar_constants(params: ModelParams) -> dict:
 
 def _flux_sums(sol: Solution) -> np.ndarray:
     """Plane integrals of (E1, E2): trapezoid in r or cell sum on the grid."""
+    E = sol.E
     if isinstance(sol, RadialSolution):
         r = sol.mesh.r
         # Plus the inner disc r < r_min, where E is essentially constant.
-        return np.trapezoid(sol.E * (2.0 * math.pi * r), r) + math.pi * r[0] ** 2 * sol.E[:, 0]
-    return sol.grid.cell_area * np.sum(sol.E, axis=(1, 2))
+        return np.trapezoid(E * (2.0 * math.pi * r), r) + math.pi * r[0] ** 2 * E[:, 0]
+    return sol.grid.cell_area * np.sum(E, axis=(1, 2))
 
 
 def flux_integrals(sol: Solution) -> dict:

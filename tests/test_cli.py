@@ -170,6 +170,34 @@ class TestNonFiniteInput:
         assert err == f"error: {message}\n"
 
 
+class TestPlanarOptionsBeforeTheRadialSolve:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("solve-planar --N 2 --grid 32 --tol nan", "tol must be positive and finite, got nan"),
+            ("solve-planar --N 2 --grid 32 --max-iter -1", "max_iter must be nonnegative"),
+            (
+                "report --N 2 --planar --grid 32 --planar-tol nan",
+                "tol must be positive and finite, got nan",
+            ),
+        ],
+        ids=["solve-planar-tol-nan", "solve-planar-max-iter-negative", "report-planar-tol-nan"],
+    )
+    def test_exits_2_with_no_radial_solve(self, capsys, monkeypatch, argv, message):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_radial_P(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_radial_P", counted)
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert len(calls) == 0
+
+
 class TestSolveProfile:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -298,6 +326,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", str(bad))
         assert code == 2
         assert "bad.csv" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "2.5"])
+    def test_bad_iterations_metadata_exits_2(self, tmp_path, capsys, value):
+        csv = tmp_path / "radial.csv"
+        run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
+        meta, rest = csv.read_text().split("\n", 1)
+        meta = " ".join(
+            f"iterations={value}" if item.startswith("iterations=") else item
+            for item in meta.split(" ")
+        )
+        bad = tmp_path / "bad.csv"
+        bad.write_text(meta + "\n" + rest)
+        code, out, err = run(capsys, "verify", "--input", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: iterations must be a nonnegative integer, got {value}\n"
 
     def test_energy_columns_recomputed_from_u(self, tmp_path, capsys):
         csv = tmp_path / "radial.csv"
@@ -517,8 +561,7 @@ class TestOutput:
 
         first = tmp_path_factory.mktemp("csv") / "radial.csv"
         write(first, params, r, u[0], u[1], residual)
-        with np.errstate(over="ignore"):  # E = expm1(2u) of huge u
-            back = _load_radial_csv(str(first))
+        back = _load_radial_csv(str(first))
         assert back.params == params and back.iterations == 7
         np.testing.assert_array_equal(back.mesh.r, r)
         np.testing.assert_array_equal(back.u, u)

@@ -1,5 +1,7 @@
 """Planar Newton-CG solver: convergence, symmetry, uniqueness, slices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import ModelParams, background, coupling_matrix
 from vortexlab.planar import (
+    PlanarSolution,
     _newton_direction,
     _smooth_parts,
     boundary_values,
@@ -234,6 +237,27 @@ class TestSolve:
         with pytest.raises(NonConvergenceError) as err:
             solve_planar(params, grid, tol=1e-12, max_iter=1)
         assert err.value.last_iterate is not None
+
+
+class TestStoredFields:
+    def test_only_w_and_metadata_are_stored(self):
+        names = {f.name for f in dataclasses.fields(PlanarSolution)}
+        assert names == {
+            "params", "grid", "w", "iterations", "cg_iterations",
+            "final_gradient_norm", "energy_history",
+        }
+
+    def test_derived_fields_are_bitwise_those_of_w(self):
+        params = make(N=3, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        sol = solve_planar(params, grid, tol=1e-8)
+        bg = background(params)
+        r2 = grid.radius_squared()
+        u = sol.u
+        np.testing.assert_array_equal(u, sol.P + np.stack([bg.u0_1(r2), bg.u0_2(r2)]))
+        np.testing.assert_array_equal(sol.E, np.expm1(2.0 * u))
+        assert sol.final_energy == sol.energy_history[-1]
+        assert sol.u is not sol.u  # a new array on each read
 
 
 class TestBoundaryValues:

@@ -1,11 +1,13 @@
 """Radial solvers: mesh grading, the regularized system, and profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from vortexlab import radial
+from vortexlab.cli import _load_radial_csv, main
 from vortexlab.errors import NonConvergenceError
 from vortexlab.model import (
     ModelParams,
@@ -15,6 +17,7 @@ from vortexlab.model import (
 )
 from vortexlab.radial import (
     RadialMesh,
+    RadialSolution,
     _apply_stencil,
     _laplacian_coefficients,
     central_derivative,
@@ -177,6 +180,22 @@ class TestSolveRadial:
         params = ModelParams(N=2, n1=1, n2=1)
         with pytest.raises(ValueError):
             solve_radial_P(params, radial_mesh(n=1000), tol=0.0)
+
+
+class TestStoredFields:
+    def test_energy_field_is_not_stored(self):
+        names = {f.name for f in dataclasses.fields(RadialSolution)}
+        assert names == {"params", "mesh", "P", "u", "iterations", "residual"}
+
+    def test_solved_and_loaded_E_are_bitwise_expm1_of_u(self, tmp_path, capsys):
+        csv = tmp_path / "radial.csv"
+        assert main(["solve-radial", "--N", "3", "--n2", "2", "--nodes", "1000",
+                     "--out", str(csv)]) == 0
+        capsys.readouterr()
+        solved = solve(ModelParams(N=3, n1=1, n2=2), n=1000)
+        for sol in (solved, _load_radial_csv(str(csv))):
+            np.testing.assert_array_equal(sol.E, np.expm1(2.0 * sol.u))
+        assert solved.E is not solved.E  # a new array on each read
 
 
 class TestReconstruct:
