@@ -17,12 +17,16 @@ input, 3 I/O failure.
 
 Output files carry a single ``#``-prefixed metadata line (key=value
 pairs) and are byte-identical across runs for a fixed configuration.
-CSV reals are printed to 17 significant digits.  JSON output (reports
-and ``constants``) is written by the standard ``json`` module: reals in
-their shortest round-trip form and non-finite ones as ``NaN``,
-``Infinity`` and ``-Infinity``, so parsing an emitted report reproduces
-it by value (a ``NaN`` comes back as a NaN, which compares unequal to
-itself).
+CSV reals are printed to 17 significant digits.  A CSV of at least
+:data:`_CSV_FORK_ROWS` rows (a planar grid of 256² or more) is formatted
+by two processes on Linux when two or more CPUs are available: a forked
+child formats every other block of rows, and the bytes are the same.
+The child's memory is not in this process's own ``ru_maxrss``.  JSON
+output (reports and ``constants``) is written by the standard ``json``
+module: reals in their shortest round-trip form and non-finite ones as
+``NaN``, ``Infinity`` and ``-Infinity``, so parsing an emitted report
+reproduces it by value (a ``NaN`` comes back as a NaN, which compares
+unequal to itself).
 
 To cap the threads of the linear-algebra libraries, set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -97,27 +102,123 @@ def parse_report(text: str) -> VerificationReport:
 #: few enough that one block's text stays a few hundred kB.
 _CSV_BLOCK_ROWS = 1024
 
+#: Rows from which a CSV is formatted by two processes (see
+#: :func:`_write_forked`).  Measured on two cores in a process holding a
+#: solved 512² grid, forking was a wash for 24 000–32 768 rows of five
+#: columns and 10–35% faster from 40 000 rows up; this keeps a factor of
+#: two over that crossover, and every radial and profile CSV below it.
+_CSV_FORK_ROWS = 65536
 
-def _csv_writer(meta: dict, columns: dict):
+
+def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
     """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
     One row per node; the names are the keys of ``columns``.  Every value
     is written as the bytes ``"%.17g" % value`` gives, comma-separated, a
-    block of :data:`_CSV_BLOCK_ROWS` rows per format call and per write.
-    Adding ``0.0`` folds ``-0.0`` into ``0``.
+    block of about :data:`_CSV_BLOCK_ROWS` rows per format call and per
+    write.  Adding ``0.0`` folds ``-0.0`` into ``0``.
+
+    With ``coords`` (``n`` reals) the nodes are those of an ``n × n`` grid,
+    ``x`` slow and ``y`` fast: two leading columns ``x, y`` take their
+    values from ``coords``, each formatted once, and every column of
+    ``columns`` holds the ``n²`` node values in that order.  Blocks are
+    then whole grid rows.
     """
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
-    header += "\n" + ",".join(columns) + "\n"
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    names = (["x", "y"] if coords is not None else []) + list(columns)
+    header += "\n" + ",".join(names) + "\n"
+    fields = list(columns.values())
+    line = ",".join(["%.17g"] * len(fields)) + "\n"
+    rows = len(fields[0])
+    if coords is None:
+        block_rows = _CSV_BLOCK_ROWS
+
+        def template(start: int, stop: int) -> str:
+            return line * (stop - start)
+
+    else:
+        n = len(coords)
+        block_rows = n * max(1, _CSV_BLOCK_ROWS // n)
+        # Row (i, j) is xs[i] + tails[j]; a grid row is xs[i] + xs[i].join(tails).
+        xs = [_fmt(c) for c in coords.tolist()]
+        tails = ["," + y + "," + line for y in xs]
+
+        def template(start: int, stop: int) -> str:
+            return "".join(x + x.join(tails) for x in xs[start // n : stop // n])
+
+    def block(k: int) -> str:
+        start = k * block_rows
+        stop = min(start + block_rows, rows)
+        values = np.column_stack([c[start:stop] for c in fields]) + 0.0
+        return template(start, stop) % tuple(values.ravel().tolist())
 
     def write(fh) -> None:
         fh.write(header)
-        data = np.column_stack(list(columns.values()))
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start : start + _CSV_BLOCK_ROWS] + 0.0
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        blocks = -(-rows // block_rows)
+        if not (rows >= _CSV_FORK_ROWS and _two_cpus() and _write_forked(fh, blocks, block)):
+            for k in range(blocks):
+                fh.write(block(k))
 
     return write
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two or more CPUs.
+
+    False where ``os.sched_getaffinity`` is missing; where it exists, so
+    does ``os.fork``.
+    """
+    return len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+
+
+def _write_forked(fh, blocks: int, block) -> bool:
+    """Write ``block(0)``, ..., ``block(blocks - 1)`` to ``fh``, odd ones formatted by a child.
+
+    One forked child formats the odd blocks and sends each through a pipe,
+    its byte length first; the parent formats the even blocks and writes
+    every block in order.  The child only formats and writes to the pipe,
+    and leaves by ``os._exit``, so it never flushes the buffers or runs the
+    cleanup it inherited.  A child that stops before its last block raises
+    ``OSError`` here; the child is always reaped before this returns.
+    Returns false, having written nothing, where no child can be forked.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return False
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # no finalizer of an inherited object runs here
+            os.close(read_fd)
+            out = os.fdopen(write_fd, "wb")
+            for k in range(1, blocks, 2):
+                data = block(k).encode("ascii")
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+            out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as src:
+            for k in range(blocks):
+                if k % 2 == 0:
+                    fh.write(block(k))
+                    continue
+                head = src.read(8)
+                size = int.from_bytes(head, "little")
+                data = src.read(size)
+                if len(head) != 8 or len(data) != size:
+                    raise OSError(f"CSV formatting process stopped before block {k}")
+                fh.write(data.decode("ascii"))
+    finally:
+        os.waitpid(pid, 0)
+    return True
 
 
 def _emit(path: Optional[str], write, note: str) -> None:
@@ -178,14 +279,25 @@ def _load_radial_csv(path: str) -> RadialSolution:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: {len(header)} header names for {data.shape[1]} data columns")
-    params = ModelParams(
-        N=int(meta["N"]),
-        n1=float(meta["n1"]),
-        n2=float(meta["n2"]),
-        tau=float(meta["tau"]),
-        theorem_mode=meta.get("theorem_mode", "true") == "true",
-    )
-    iterations = float(meta.get("iterations", "0"))
+
+    def number(key: str, kind, default=None):
+        text = meta.get(key, default)
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: metadata {key}={text} is not {what}") from None
+
+    theorem_mode = meta.get("theorem_mode", "true")
+    if theorem_mode not in ("true", "false"):
+        raise ValueError(f"{path}: metadata theorem_mode={theorem_mode} is not true or false")
+    values = {"N": number("N", int), **{k: number(k, float) for k in ("n1", "n2", "tau")}}
+    try:
+        params = ModelParams(**values, theorem_mode=theorem_mode == "true")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    iterations = number("iterations", float, "0")
+    residual = number("residual", float, "nan")
     if not (iterations >= 0.0 and iterations.is_integer()):
         raise ValueError(f"{path}: iterations must be a nonnegative integer, got {iterations:g}")
     col = {name: data[:, k] for k, name in enumerate(header)}
@@ -202,7 +314,7 @@ def _load_radial_csv(path: str) -> RadialSolution:
         P=u - np.stack([bg.u0_1(r2), bg.u0_2(r2)]),
         u=u,
         iterations=int(iterations),
-        residual=float(meta.get("residual", "nan")),
+        residual=residual,
     )
 
 
@@ -295,18 +407,15 @@ def _cmd_solve_planar(args):
         "gradient_norm": sol.final_gradient_norm,
         "energy": sol.final_energy,
     }
-    n = grid.points_per_side
     u = sol.u
     columns = {
-        "x": np.repeat(grid.coords, n),
-        "y": np.tile(grid.coords, n),
         "w1": sol.w[0].ravel(),
         "w2": sol.w[1].ravel(),
         "u1": u[0].ravel(),
         "u2": u[1].ravel(),
     }
     note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
-    return _csv_writer(meta, columns), note
+    return _csv_writer(meta, columns, coords=grid.coords), note
 
 
 def _cmd_verify(args):

@@ -4,6 +4,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,21 +332,67 @@ class TestVerify:
         assert code == 2
         assert "bad.csv" in err
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "2.5"])
-    def test_bad_iterations_metadata_exits_2(self, tmp_path, capsys, value):
+    @staticmethod
+    def _verify_with_meta(tmp_path, capsys, key, value):
+        """Run ``verify`` on a radial CSV whose metadata ``key`` reads ``value``."""
         csv = tmp_path / "radial.csv"
         run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
         meta, rest = csv.read_text().split("\n", 1)
         meta = " ".join(
-            f"iterations={value}" if item.startswith("iterations=") else item
-            for item in meta.split(" ")
+            f"{key}={value}" if item.startswith(f"{key}=") else item for item in meta.split(" ")
         )
         bad = tmp_path / "bad.csv"
         bad.write_text(meta + "\n" + rest)
-        code, out, err = run(capsys, "verify", "--input", str(bad))
+        return bad, *run(capsys, "verify", "--input", str(bad))
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "2.5"])
+    def test_bad_iterations_metadata_exits_2(self, tmp_path, capsys, value):
+        bad, code, out, err = self._verify_with_meta(tmp_path, capsys, "iterations", value)
         assert code == 2
         assert out == ""
         assert err == f"error: {bad}: iterations must be a nonnegative integer, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("N", "abc", "an integer"),
+            ("N", "2.5", "an integer"),
+            ("tau", "abc", "a number"),
+            ("iterations", "abc", "a number"),
+            ("residual", "abc", "a number"),
+        ],
+    )
+    def test_non_numeric_metadata_exits_2(self, tmp_path, capsys, key, value, kind):
+        bad, code, out, err = self._verify_with_meta(tmp_path, capsys, key, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: metadata {key}={value} is not {kind}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("N", "1", "rank N must be >= 2, got 1"),
+            ("tau", "inf", "background scale tau must be positive and finite, got inf"),
+            ("n1", "-1", "multiplicity n1 must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_out_of_range_metadata_exits_2_naming_the_file(
+        self, tmp_path, capsys, key, value, message
+    ):
+        bad, code, out, err = self._verify_with_meta(tmp_path, capsys, key, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("value, code", [("yes", 2), ("True", 2), ("", 2), ("false", 0)])
+    def test_theorem_mode_metadata_is_true_or_false(self, tmp_path, capsys, value, code):
+        bad, got, out, err = self._verify_with_meta(tmp_path, capsys, "theorem_mode", value)
+        assert got == code
+        if code == 0:
+            assert parse_report(out).params["theorem_mode"] is False
+        else:
+            assert out == ""
+            assert err == f"error: {bad}: metadata theorem_mode={value} is not true or false\n"
 
     def test_energy_columns_recomputed_from_u(self, tmp_path, capsys):
         csv = tmp_path / "radial.csv"
@@ -471,26 +522,8 @@ class TestIOFailure:
         assert "I/O failure" in err
 
 
-class TestOutput:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "solve-radial --N 3 --n1 1 --n2 2 --nodes 1000",
-            "solve-profile --N 2 --nodes 2000",
-            "solve-planar --N 2 --grid 32",
-            "report --N 2 --nodes 1000",
-        ],
-        ids=["radial", "profile", "planar", "report"],
-    )
-    def test_stdout_is_the_out_file(self, tmp_path, capsys, argv):
-        path = tmp_path / "output"
-        code, announced, _ = run(capsys, *argv.split(), "--out", str(path))
-        assert code == 0
-        assert announced.startswith(f"wrote {path}")
-        assert announced.count("\n") == 1
-        code, printed, _ = run(capsys, *argv.split())
-        assert code == 0
-        assert printed.encode("utf-8") == path.read_bytes()
+class CsvWriterChecks:
+    """Byte checks of ``_csv_writer``, run on the serial and on the forked path."""
 
     def test_csv_golden_bytes(self):
         values = [-0.0, 0.1, 2.0, 5e-324, np.nan, np.inf, -np.inf]
@@ -543,6 +576,52 @@ class TestOutput:
         )
         assert fh.getvalue() == expected.getvalue()
 
+    @pytest.mark.parametrize(
+        "n, block_rows",
+        [(1, 1024), (7, 1024), (33, 1024), (5, 16), (33, 16)],
+        ids=["1", "7", "33", "5-in-blocks-of-16", "33-in-blocks-of-16"],
+    )
+    def test_planar_rows_match_per_value_format(self, monkeypatch, n, block_rows):
+        # Blocks are whole grid rows: 7 and 33 do not divide 1024, 5 does not
+        # divide 16, and a 33-node grid row is longer than a 16-row block.
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(n)
+        coords = np.linspace(-3.0, 3.0, n) if n > 1 else np.array([-0.0])
+        special = [-0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]
+        fields = rng.standard_normal((4, n * n)) * 10.0 ** rng.integers(-320, 300, (4, n * n))
+        fields[:, : len(special)] = special[: n * n]
+        fh = io.StringIO()
+        _csv_writer({"grid": n}, dict(zip(("w1", "w2", "u1", "u2"), fields)), coords=coords)(fh)
+        meta, header, *rows = fh.getvalue().split("\n")
+        assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
+        nodes = [(x, y) for x in coords for y in coords]
+        assert rows[:-1] == [
+            ",".join(_fmt(float(v)) for v in (*node, *values))
+            for node, values in zip(nodes, fields.T)
+        ]
+
+
+class TestOutput(CsvWriterChecks):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve-radial --N 3 --n1 1 --n2 2 --nodes 1000",
+            "solve-profile --N 2 --nodes 2000",
+            "solve-planar --N 2 --grid 32",
+            "report --N 2 --nodes 1000",
+        ],
+        ids=["radial", "profile", "planar", "report"],
+    )
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "output"
+        code, announced, _ = run(capsys, *argv.split(), "--out", str(path))
+        assert code == 0
+        assert announced.startswith(f"wrote {path}")
+        assert announced.count("\n") == 1
+        code, printed, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert printed.encode("utf-8") == path.read_bytes()
+
     @settings(max_examples=50, deadline=None)
     @given(
         u=hnp.arrays(np.float64, (2, 1000), elements=st.floats(allow_nan=False, allow_infinity=False)),
@@ -570,3 +649,114 @@ class TestOutput:
         second = first.with_name("again.csv")
         write(second, back.params, back.mesh.r, back.u[0], back.u[1], back.residual)
         assert second.read_bytes() == first.read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedCsv(CsvWriterChecks):
+    """Every CSV formatted by two processes: the row threshold set to 0."""
+
+    #: A 32² planar CSV in blocks of 64 rows: 16 blocks, 8 from the child.
+    PLANAR = ("solve-planar", "--N", "2", "--grid", "32")
+
+    @pytest.fixture(autouse=True)
+    def forked(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
+        monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        yield
+        assert forks, "no CSV was formatted by a child"
+        assert_no_child_left()
+
+    def test_same_bytes_as_serial_and_no_child_left(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
+        forked = tmp_path / "forked.csv"
+        code, out, _ = run(capsys, *self.PLANAR, "--out", str(forked))
+        assert code == 0 and out.startswith(f"wrote {forked}")
+        assert_no_child_left()
+        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 1 << 62)
+        serial = tmp_path / "serial.csv"
+        assert run(capsys, *self.PLANAR, "--out", str(serial))[0] == 0
+        assert forked.read_bytes() == serial.read_bytes()
+
+    def test_failed_write_exits_3_and_reaps_the_child(self, capsys, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell() > 20_000:  # a few blocks in
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        code, out, err = run(capsys, *self.PLANAR, "--out", "planar.csv")
+        assert code == 3
+        assert out == ""
+        assert "No space left on device" in err
+
+    @pytest.mark.parametrize("death", ["exit-0", "exit-1", "killed"])
+    def test_failed_child_exits_nonzero(self, tmp_path, capsys, monkeypatch, death):
+        fork = os.fork
+
+        def failing_fork():
+            pid = fork()
+            if pid == 0:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(1 if death == "exit-1" else 0)
+            return pid
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        code, out, err = run(capsys, *self.PLANAR, "--out", str(tmp_path / "planar.csv"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: I/O failure on output: CSV formatting process")
+
+
+def test_forked_csv_through_a_piped_stdout_is_the_out_file(tmp_path):
+    # When the child is forked, the header waits in the buffer of stdout (a
+    # pipe) or of the --out file; a child that flushed either would write it
+    # twice.
+    script = (
+        "import sys\n"
+        "from vortexlab import cli\n"
+        "cli._CSV_FORK_ROWS, cli._CSV_BLOCK_ROWS = 0, 64\n"
+        "cli._two_cpus = lambda: True\n"
+        "raise SystemExit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = [sys.executable, "-c", script, "solve-planar", "--N", "2", "--grid", "32"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    path = tmp_path / "planar.csv"
+    written = subprocess.run([*argv, "--out", str(path)], env=env, capture_output=True, timeout=300)
+    printed = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert written.returncode == 0 and printed.returncode == 0
+    assert written.stdout.startswith(f"wrote {path}".encode())
+    assert printed.stdout == path.read_bytes()
+
+
+def test_csv_written_serially_when_fork_fails(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    columns = {"a": np.arange(3000.0), "b": np.linspace(-1.0, 1.0, 3000)}
+    serial = io.StringIO()
+    _csv_writer({"N": 2}, columns)(serial)
+    monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
+    monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    fh = io.StringIO()
+    _csv_writer({"N": 2}, columns)(fh)
+    assert fh.getvalue() == serial.getvalue()
