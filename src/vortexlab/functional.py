@@ -33,10 +33,17 @@ orthonormal DST-I.  Its inverse, the fast-Poisson preconditioner of Concus
 & Golub (1973), is two decoupled direct sine-transform solves (Buzbee,
 Golub & Nielson 1970), run in float32 with a float64 result: exact to
 single-precision rounding.  Energy, gradient and Hessian stay float64.
+
+A problem that is invariant under ``x -> -x`` and ``y -> -y`` on an even
+grid can be restricted to symmetric fields (see
+:meth:`DiscreteFunctional._on_quadrant`): every operation then runs on a
+``(2, n/2 + 1, n/2 + 1)`` quadrant whose first row and column mirror the
+second.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -146,7 +153,8 @@ class DiscreteFunctional:
     ``source = [c_psi1 * psi_1 - c_lin1, c_psi2 * psi_2 - 2]``, so that the
     node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
     Evaluation is then pure array arithmetic, deterministic in
-    single-threaded mode.
+    single-threaded mode.  ``quadrant`` is false: fields use the full
+    ``(2, n, n)`` layout (:meth:`_on_quadrant` gives the symmetric one).
     """
 
     def __init__(self, params: ModelParams, grid: PlanarGrid):
@@ -159,6 +167,34 @@ class DiscreteFunctional:
         self.source = np.stack(
             [fc.c_psi1 * bg.psi_1(r2) - fc.c_lin1, fc.c_psi2 * bg.psi_2(r2) - 2.0]
         )
+        self.quadrant = False
+
+    def _on_quadrant(self) -> DiscreteFunctional:
+        """This functional restricted to D2-symmetric fields, on one quadrant.
+
+        Valid when ``n`` is even and ``weight`` and ``source`` are unchanged
+        by ``x -> -x`` and ``y -> -y``.  Fields are the ``(2, n/2 + 1,
+        n/2 + 1)`` slices ``[:, n/2 - 1:, n/2 - 1:]``: index 0 on each axis
+        mirrors index 1 (the node at ``-h/2`` mirrors ``+h/2``), the last
+        index is the box edge, and the rest are the degrees of freedom.
+        ``weight`` and ``source`` are zero on the mirror and edge sums skip
+        it, so ``energy`` and ``energy_change`` are a quarter of the full
+        grid's values for the unfolded field; the edge across an axis has
+        zero difference.  ``gradient`` and the Hessian apply first copy
+        index 1 into the mirror row and column of their input, in place, so
+        the 5-point stencil gives the full grid's per-node derivatives: the
+        exact derivatives of the quarter energy.
+        """
+        n = self.grid.points_per_side
+        if n % 2:
+            raise ValueError(f"the quadrant layout needs an even grid, got {n} points")
+        k0 = n // 2 - 1
+        q = copy.copy(self)
+        q.quadrant = True
+        q.weight, q.source = (a[:, k0:, k0:].copy() for a in (self.weight, self.source))
+        for a in (q.weight, q.source):
+            a[:, 0, :] = a[:, :, 0] = 0.0
+        return q
 
     # -- helpers -----------------------------------------------------------
 
@@ -185,7 +221,13 @@ class DiscreteFunctional:
         return s
 
     def _stiffness(self, w: np.ndarray) -> np.ndarray:
-        """Gradient terms' part ``2*c_grad_k * K_h w_k`` per species; zero edge."""
+        """Gradient terms' part ``2*c_grad_k * K_h w_k`` per species; zero edge.
+
+        On the quadrant, index 1 is first copied into the mirror of ``w``.
+        """
+        if self.quadrant:
+            w[:, 0, :] = w[:, 1, :]
+            w[:, :, 0] = w[:, :, 1]
         out = np.zeros_like(w)
         for k, c_grad in enumerate(self.c_grad):
             out[k, 1:-1, 1:-1] = 2.0 * c_grad * _neighbor_sum(w[k])
@@ -197,7 +239,8 @@ class DiscreteFunctional:
         """Value of the discrete action functional."""
         s = self._exponents(w)
         pot = float(np.vdot(self.weight, np.expm1(s, out=s))) + float(np.vdot(self.source, w))
-        grad = sum(c * _edge_energy(wk) for c, wk in zip(self.c_grad, w))
+        o = int(self.quadrant)  # the quadrant's edge sums skip its mirror
+        grad = sum(c * _edge_energy(wk[o:, o:]) for c, wk in zip(self.c_grad, w))
         return grad + self.grid.cell_area * pot
 
     def energy_change(self, w: np.ndarray, step: np.ndarray) -> float:
@@ -215,7 +258,11 @@ class DiscreteFunctional:
         self._check_cap(s + ds)
         e = self._weighted_exp(s)
         pot = float(np.vdot(e, np.expm1(ds, out=ds))) + float(np.vdot(self.source, step))
-        grad = sum(c * _edge_energy_change(wk, dk) for c, wk, dk in zip(self.c_grad, w, step))
+        o = int(self.quadrant)
+        grad = sum(
+            c * _edge_energy_change(wk[o:, o:], dk[o:, o:])
+            for c, wk, dk in zip(self.c_grad, w, step)
+        )
         return grad + self.grid.cell_area * pot
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
@@ -281,19 +328,30 @@ class DiscreteFunctional:
         symmetric, only to single-precision rounding (about ``1e-6``
         relative).  It only shapes the CG search direction: the CG vectors,
         the Hessian and the stopping test stay float64, so a solve still
-        meets its float64 tolerance.  Inputs are full node arrays; outputs
-        are float64 with zero boundary entries.
+        meets its float64 tolerance.  Inputs are node arrays of the
+        functional's layout; outputs are float64 with zero boundary (and
+        mirror) entries.
+
+        On the quadrant the apply is the full one restricted to symmetric
+        fields.  Those hold only odd wavenumbers, where ``S x = 2 A x_+``
+        with ``A = S[0::2, m/2:]`` and ``x_+`` the positive half, so each
+        transform pair is ``A x A^T`` forward and ``A^T x A`` back, with the
+        symbol ``4/(lam + kappa_k)`` at ``lam`` of the odd ``mu``.
         """
         fc = self.fc
         m = self.grid.points_per_side - 2
         S = _sine_matrix(m).astype(np.float32)
         mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+        A, At, scale = S, S, 1.0
+        if self.quadrant:
+            A = np.ascontiguousarray(S[0::2, m // 2 :])
+            At, mu, scale = A.T, mu[0::2], 4.0
         lam = mu[:, None] + mu[None, :]
         d = np.sqrt([2.0 * fc.c_grad1, 2.0 * fc.c_grad2])
         J = np.array([[1.0, 0.0], [fc.a_mix, 1.0]])
         curvature = 4.0 * self.grid.cell_area * (J.T @ np.diag([fc.c_exp1, 1.0]) @ J)
         *kappa, Q = _symmetric_eig_2x2(curvature / np.outer(d, d))
-        inv = [(1.0 / (lam + k)).astype(np.float32) for k in kappa]
+        inv = [(scale / (lam + k)).astype(np.float32) for k in kappa]
         # Python floats, so that they keep the float32 arithmetic float32.
         V = (Q / d[:, None]).tolist()
 
@@ -303,9 +361,9 @@ class DiscreteFunctional:
             for (v1, v2), inv_k in zip(zip(*V), inv):  # the columns v_k of V
                 xk = v1 * r32[0]
                 xk += v2 * r32[1]
-                xk = S @ xk @ S
+                xk = A @ xk @ At
                 xk *= inv_k
-                x.append(S @ xk @ S)
+                x.append(At @ xk @ A)
             del r32, xk  # freed before z, which gets one float32 sum per species: fewer faults
             z = np.zeros(r.shape)
             for zi, (v1, v2) in zip(z, V):

@@ -32,6 +32,20 @@ discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
 start's 2378; in 15 cases, all with tau = 0.2 and spacing >= 0.78, it
 took one or two more.
 
+Coincident vortices make the problem D2-symmetric: ``u0``, the weights
+and the sources depend only on ``|x|^2``, so the functional is invariant
+under ``x -> -x`` and ``y -> -y``.  The unique minimizer then shares the
+symmetry, and by the principle of symmetric criticality (Palais 1979) it
+minimizes the functional restricted to symmetric fields, which lives on
+one quadrant.  So on an even grid (no node on an axis), when the start,
+the weights and the sources are all bitwise unchanged by both reflections
+(D2-symmetric), as with the zero and radial starts, the solve runs on
+``(n/2 + 1)^2`` nodes and mirrors the result.  Its CG is the full one
+restricted to symmetric vectors, with the same Newton and CG counts
+(fields measured to agree to ``1e-13``; 4-5x faster at 384^2 and 512^2).
+Odd grids and any other start, such as the random start of a uniqueness
+check, run on the full grid.
+
 The physical fields must vanish at infinity; on the truncated box this is
 imposed at the edge, so the boundary values of ``w`` are the lifted data
 ``L^-1 @ (-u0)`` rather than zero (with zero boundary data the fields
@@ -179,11 +193,16 @@ def solve_planar(
     change (Armijo); trial steps beyond ``functional.EXP_CAP`` count as
     rejected.  ``energy_history`` accumulates the start energy and the
     accepted changes.
+
+    For even ``n``, a start, ``weight`` and ``source`` that are bitwise
+    unchanged by ``x -> -x`` and ``y -> -y`` (the zero and
+    :func:`radial_start` starts of coincident vortices) are solved on one
+    quadrant and mirrored back (see the module docstring); every other
+    solve runs on the full grid.  Either way ``w``, and the iterate of a
+    :class:`NonConvergenceError`, are full ``(2, n, n)`` arrays.
     """
     check_solver_options(tol, max_iter)
     func = DiscreteFunctional(params, grid)
-    h2 = grid.cell_area
-
     w = boundary_values(params, grid)
     if initial is not None:
         initial = np.asarray(initial)
@@ -194,6 +213,42 @@ def solve_planar(
         w[:, 1:-1, 1:-1] = initial[:, 1:-1, 1:-1]
         del initial  # a caller that passed the start inline frees it here
 
+    # Symmetric problems and starts are solved on one quadrant (module docstring).
+    quadrant = grid.points_per_side % 2 == 0 and _d2_symmetric(w, func.weight, func.source)
+    if quadrant:
+        k0 = grid.points_per_side // 2 - 1
+        func, w = func._on_quadrant(), w[:, k0:, k0:].copy()
+    try:
+        iteration, cg_total, gnorm, history = _minimize(func, w, tol, max_iter)
+    except NonConvergenceError as exc:
+        if quadrant:
+            exc.last_iterate = _unfold(exc.last_iterate)
+        raise
+    if quadrant:  # the quadrant energy is a quarter of the full grid's
+        w, history = _unfold(w), [4.0 * e for e in history]
+    return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
+
+
+def _d2_symmetric(*arrays: np.ndarray) -> bool:
+    """Whether every ``(2, n, n)`` array is bitwise unchanged by ``x -> -x`` and ``y -> -y``."""
+    return all(np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1]) for a in arrays)
+
+
+def _unfold(wq: np.ndarray) -> np.ndarray:
+    """The full ``(2, n, n)`` field of a quadrant one, mirrored across both axes."""
+    a = wq[:, 1:, 1:]
+    a = np.concatenate([a[:, ::-1], a], axis=1)
+    return np.concatenate([a[:, :, ::-1], a], axis=2)
+
+
+def _minimize(func, w, tol, max_iter):
+    """The Newton loop on ``func``'s layout: update ``w`` in place.
+
+    Returns ``(iterations, cg_iterations, final_gradient_norm,
+    energy_history)``; raises :class:`NonConvergenceError` with ``w`` as
+    its iterate.
+    """
+    h2 = func.grid.cell_area
     precond = func.far_field_preconditioner()
     history = [func.energy(w)]
     cg_total = 0
@@ -201,7 +256,7 @@ def solve_planar(
         g = func.gradient(w)
         gnorm = float(np.max(np.abs(g))) / h2
         if gnorm < tol:
-            return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
+            return iteration, cg_total, gnorm, history
         if iteration == max_iter:
             break
 

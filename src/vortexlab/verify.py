@@ -284,9 +284,15 @@ def cross_validate(radial: RadialSolution, planar: PlanarSolution) -> dict:
 
 
 def uniqueness_check(sol_a: PlanarSolution, sol_b: PlanarSolution) -> dict:
-    """Sup-norm agreement of two solves that differ only in initialization."""
+    """Sup-norm agreement of two solves that differ only in initialization.
+
+    Both solves must share the model parameters and the grid (box and node
+    count); anything else raises ``ValueError``.
+    """
     if not _params_match(sol_a.params, sol_b.params):
         raise ValueError("uniqueness check requires matching model parameters")
+    if sol_a.grid != sol_b.grid:
+        raise ValueError("uniqueness check requires matching grids")
     return {"sup_difference": float(np.max(np.abs(sol_a.w - sol_b.w)))}
 
 

@@ -529,3 +529,131 @@ class TestStackedMatchesPerSpecies:
             for _ in range(3):
                 d = random_pair(grid, rng, scale=1.0)
                 self.assert_close(hess(d), ref.hessian_apply(w, d))
+
+
+def symmetric_pair(grid, rng, scale=0.3):
+    """A random field pair unchanged, to the last bit, by ``x -> -x`` and ``y -> -y``."""
+    w = random_pair(grid, rng, scale)
+    w = w + w[:, ::-1]
+    return w + w[:, :, ::-1]
+
+
+def fold(w):
+    """The quadrant ``[:, n/2 - 1:, n/2 - 1:]`` of a full field, as a new array."""
+    k0 = w.shape[1] // 2 - 1
+    return w[:, k0:, k0:].copy()
+
+
+def positive(w):
+    """The positive quarter ``[:, n/2:, n/2:]`` of a full field: a quadrant without its mirror."""
+    k = w.shape[1] // 2
+    return w[:, k:, k:]
+
+
+class TestQuadrant:
+    """The functional restricted to D2-symmetric fields, on one quadrant.
+
+    On symmetric fields it must reproduce the full grid: a quarter of the
+    energy and energy change, and the same per-node gradient and Hessian
+    apply.  On its own layout its gradient and Hessian must be the exact
+    derivatives of its energy.
+    """
+
+    @staticmethod
+    def problem(N=2, n1=1, n2=1, n=34):
+        func, grid, _ = make_problem(N=N, n1=n1, n2=n2, n=n)
+        return func, func._on_quadrant(), grid
+
+    def test_needs_an_even_grid(self):
+        func, *_ = make_problem(n=33)
+        with pytest.raises(ValueError, match="even grid"):
+            func._on_quadrant()
+
+    def test_layout(self):
+        func, quad, grid = self.problem()
+        assert quad.quadrant and not func.quadrant
+        assert quad.weight.shape == quad.source.shape == (2, 18, 18)
+        for a in (quad.weight, quad.source):
+            assert np.all(a[:, 0, :] == 0.0) and np.all(a[:, :, 0] == 0.0)
+        np.testing.assert_array_equal(quad.weight[:, 1:, 1:], func.weight[:, 17:, 17:])
+
+    @pytest.mark.parametrize("N, n1, n2", [(2, 1, 1), (3, 1, 2)])
+    def test_reproduces_the_full_grid_on_symmetric_fields(self, N, n1, n2):
+        func, quad, grid = self.problem(N, n1, n2)
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            w = symmetric_pair(grid, rng)
+            step = symmetric_pair(grid, rng, scale=1.0)
+            d = symmetric_pair(grid, rng, scale=1.0)
+            assert 4.0 * quad.energy(fold(w)) == pytest.approx(func.energy(w), rel=1e-13)
+            change = 4.0 * quad.energy_change(fold(w), fold(step))
+            assert change == pytest.approx(func.energy_change(w, step), rel=1e-13)
+            g = quad.gradient(fold(w))
+            np.testing.assert_array_equal(g[:, 1:, 1:], positive(func.gradient(w)))
+            hd = quad.hessian_operator(fold(w))(fold(d))
+            np.testing.assert_array_equal(hd[:, 1:, 1:], positive(func.hessian_operator(w)(d)))
+
+    def test_gradient_matches_fd(self):
+        _, quad, grid = self.problem(N=3, n1=1, n2=2)
+        rng = np.random.default_rng(73)
+        for _ in range(2):
+            fp = fold(random_pair(grid, rng))  # not symmetric: the mirror is overwritten
+            g = quad.gradient(fp)
+            fd = fd_gradient(quad, fp)
+            assert np.max(np.abs(fd - g)) / np.max(np.abs(g)) < 1e-6
+            assert np.all(g[:, 0, :] == 0.0) and np.all(g[:, :, 0] == 0.0)
+
+    def test_hessian_matches_second_difference(self):
+        _, quad, grid = self.problem(N=3, n1=1, n2=2)
+        rng = np.random.default_rng(79)
+        eps = 1e-4
+        for _ in range(3):
+            fp = fold(random_pair(grid, rng))
+            d = fold(random_pair(grid, rng, scale=1.0))
+            quad_form = float(np.vdot(d, quad.hessian_operator(fp)(d)))
+            plus, minus = quad.energy(fp + eps * d), quad.energy(fp - eps * d)
+            fd = (plus - 2.0 * quad.energy(fp) + minus) / eps**2
+            assert fd == pytest.approx(quad_form, rel=1e-4)
+
+    def test_energy_change_matches_difference_of_energies(self):
+        _, quad, grid = self.problem()
+        rng = np.random.default_rng(83)
+        for _ in range(3):
+            fp = fold(random_pair(grid, rng))
+            step = fold(random_pair(grid, rng, scale=1.0))
+            expected = quad.energy(fp + step) - quad.energy(fp)
+            assert quad.energy_change(fp, step) == pytest.approx(expected, rel=1e-10)
+
+    @staticmethod
+    def interior(quad, rng):
+        q = quad.weight.shape[1]
+        x = np.zeros((2, q, q))
+        x[:, 1:-1, 1:-1] = rng.standard_normal((2, q - 2, q - 2))
+        return x
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_preconditioner_inverts_vacuum_hessian(self, N):
+        _, quad, grid = self.problem(N=N, n1=0, n2=0, n=64)
+        x = self.interior(quad, np.random.default_rng(89))
+        y = quad.far_field_preconditioner()(quad.hessian_operator(fold(zeros(grid)))(x))
+        # The Hessian apply wrote the mirror of x; compare the degrees of freedom.
+        assert np.max(np.abs(y - x)[:, 1:-1, 1:-1]) < 100 * F32_EPS
+
+    def test_preconditioner_is_the_full_one_on_symmetric_fields(self):
+        func, quad, grid = self.problem(N=3, n1=0, n2=0, n=64)
+        r = symmetric_pair(grid, np.random.default_rng(97), scale=1.0)
+        expected = positive(func.far_field_preconditioner()(r))
+        error = np.max(np.abs(quad.far_field_preconditioner()(fold(r))[:, 1:, 1:] - expected))
+        assert error < 10 * F32_EPS * np.max(np.abs(expected))
+
+    def test_preconditioner_symmetric_positive_float64(self):
+        _, quad, grid = self.problem(N=3, n1=0, n2=0, n=66)
+        precond = quad.far_field_preconditioner()
+        rng = np.random.default_rng(101)
+        a, b = self.interior(quad, rng), self.interior(quad, rng)
+        pa, pb = precond(a), precond(b.astype(np.float32))
+        assert pa.dtype == pb.dtype == np.float64 and pa.shape == a.shape
+        assert float(np.vdot(b, pa)) == pytest.approx(float(np.vdot(a, pb)), rel=10 * F32_EPS)
+        assert float(np.vdot(a, pa)) > 0.0
+        for z in pa:  # zero mirror and edge
+            assert np.all(z[[0, -1], :] == 0.0) and np.all(z[:, [0, -1]] == 0.0)

@@ -174,27 +174,30 @@ class TestSolve:
     def test_cg_vectors_and_iterate_stay_float64(self, default_solution):
         # The preconditioner's float32 transforms stay inside it: every vector
         # the CG hands to the preconditioner or the Hessian, each result, the
-        # direction and the converged iterate are float64.
+        # direction and the converged iterate are float64, on the full grid
+        # and on the quadrant.
         params, grid, sol = default_solution
-        func = DiscreteFunctional(params, grid)
-        dtypes = set()
-
-        def spy(op):
-            def apply(x):
-                y = op(x)
-                dtypes.update((x.dtype, y.dtype))
-                return y
-
-            return apply
-
-        hessian_operator = func.hessian_operator
-        func.hessian_operator = lambda w: spy(hessian_operator(w))
+        full = DiscreteFunctional(params, grid)
         w = boundary_values(params, grid)
-        g = func.gradient(w)
-        d, cg_iters = _newton_direction(func, spy(func.far_field_preconditioner()), w, g, 1e-6)
-        assert cg_iters > 1
-        assert dtypes == {np.dtype(np.float64)}
-        assert d.dtype == np.float64
+        k0 = grid.points_per_side // 2 - 1
+        for func, w in ((full, w), (full._on_quadrant(), w[:, k0:, k0:].copy())):
+            dtypes = set()
+
+            def spy(op):
+                def apply(x):
+                    y = op(x)
+                    dtypes.update((x.dtype, y.dtype))
+                    return y
+
+                return apply
+
+            hessian_operator = func.hessian_operator
+            func.hessian_operator = lambda w: spy(hessian_operator(w))
+            g = func.gradient(w)
+            d, cg_iters = _newton_direction(func, spy(func.far_field_preconditioner()), w, g, 1e-6)
+            assert cg_iters > 1
+            assert dtypes == {np.dtype(np.float64)}
+            assert d.dtype == np.float64 and d.shape == w.shape
         assert sol.w.dtype == np.float64
 
     def test_energy_change_resolves_last_newton_decrease(self, default_solution):
@@ -237,6 +240,110 @@ class TestSolve:
         with pytest.raises(NonConvergenceError) as err:
             solve_planar(params, grid, tol=1e-12, max_iter=1)
         assert err.value.last_iterate is not None
+
+
+def layouts(monkeypatch):
+    """Record the shape of the iterate each solve's Newton loop runs on."""
+    seen = []
+    minimize = planar._minimize
+
+    def spy(func, w, *args):
+        seen.append(w.shape)
+        return minimize(func, w, *args)
+
+    monkeypatch.setattr(planar, "_minimize", spy)
+    return seen
+
+
+class TestQuadrant:
+    """Symmetric problems and starts on even grids are solved on one quadrant.
+
+    The quadrant CG is the full-grid CG restricted to symmetric vectors, so
+    both paths must take the same Newton and CG steps and agree to
+    rounding.  The full-grid path is reached through the private
+    ``_d2_symmetric`` seam.
+    """
+
+    CASES = [
+        # (N, n1, n2, tau, half_width, grid, start)
+        (2, 1, 1, 1.0, 15.0, 64, "zero"),
+        (2, 1, 1, 0.2, 6.0, 48, "zero"),
+        (5, 3, 1, 5.0, 25.0, 128, "zero"),
+        (2, 0, 0.5, 1.0, 15.0, 64, "zero"),
+        (2, 1, 1, 1.0, 15.0, 128, "radial"),
+        (3, 1, 2, 1.0, 15.0, 64, "radial"),
+    ]
+
+    @staticmethod
+    def start(params, grid, kind):
+        if kind == "zero":
+            return None
+        return radial_start(solve_radial_P(params, radial_mesh()), grid)
+
+    @pytest.mark.parametrize("N, n1, n2, tau, L, n, kind", CASES)
+    def test_matches_the_full_grid(self, monkeypatch, N, n1, n2, tau, L, n, kind):
+        params = make(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=float(n2).is_integer())
+        grid = PlanarGrid(half_width=L, points_per_side=n)
+        initial = self.start(params, grid, kind)
+        seen = layouts(monkeypatch)
+        quad = solve_planar(params, grid, tol=1e-8, initial=initial)
+        monkeypatch.setattr(planar, "_d2_symmetric", lambda *arrays: False)
+        full = solve_planar(params, grid, tol=1e-8, initial=initial)
+        q = n // 2 + 1
+        assert seen == [(2, q, q), (2, n, n)]
+        assert (quad.iterations, quad.cg_iterations) == (full.iterations, full.cg_iterations)
+        assert len(quad.energy_history) == len(full.energy_history)
+        assert quad.w.shape == (2, n, n)
+        assert np.max(np.abs(quad.w - full.w)) <= 1e-12
+        assert quad.final_energy == pytest.approx(full.final_energy, rel=1e-12)
+        assert quad.final_gradient_norm < 1e-8
+
+    def test_solution_is_mirror_symmetric(self):
+        sol = solve_planar(make(N=3, n2=2), PlanarGrid(half_width=15.0, points_per_side=64))
+        np.testing.assert_array_equal(sol.w, sol.w[:, ::-1])
+        np.testing.assert_array_equal(sol.w, sol.w[:, :, ::-1])
+
+    @pytest.mark.parametrize("n, kind", [(64, "zero"), (64, "radial"), (65, "zero")])
+    def test_symmetric_starts_on_even_grids_take_the_quadrant(self, monkeypatch, n, kind):
+        params = make()
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        initial = self.start(params, grid, kind)
+        seen = layouts(monkeypatch)
+        solve_planar(params, grid, tol=1e-8, initial=initial)
+        q = n // 2 + 1 if n % 2 == 0 else n
+        assert seen == [(2, q, q)]
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_asymmetric_start_takes_the_full_grid(self, monkeypatch, axis):
+        # Symmetric under one reflection only: one node pair differs.
+        params = make()
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        initial = radial_start(solve_radial_P(params, radial_mesh()), grid)
+        index = [0, 20, 20]
+        index[axis] = 10
+        initial[tuple(index)] += 1e-3
+        other = list(index)
+        other[3 - axis] = 63 - 20
+        initial[tuple(other)] += 1e-3
+        seen = layouts(monkeypatch)
+        solve_planar(params, grid, tol=1e-8, initial=initial)
+        assert seen == [(2, 64, 64)]
+
+    def test_non_convergence_carries_the_full_iterate(self, monkeypatch):
+        params = make()
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        seen = layouts(monkeypatch)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_planar(params, grid, tol=1e-12, max_iter=1)
+        assert seen == [(2, 33, 33)]
+        w = err.value.last_iterate
+        assert w.shape == (2, 64, 64) and err.value.iterations == 1
+        np.testing.assert_array_equal(w, w[:, ::-1])
+        np.testing.assert_array_equal(w, w[:, :, ::-1])
+        edge = np.ones((64, 64), dtype=bool)
+        edge[1:-1, 1:-1] = False
+        np.testing.assert_array_equal(w[:, edge], boundary_values(params, grid)[:, edge])
+        assert np.max(np.abs(w[:, 1:-1, 1:-1])) > 0.0  # one Newton step was taken
 
 
 class TestStoredFields:

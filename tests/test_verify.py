@@ -201,6 +201,18 @@ class TestReport:
         rec = uniqueness_check(planar_case, planar_case)
         assert rec["sup_difference"] == 0.0
 
+    @pytest.mark.parametrize(
+        "half_width, points", [(15.0, 64), (10.0, 32)], ids=["other-grid", "other-box"]
+    )
+    def test_uniqueness_needs_matching_grids(self, half_width, points):
+        # Without the check, a different node count failed to broadcast and a
+        # different box at 32^2 compared unrelated nodes (0.135 for L = 15, 10).
+        params = ModelParams(N=2, n1=1, n2=1)
+        sol = solve_planar(params, PlanarGrid(half_width=15.0, points_per_side=32), tol=1e-7)
+        other = solve_planar(params, PlanarGrid(half_width, points), tol=1e-7)
+        with pytest.raises(ValueError, match="uniqueness check requires matching grids"):
+            uniqueness_check(sol, other)
+
     def test_report_needs_a_solution(self):
         with pytest.raises(TypeError):
             build_report()
