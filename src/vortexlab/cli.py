@@ -41,6 +41,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -266,19 +267,23 @@ def _load_radial_csv(path: str) -> RadialSolution:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
-            raise ValueError(f"{path}: missing metadata header line")
+            raise ValueError("missing metadata header line")
         meta = {}
         for item in first[1:].split():
             key, _, value = item.partition("=")
             meta[key] = value
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty table is reported below
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     missing = [k for k in ("N", "n1", "n2", "tau") if k not in meta]
     missing += [c for c in ("r", "u1", "u2") if c not in header]
     if missing:
-        raise ValueError(f"{path}: missing {', '.join(missing)}")
+        raise ValueError(f"missing {', '.join(missing)}")
+    if data.shape[0] == 0:
+        raise ValueError("no data rows")
     if data.shape[1] != len(header):
-        raise ValueError(f"{path}: {len(header)} header names for {data.shape[1]} data columns")
+        raise ValueError(f"{len(header)} header names for {data.shape[1]} data columns")
 
     def number(key: str, kind, default=None):
         text = meta.get(key, default)
@@ -286,24 +291,21 @@ def _load_radial_csv(path: str) -> RadialSolution:
             return kind(text)
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{path}: metadata {key}={text} is not {what}") from None
+            raise ValueError(f"metadata {key}={text} is not {what}") from None
 
     theorem_mode = meta.get("theorem_mode", "true")
     if theorem_mode not in ("true", "false"):
-        raise ValueError(f"{path}: metadata theorem_mode={theorem_mode} is not true or false")
+        raise ValueError(f"metadata theorem_mode={theorem_mode} is not true or false")
     values = {"N": number("N", int), **{k: number(k, float) for k in ("n1", "n2", "tau")}}
-    try:
-        params = ModelParams(**values, theorem_mode=theorem_mode == "true")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    params = ModelParams(**values, theorem_mode=theorem_mode == "true")
     iterations = number("iterations", float, "0")
     residual = number("residual", float, "nan")
     if not (iterations >= 0.0 and iterations.is_integer()):
-        raise ValueError(f"{path}: iterations must be a nonnegative integer, got {iterations:g}")
+        raise ValueError(f"iterations must be a nonnegative integer, got {iterations:g}")
     col = {name: data[:, k] for k, name in enumerate(header)}
     for name in ("r", "u1", "u2"):
         if not np.all(np.isfinite(col[name])):
-            raise ValueError(f"{path}: non-finite value in column {name}")
+            raise ValueError(f"non-finite value in column {name}")
     mesh = RadialMesh(r=col["r"])
     u = np.stack([col["u1"], col["u2"]])
     bg = background(params)
@@ -421,7 +423,10 @@ def _cmd_solve_planar(args):
 def _cmd_verify(args):
     if not os.path.exists(args.input):
         raise ValueError(f"solution file not found: {args.input}")
-    sol = _load_radial_csv(args.input)
+    try:
+        sol = _load_radial_csv(args.input)
+    except ValueError as exc:  # every input error names the file
+        raise ValueError(f"{args.input}: {exc}") from None
     actual = dataclasses.asdict(sol.params)
     for key in ("N", "n1", "n2"):
         want = getattr(args, key)

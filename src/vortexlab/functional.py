@@ -35,15 +35,12 @@ Golub & Nielson 1970), run in float32 with a float64 result: exact to
 single-precision rounding.  Energy, gradient and Hessian stay float64.
 
 A problem that is invariant under ``x -> -x`` and ``y -> -y`` on an even
-grid can be restricted to symmetric fields (see
-:meth:`DiscreteFunctional._on_quadrant`): every operation then runs on a
-``(2, n/2 + 1, n/2 + 1)`` quadrant whose first row and column mirror the
-second.
+grid can be restricted to symmetric fields, built and evaluated on the
+nodes of one quadrant alone (see :class:`DiscreteFunctional`).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -108,8 +105,16 @@ class PlanarGrid:
 
     def radius_squared(self) -> np.ndarray:
         """``|x|**2`` at every node, shape (n, n) with x along axis 0."""
-        x2 = self.coords**2
-        return x2[:, None] + x2[None, :]
+        return _layout_radius_squared(self, quadrant=False)
+
+
+def _layout_radius_squared(grid: PlanarGrid, quadrant: bool) -> np.ndarray:
+    """``|x|**2`` at every node, or at the quadrant nodes ``[n/2 - 1:, n/2 - 1:]`` (even ``n``)."""
+    n = grid.points_per_side
+    if quadrant and n % 2:
+        raise ValueError(f"the quadrant layout needs an even grid, got {n} points")
+    x2 = grid.coords[n // 2 - 1 :] ** 2 if quadrant else grid.coords**2
+    return x2[:, None] + x2[None, :]
 
 
 def _edge_energy(w: np.ndarray) -> float:
@@ -148,53 +153,41 @@ class DiscreteFunctional:
     """Energy, gradient and Hessian-vector product of one problem on a grid.
 
     Derived from ``params`` once, at construction: the coefficients ``fc``,
-    the per-species ``c_grad`` of the edge terms, and the ``(2, n, n)`` node
-    arrays ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]`` and
+    the per-species ``c_grad`` of the edge terms, and the node arrays
+    ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]`` and
     ``source = [c_psi1 * psi_1 - c_lin1, c_psi2 * psi_2 - 2]``, so that the
     node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
     Evaluation is then pure array arithmetic, deterministic in
-    single-threaded mode.  ``quadrant`` is false: fields use the full
-    ``(2, n, n)`` layout (:meth:`_on_quadrant` gives the symmetric one).
+    single-threaded mode.
+
+    Fields use the full ``(2, n, n)`` layout unless ``quadrant`` is true
+    (even ``n``, a problem unchanged by ``x -> -x`` and ``y -> -y``): the
+    functional is then restricted to D2-symmetric fields, and fields,
+    ``weight`` and ``source`` live on the ``(n/2 + 1)^2`` nodes
+    ``[n/2 - 1:, n/2 - 1:]``, the only ones the background is evaluated at.
+    Index 0 on each axis mirrors index 1 (``-h/2`` mirrors ``+h/2``) and
+    the last is the box edge.  ``weight`` and ``source`` are zero on the
+    mirror and edge sums skip it, so ``energy`` and ``energy_change`` are a
+    quarter of the full grid's for the unfolded field.  ``gradient`` and
+    the Hessian apply first copy index 1 into the mirror of their input, in
+    place, so they give the full grid's per-node derivatives: the exact
+    derivatives of the quarter energy.
     """
 
-    def __init__(self, params: ModelParams, grid: PlanarGrid):
+    def __init__(self, params: ModelParams, grid: PlanarGrid, quadrant: bool = False):
         self.grid = grid
+        self.quadrant = quadrant
         fc = self.fc = functional_coefficients(coupling_matrix(params))
         self.c_grad = (fc.c_grad1, fc.c_grad2)
         bg = background(params)
-        r2 = grid.radius_squared()
+        r2 = _layout_radius_squared(grid, quadrant)
         self.weight = np.stack([fc.c_exp1 * bg.exp_two_u0_1(r2), bg.exp_two_u0_2(r2)])
         self.source = np.stack(
             [fc.c_psi1 * bg.psi_1(r2) - fc.c_lin1, fc.c_psi2 * bg.psi_2(r2) - 2.0]
         )
-        self.quadrant = False
-
-    def _on_quadrant(self) -> DiscreteFunctional:
-        """This functional restricted to D2-symmetric fields, on one quadrant.
-
-        Valid when ``n`` is even and ``weight`` and ``source`` are unchanged
-        by ``x -> -x`` and ``y -> -y``.  Fields are the ``(2, n/2 + 1,
-        n/2 + 1)`` slices ``[:, n/2 - 1:, n/2 - 1:]``: index 0 on each axis
-        mirrors index 1 (the node at ``-h/2`` mirrors ``+h/2``), the last
-        index is the box edge, and the rest are the degrees of freedom.
-        ``weight`` and ``source`` are zero on the mirror and edge sums skip
-        it, so ``energy`` and ``energy_change`` are a quarter of the full
-        grid's values for the unfolded field; the edge across an axis has
-        zero difference.  ``gradient`` and the Hessian apply first copy
-        index 1 into the mirror row and column of their input, in place, so
-        the 5-point stencil gives the full grid's per-node derivatives: the
-        exact derivatives of the quarter energy.
-        """
-        n = self.grid.points_per_side
-        if n % 2:
-            raise ValueError(f"the quadrant layout needs an even grid, got {n} points")
-        k0 = n // 2 - 1
-        q = copy.copy(self)
-        q.quadrant = True
-        q.weight, q.source = (a[:, k0:, k0:].copy() for a in (self.weight, self.source))
-        for a in (q.weight, q.source):
-            a[:, 0, :] = a[:, :, 0] = 0.0
-        return q
+        if quadrant:
+            for a in (self.weight, self.source):
+                a[:, 0, :] = a[:, :, 0] = 0.0
 
     # -- helpers -----------------------------------------------------------
 

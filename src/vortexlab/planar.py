@@ -37,14 +37,13 @@ and the sources depend only on ``|x|^2``, so the functional is invariant
 under ``x -> -x`` and ``y -> -y``.  The unique minimizer then shares the
 symmetry, and by the principle of symmetric criticality (Palais 1979) it
 minimizes the functional restricted to symmetric fields, which lives on
-one quadrant.  So on an even grid (no node on an axis), when the start,
-the weights and the sources are all bitwise unchanged by both reflections
-(D2-symmetric), as with the zero and radial starts, the solve runs on
-``(n/2 + 1)^2`` nodes and mirrors the result.  Its CG is the full one
-restricted to symmetric vectors, with the same Newton and CG counts
-(fields measured to agree to ``1e-13``; 4-5x faster at 384^2 and 512^2).
-Odd grids and any other start, such as the random start of a uniqueness
-check, run on the full grid.
+one quadrant.  On an even grid (no node on an axis) this holds bitwise by
+construction, so the layout is decided from the start alone: a zero start,
+or one bitwise unchanged by both reflections such as the radial start, is
+built and solved on ``(n/2 + 1)^2`` nodes and mirrored back, with the same
+Newton and CG counts (fields measured to agree to ``1e-13``; 4-5x faster
+at 384^2 and 512^2).  Odd grids and any other start, such as the random
+start of a uniqueness check, run on the full grid.
 
 The physical fields must vanish at infinity; on the truncated box this is
 imposed at the edge, so the boundary values of ``w`` are the lifted data
@@ -66,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError, check_solver_options
-from .functional import DiscreteFunctional, PlanarGrid
+from .functional import DiscreteFunctional, PlanarGrid, _layout_radius_squared
 from .model import ModelParams, background, coupling_matrix
 from .radial import RadialSolution
 
@@ -145,11 +144,17 @@ def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
     the truncated form of the topological condition at infinity.  The
     result has shape ``(2, n, n)``.
     """
+    return _start(params, grid, quadrant=False)
+
+
+def _start(params, grid, quadrant, initial=None):
+    """The first iterate on a layout: lifted edge data and ``initial``'s interior (default zero)."""
     bg = background(params)
-    r2 = grid.radius_squared()
+    r2 = _layout_radius_squared(grid, quadrant)
     u01 = bg.u0_1(r2)
     w = np.stack([-u01, coupling_matrix(params).gamma * u01 - bg.u0_2(r2)])
-    w[:, 1:-1, 1:-1] = 0.0
+    lo, k = (0, grid.points_per_side // 2 - 1) if quadrant else (1, 1)  # first interior index of w, initial
+    w[:, lo:-1, lo:-1] = 0.0 if initial is None else initial[:, k:-1, k:-1]
     return w
 
 
@@ -194,30 +199,25 @@ def solve_planar(
     rejected.  ``energy_history`` accumulates the start energy and the
     accepted changes.
 
-    For even ``n``, a start, ``weight`` and ``source`` that are bitwise
-    unchanged by ``x -> -x`` and ``y -> -y`` (the zero and
-    :func:`radial_start` starts of coincident vortices) are solved on one
-    quadrant and mirrored back (see the module docstring); every other
-    solve runs on the full grid.  Either way ``w``, and the iterate of a
-    :class:`NonConvergenceError`, are full ``(2, n, n)`` arrays.
+    For even ``n``, a zero start or one whose interior is bitwise unchanged
+    by ``x -> -x`` and ``y -> -y`` (:func:`radial_start`) is solved on one
+    quadrant, decided before anything is built, and mirrored back (module
+    docstring); any other on the full grid.  Either way ``w`` and a
+    :class:`NonConvergenceError`'s iterate are full ``(2, n, n)`` arrays.
     """
     check_solver_options(tol, max_iter)
-    func = DiscreteFunctional(params, grid)
-    w = boundary_values(params, grid)
     if initial is not None:
         initial = np.asarray(initial)
-        if initial.shape != w.shape:
-            raise ValueError(f"initial must have shape {w.shape}, got {initial.shape}")
+        shape = (2, grid.points_per_side, grid.points_per_side)
+        if initial.shape != shape:
+            raise ValueError(f"initial must have shape {shape}, got {initial.shape}")
         if not np.all(np.isfinite(initial)):
             raise ValueError("initial contains non-finite entries")
-        w[:, 1:-1, 1:-1] = initial[:, 1:-1, 1:-1]
-        del initial  # a caller that passed the start inline frees it here
-
-    # Symmetric problems and starts are solved on one quadrant (module docstring).
-    quadrant = grid.points_per_side % 2 == 0 and _d2_symmetric(w, func.weight, func.source)
-    if quadrant:
-        k0 = grid.points_per_side // 2 - 1
-        func, w = func._on_quadrant(), w[:, k0:, k0:].copy()
+    # Symmetric starts on even grids are solved on one quadrant (module docstring).
+    quadrant = _d2_symmetric(grid, initial)
+    func = DiscreteFunctional(params, grid, quadrant)
+    w = _start(params, grid, quadrant, initial)
+    del initial  # a caller that passed the start inline frees it here
     try:
         iteration, cg_total, gnorm, history = _minimize(func, w, tol, max_iter)
     except NonConvergenceError as exc:
@@ -229,9 +229,12 @@ def solve_planar(
     return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
 
 
-def _d2_symmetric(*arrays: np.ndarray) -> bool:
-    """Whether every ``(2, n, n)`` array is bitwise unchanged by ``x -> -x`` and ``y -> -y``."""
-    return all(np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1]) for a in arrays)
+def _d2_symmetric(grid: PlanarGrid, initial: Optional[np.ndarray]) -> bool:
+    """Whether ``n`` is even and ``initial`` is zero or has a D2-symmetric interior."""
+    a = None if initial is None else initial[:, 1:-1, 1:-1]
+    return grid.points_per_side % 2 == 0 and (
+        a is None or (np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1]))
+    )
 
 
 def _unfold(wq: np.ndarray) -> np.ndarray:

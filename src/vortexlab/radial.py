@@ -115,11 +115,9 @@ def radial_mesh(r_min: float = 1e-4, r_max: float = 30.0, n: int = 4000) -> Radi
     t0 = lnk / (lnk + (r_max - GRADING_SWITCH_RADIUS) / (GRADING_SWITCH_RADIUS + c))
     t = np.linspace(0.0, 1.0, n)
     slope = (r_max - GRADING_SWITCH_RADIUS) / (1.0 - t0)
-    r = np.where(
-        t <= t0,
-        (r_min + c) * K ** (t / t0) - c,
-        GRADING_SWITCH_RADIUS + slope * (t - t0),
-    )
+    graded, r = t <= t0, np.empty_like(t)  # each formula on its own nodes: K ** (t / t0) overflows
+    r[graded] = (r_min + c) * K ** (t[graded] / t0) - c
+    r[~graded] = GRADING_SWITCH_RADIUS + slope * (t[~graded] - t0)
     r[0], r[-1] = r_min, r_max
     return RadialMesh(r=r)
 

@@ -283,12 +283,14 @@ class TestVerify:
         assert err.startswith("error: decay window must have finite ends lo < hi, got [")
 
     @staticmethod
-    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False, cell=None):
+    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False, cell=None, rows=None):
         """Copy a radial CSV without the named columns or metadata key.
 
-        ``cell = (row, column, text)`` replaces one data cell.
+        ``cell = (row, column, text)`` replaces one data cell; ``rows`` keeps
+        only that many data rows.
         """
-        meta, header, *rows = csv.read_text().splitlines()
+        meta, header, *data = csv.read_text().splitlines()
+        rows = data[:rows]
         if meta_drop is not None:
             meta = " ".join(item for item in meta.split() if not item.startswith(meta_drop + "="))
         names = header.split(",")
@@ -302,16 +304,23 @@ class TestVerify:
         out.write_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
-        "broken",
+        "broken, message",
         [
-            {"drop": ("u2",)},
-            {"meta_drop": "tau"},
-            {"extra_name": True},
+            ({"drop": ("u2",)}, "missing u2"),
+            ({"meta_drop": "tau"}, "missing tau"),
+            ({"extra_name": True}, "10 header names for 9 data columns"),
             # A non-finite value in data row 500 must not reach the report.
-            {"cell": (500, "r", "nan")},
-            {"cell": (500, "u1", "nan")},
-            {"cell": (500, "u2", "nan")},
-            {"cell": (500, "u1", "inf")},
+            ({"cell": (500, "r", "nan")}, "non-finite value in column r"),
+            ({"cell": (500, "u1", "nan")}, "non-finite value in column u1"),
+            ({"cell": (500, "u2", "nan")}, "non-finite value in column u2"),
+            ({"cell": (500, "u1", "inf")}, "non-finite value in column u1"),
+            ({"rows": 0}, "no data rows"),
+            (
+                {"cell": (0, "u1", "abc")},
+                "could not convert string 'abc' to float64 at row 0, column 2.",
+            ),
+            ({"rows": 999}, "radial mesh needs at least 1000 nodes"),
+            ({"cell": (500, "r", "1e-4")}, "radial nodes must be strictly increasing"),
         ],
         ids=[
             "no-u2-column",
@@ -321,16 +330,21 @@ class TestVerify:
             "u1-nan",
             "u2-nan",
             "u1-inf",
+            "header-only",
+            "non-numeric-cell",
+            "too-few-rows",
+            "r-not-increasing",
         ],
     )
-    def test_malformed_csv_exits_2(self, tmp_path, capsys, broken):
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, broken, message):
         csv = tmp_path / "radial.csv"
         run(capsys, "solve-radial", "--N", "2", "--nodes", "1000", "--out", str(csv))
         bad = tmp_path / "bad.csv"
         self._rewrite(csv, bad, **broken)
-        code, _, err = run(capsys, "verify", "--input", str(bad))
+        code, out, err = run(capsys, "verify", "--input", str(bad))
         assert code == 2
-        assert "bad.csv" in err
+        assert out == ""
+        assert err == f"error: {bad}: {message}\n"
 
     @staticmethod
     def _verify_with_meta(tmp_path, capsys, key, value):

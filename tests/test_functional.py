@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from vortexlab.errors import FieldOverflowError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid, _sine_matrix
 from vortexlab.model import ModelParams, background, coupling_matrix, functional_coefficients
+from vortexlab.planar import _start, boundary_values, radial_start
+from vortexlab.radial import radial_mesh, solve_radial_P
 
 #: Machine epsilon of float32, the precision of the preconditioner's transforms.
 F32_EPS = float(np.finfo(np.float32).eps)
 
 
-def make_problem(N=2, n1=1, n2=1, tau=1.0, half_width=15.0, n=33, theorem_mode=None):
+def make_problem(
+    N=2, n1=1, n2=1, tau=1.0, half_width=15.0, n=33, theorem_mode=None, quadrant=False
+):
     if theorem_mode is None:
         theorem_mode = not (n1 == 0 and n2 == 0)
     params = ModelParams(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=theorem_mode)
     grid = PlanarGrid(half_width=half_width, points_per_side=n)
-    func = DiscreteFunctional(params, grid)
+    func = DiscreteFunctional(params, grid, quadrant)
     return func, grid, func.fc
 
 
@@ -562,12 +566,12 @@ class TestQuadrant:
     @staticmethod
     def problem(N=2, n1=1, n2=1, n=34):
         func, grid, _ = make_problem(N=N, n1=n1, n2=n2, n=n)
-        return func, func._on_quadrant(), grid
+        quad, *_ = make_problem(N=N, n1=n1, n2=n2, n=n, quadrant=True)
+        return func, quad, grid
 
     def test_needs_an_even_grid(self):
-        func, *_ = make_problem(n=33)
         with pytest.raises(ValueError, match="even grid"):
-            func._on_quadrant()
+            make_problem(n=33, quadrant=True)
 
     def test_layout(self):
         func, quad, grid = self.problem()
@@ -657,3 +661,60 @@ class TestQuadrant:
         assert float(np.vdot(a, pa)) > 0.0
         for z in pa:  # zero mirror and edge
             assert np.all(z[[0, -1], :] == 0.0) and np.all(z[:, [0, -1]] == 0.0)
+
+
+def is_d2_symmetric(a):
+    """Whether a ``(2, n, n)`` array is bitwise unchanged by ``x -> -x`` and ``y -> -y``."""
+    return np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1])
+
+
+class TestQuadrantConstruction:
+    """On even grids the background is D2-symmetric to the last bit by construction.
+
+    So a quadrant built on its own nodes equals the slice of the full
+    problem bitwise, and no solve needs to compare ``weight`` or ``source``
+    under the reflections at run time.
+    """
+
+    @staticmethod
+    def assert_quadrant_of(quad, full):
+        # Off the mirror: a quadrant's weight and source are zero there.
+        np.testing.assert_array_equal(quad[:, 1:, 1:], fold(full)[:, 1:, 1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_n=st.integers(8, 130),
+        half_width=st.floats(1.0, 60.0),
+        N=st.integers(2, 5),
+        theorem=st.booleans(),
+        n1=st.integers(1, 4) | st.floats(0.0, 4.0),
+        n2=st.integers(1, 4) | st.floats(0.0, 4.0),
+        tau=st.floats(0.05, 20.0),
+    )
+    @example(half_n=8, half_width=15.0, N=2, theorem=True, n1=1, n2=1, tau=1.0)
+    @example(half_n=130, half_width=6.0, N=5, theorem=False, n1=0.0, n2=0.5, tau=0.2)
+    def test_quadrant_is_the_slice_of_the_full_problem(
+        self, half_n, half_width, N, theorem, n1, n2, tau
+    ):
+        if theorem:
+            n1, n2 = max(1, round(n1)), max(1, round(n2))
+        params = ModelParams(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=theorem)
+        grid = PlanarGrid(half_width=half_width, points_per_side=2 * half_n)
+        np.testing.assert_array_equal(grid.coords, -grid.coords[::-1])
+        full = DiscreteFunctional(params, grid)
+        quad = DiscreteFunctional(params, grid, quadrant=True)
+        edge = boundary_values(params, grid)
+        for a in (full.weight, full.source, edge):
+            assert is_d2_symmetric(a)
+        self.assert_quadrant_of(quad.weight, full.weight)
+        self.assert_quadrant_of(quad.source, full.source)
+        np.testing.assert_array_equal(_start(params, grid, quadrant=True), fold(edge))
+
+    def test_radial_start_is_the_slice_of_the_full_start(self):
+        params = ModelParams(N=3, n1=1, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=100)
+        initial = radial_start(solve_radial_P(params, radial_mesh()), grid)
+        assert is_d2_symmetric(initial)
+        full = _start(params, grid, quadrant=False, initial=initial)
+        quad = _start(params, grid, quadrant=True, initial=initial)
+        np.testing.assert_array_equal(quad, fold(full))

@@ -9,7 +9,7 @@ from vortexlab import functional, planar
 from vortexlab.cli import main, parse_report
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
-from vortexlab.model import ModelParams, background, coupling_matrix
+from vortexlab.model import BackgroundField, ModelParams, background, coupling_matrix
 from vortexlab.planar import (
     PlanarSolution,
     _newton_direction,
@@ -180,7 +180,8 @@ class TestSolve:
         full = DiscreteFunctional(params, grid)
         w = boundary_values(params, grid)
         k0 = grid.points_per_side // 2 - 1
-        for func, w in ((full, w), (full._on_quadrant(), w[:, k0:, k0:].copy())):
+        quad = DiscreteFunctional(params, grid, quadrant=True)
+        for func, w in ((full, w), (quad, w[:, k0:, k0:].copy())):
             dtypes = set()
 
             def spy(op):
@@ -287,7 +288,7 @@ class TestQuadrant:
         initial = self.start(params, grid, kind)
         seen = layouts(monkeypatch)
         quad = solve_planar(params, grid, tol=1e-8, initial=initial)
-        monkeypatch.setattr(planar, "_d2_symmetric", lambda *arrays: False)
+        monkeypatch.setattr(planar, "_d2_symmetric", lambda grid, initial: False)
         full = solve_planar(params, grid, tol=1e-8, initial=initial)
         q = n // 2 + 1
         assert seen == [(2, q, q), (2, n, n)]
@@ -328,6 +329,35 @@ class TestQuadrant:
         seen = layouts(monkeypatch)
         solve_planar(params, grid, tol=1e-8, initial=initial)
         assert seen == [(2, 64, 64)]
+
+    @staticmethod
+    def background_sizes(monkeypatch):
+        """Record the node count of every background evaluation."""
+        sizes = []
+        for name in ("_exp_two_u0", "_u0", "_phi"):
+
+            def spy(self, r2, n, evaluate=getattr(BackgroundField, name)):
+                sizes.append(np.size(r2))
+                return evaluate(self, r2, n)
+
+            monkeypatch.setattr(BackgroundField, name, spy)
+        return sizes
+
+    @pytest.mark.parametrize("kind", ["zero", "radial", "random"])
+    def test_background_is_evaluated_on_the_layout_only(self, monkeypatch, kind):
+        # A quadrant solve builds its problem and start on the (n/2 + 1)^2
+        # quadrant nodes alone; a random start takes the full grid.
+        params = make(N=3, n2=2)
+        n = 64
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        if kind == "random":
+            initial = np.random.default_rng(5).uniform(-0.5, 0.5, (2, n, n))
+        else:
+            initial = self.start(params, grid, kind)
+        sizes = self.background_sizes(monkeypatch)
+        sol = solve_planar(params, grid, tol=1e-8, initial=initial)
+        assert sol.final_gradient_norm < 1e-8
+        assert max(sizes) == (n * n if kind == "random" else (n // 2 + 1) ** 2)
 
     def test_non_convergence_carries_the_full_iterate(self, monkeypatch):
         params = make()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestRadialMesh:
         assert 1.01 < ratios[0] < 1.03
         assert abs(h[-1] - h[-2]) < 1e-12 * h[-1]
         assert mesh.r_min == 1e-4 and mesh.r_max == 30.0
+
+    def test_large_r_max_warns_nothing(self):
+        # The graded formula overflows beyond its own nodes from r_max ~ 1486.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = radial_mesh(r_max=2000.0)
+        assert mesh.r_max == 2000.0 and np.all(np.isfinite(mesh.r))
 
     def test_refinement_halves_spacings(self):
         coarse = np.diff(radial_mesh(n=2000).r)
