@@ -17,11 +17,14 @@ input, 3 I/O failure.
 
 Output files carry a single ``#``-prefixed metadata line (key=value
 pairs) and are byte-identical across runs for a fixed configuration.
-CSV reals are printed to 17 significant digits.  A CSV of at least
-:data:`_CSV_FORK_ROWS` rows (a planar grid of 256² or more) is formatted
-by two processes on Linux when two or more CPUs are available: a forked
-child formats every other block of rows, and the bytes are the same.
-The child's memory is not in this process's own ``ru_maxrss``.  JSON
+CSV reals are printed to 17 significant digits.  A planar CSV whose
+fields are mirror-symmetric on both axes, as the solutions of even grids
+are bitwise, has each distinct value formatted once and copied to its
+mirror nodes.  Any other CSV of at least :data:`_CSV_FORK_ROWS` rows (a
+planar grid of 256² or more) is formatted by two processes on Linux when
+two or more CPUs are available: a forked child formats every other block
+of rows.  Either way the bytes are the same.  The child's memory is not
+in this process's own ``ru_maxrss``.  JSON
 output (reports and ``constants``) is written by the standard ``json``
 module: reals in their shortest round-trip form and non-finite ones as
 ``NaN``, ``Infinity`` and ``-Infinity``, so parsing an emitted report
@@ -55,7 +58,7 @@ from .model import (
     flux_targets,
     spectral_constants,
 )
-from .planar import radial_start, solve_planar
+from .planar import solve_planar
 from .radial import (
     RadialMesh,
     RadialSolution,
@@ -103,8 +106,8 @@ def parse_report(text: str) -> VerificationReport:
 #: few enough that one block's text stays a few hundred kB.
 _CSV_BLOCK_ROWS = 1024
 
-#: Rows from which a CSV is formatted by two processes (see
-#: :func:`_write_forked`).  Measured on two cores in a process holding a
+#: Rows from which a CSV that does not fold (see :func:`_folded_writer`)
+#: is formatted by two processes (see :func:`_write_forked`).  Measured on two cores in a process holding a
 #: solved 512² grid, forking was a wash for 24 000–32 768 rows of five
 #: columns and 10–35% faster from 40 000 rows up; this keeps a factor of
 #: two over that crossover, and every radial and profile CSV below it.
@@ -123,7 +126,10 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
     ``x`` slow and ``y`` fast: two leading columns ``x, y`` take their
     values from ``coords``, each formatted once, and every column of
     ``columns`` holds the ``n²`` node values in that order.  Blocks are
-    then whole grid rows.
+    then whole grid rows.  When every column, as an ``n × n`` array, is
+    unchanged by reversing either axis (``==``, so a ``NaN`` never
+    matches), each distinct node is formatted once (:func:`_folded_writer`);
+    equal values give equal bytes, so the output is the same.
     """
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
     names = (["x", "y"] if coords is not None else []) + list(columns)
@@ -139,9 +145,12 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
 
     else:
         n = len(coords)
+        xs = [_fmt(c) for c in coords.tolist()]
+        grids = [f.reshape(n, n) for f in fields]
+        if n > 1 and all(_mirror_symmetric(g) for g in grids):  # one node has no mirror
+            return _folded_writer(header, line, xs, grids)
         block_rows = n * max(1, _CSV_BLOCK_ROWS // n)
         # Row (i, j) is xs[i] + tails[j]; a grid row is xs[i] + xs[i].join(tails).
-        xs = [_fmt(c) for c in coords.tolist()]
         tails = ["," + y + "," + line for y in xs]
 
         def template(start: int, stop: int) -> str:
@@ -159,6 +168,44 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
         if not (rows >= _CSV_FORK_ROWS and _two_cpus() and _write_forked(fh, blocks, block)):
             for k in range(blocks):
                 fh.write(block(k))
+
+    return write
+
+
+def _mirror_symmetric(g: np.ndarray) -> bool:
+    """Whether ``g`` equals its reversal along each axis, value for value."""
+    return np.array_equal(g, g[::-1]) and np.array_equal(g, g[:, ::-1])
+
+
+def _folded_writer(header: str, line: str, xs: list, grids: list):
+    """Writer of a grid CSV whose fields are mirror-symmetric on both axes.
+
+    Only the nodes ``(i, j)`` with ``i, j < m = ceil(n/2)`` are formatted,
+    row ``i`` by one ``(line * m) % values`` call, whose text is kept as one
+    string until the mirror row ``n - 1 - i`` has been written.  Each grid
+    row is written through one ``%s`` template, its ``x`` joined with
+    ``",<y_j>,%s\\n"``, which takes the row's ``m`` node strings and then
+    the first ``n // 2`` of them reversed.  No child process is forked.
+    """
+    n = len(xs)
+    m = (n + 1) // 2
+    tails = ["," + y + ",%s\n" for y in xs]
+
+    def write(fh) -> None:
+        fh.write(header)
+        kept = {}  # formatted distinct rows, keyed by the mirror row that reads them
+        for i in range(n):
+            if i < m:
+                values = np.column_stack([g[i, :m] for g in grids]) + 0.0
+                text = (line * m) % tuple(values.ravel().tolist())
+                if n - 1 - i != i:
+                    kept[n - 1 - i] = text
+            else:
+                text = kept.pop(i)
+            nodes = text.split("\n")
+            nodes[m:] = nodes[: n // 2][::-1]  # the mirrored half replaces the final ""
+            x = xs[i]
+            fh.write((x + x.join(tails)) % tuple(nodes))
 
     return write
 
@@ -397,9 +444,7 @@ def _cmd_solve_planar(args):
     # Start from the radial solution on a mesh that reaches the box corner.
     r_max = max(30.0, math.sqrt(2.0) * grid.half_width)
     radial = solve_radial_P(params, radial_mesh(r_max=r_max))
-    sol = solve_planar(
-        params, grid, tol=args.tol, max_iter=args.max_iter, initial=radial_start(radial, grid)
-    )
+    sol = solve_planar(params, grid, tol=args.tol, max_iter=args.max_iter, initial=radial)
     meta = {
         **dataclasses.asdict(sol.params),
         "box": grid.half_width,
@@ -439,6 +484,18 @@ def _cmd_verify(args):
     return (lambda fh: fh.write(text)), ""
 
 
+def _random_start(seed: int, grid: PlanarGrid) -> np.ndarray:
+    """A seeded uniform random interior in [-0.5, 0.5), zero edge.
+
+    Passed inline, so that ``solve_planar`` frees it once the iterate is
+    built rather than holding it through the full-grid solve.
+    """
+    n = grid.points_per_side
+    init = np.zeros((2, n, n))
+    init[:, 1:-1, 1:-1] = np.random.default_rng(seed).uniform(-0.5, 0.5, (2, n - 2, n - 2))
+    return init
+
+
 def _cmd_report(args):
     # Bad options, or --uniqueness alone, fail before the solves.
     check_decay_window(args.window)
@@ -455,15 +512,11 @@ def _cmd_report(args):
     planar_sol = None
     planar_alt = None
     if args.planar:
-        planar_sol = solve_planar(
-            params, grid, tol=args.planar_tol, initial=radial_start(radial_sol, grid)
-        )
+        planar_sol = solve_planar(params, grid, tol=args.planar_tol, initial=radial_sol)
         if args.uniqueness:  # from a seeded random start, independent of the first
-            rng = np.random.default_rng(args.seed)
-            n = grid.points_per_side
-            init = np.zeros((2, n, n))
-            init[:, 1:-1, 1:-1] = rng.uniform(-0.5, 0.5, (2, n - 2, n - 2))
-            planar_alt = solve_planar(params, grid, tol=args.planar_tol, initial=init)
+            planar_alt = solve_planar(
+                params, grid, tol=args.planar_tol, initial=_random_start(args.seed, grid)
+            )
 
     report = build_report(
         radial_sol,

@@ -39,8 +39,9 @@ symmetry, and by the principle of symmetric criticality (Palais 1979) it
 minimizes the functional restricted to symmetric fields, which lives on
 one quadrant.  On an even grid (no node on an axis) this holds bitwise by
 construction, so the layout is decided from the start alone: a zero start,
-or one bitwise unchanged by both reflections such as the radial start, is
-built and solved on ``(n/2 + 1)^2`` nodes and mirrored back, with the same
+a radial solution (interpolated at the quadrant nodes only) or an array
+bitwise unchanged by both reflections is built and solved on
+``(n/2 + 1)^2`` nodes and mirrored back, with the same
 Newton and CG counts (fields measured to agree to ``1e-13``; 4-5x faster
 at 384^2 and 512^2).  Odd grids and any other start, such as the random
 start of a uniqueness check, run on the full grid.
@@ -148,13 +149,30 @@ def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
 
 
 def _start(params, grid, quadrant, initial=None):
-    """The first iterate on a layout: lifted edge data and ``initial``'s interior (default zero)."""
+    """The first iterate on a layout: lifted edge data and ``initial``'s interior (default zero).
+
+    A :class:`RadialSolution` ``initial`` is interpolated at the layout's
+    interior nodes only, with the values :func:`radial_start` gives there.
+    """
     bg = background(params)
     r2 = _layout_radius_squared(grid, quadrant)
     u01 = bg.u0_1(r2)
     w = np.stack([-u01, coupling_matrix(params).gamma * u01 - bg.u0_2(r2)])
     lo, k = (0, grid.points_per_side // 2 - 1) if quadrant else (1, 1)  # first interior index of w, initial
-    w[:, lo:-1, lo:-1] = 0.0 if initial is None else initial[:, k:-1, k:-1]
+    if initial is None:
+        w[:, lo:-1, lo:-1] = 0.0
+    elif isinstance(initial, RadialSolution):
+        w[:, lo:-1, lo:-1] = _interpolate(initial, r2[lo:-1, lo:-1])
+    else:
+        w[:, lo:-1, lo:-1] = initial[:, k:-1, k:-1]
+    return w
+
+
+def _interpolate(radial: RadialSolution, r2: np.ndarray) -> np.ndarray:
+    """``w`` of the radial solution at the nodes of squared radius ``r2``."""
+    r = np.sqrt(r2)
+    w = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
+    w[1] -= coupling_matrix(radial.params).gamma * w[0]
     return w
 
 
@@ -165,12 +183,10 @@ def radial_start(radial: RadialSolution, grid: PlanarGrid) -> np.ndarray:
     radius ``|x|`` (constant beyond the mesh ends), and ``w1 = P1``,
     ``w2 = P2 - gamma * P1`` invert :func:`_smooth_parts`.  For coincident
     vortices the planar minimizer is radial, so this start differs from it
-    by discretization error only; pass it as ``solve_planar(initial=...)``.
+    by discretization error only.  ``solve_planar(initial=radial)`` starts
+    from the same values, interpolated at the solve's own nodes only.
     """
-    r = np.sqrt(grid.radius_squared())
-    w = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
-    w[1] -= coupling_matrix(radial.params).gamma * w[0]
-    return w
+    return _interpolate(radial, grid.radius_squared())
 
 
 def solve_planar(
@@ -178,7 +194,7 @@ def solve_planar(
     grid: PlanarGrid,
     tol: float = 1e-8,
     max_iter: int = 60,
-    initial: Optional[np.ndarray] = None,
+    initial: Optional[np.ndarray | RadialSolution] = None,
 ) -> PlanarSolution:
     """Newton-CG minimization of the discrete functional.
 
@@ -186,7 +202,9 @@ def solve_planar(
     (gradient divided by cell area).  The iteration starts from the lifted
     Dirichlet data of :func:`boundary_values` with the interior of
     ``initial`` (zero by default), a finite array of shape ``(2, n, n)``
-    holding ``w1`` and ``w2``; the edge of ``initial`` is ignored.
+    holding ``w1`` and ``w2``; the edge of ``initial`` is ignored.  A
+    :class:`RadialSolution` ``initial`` is the start of
+    :func:`radial_start`, interpolated at the solved nodes only.
     Every start that converges reaches the same minimizer (strict
     convexity); the module docstring lists the starts measured to converge
     within the default ``max_iter``.
@@ -199,14 +217,14 @@ def solve_planar(
     rejected.  ``energy_history`` accumulates the start energy and the
     accepted changes.
 
-    For even ``n``, a zero start or one whose interior is bitwise unchanged
-    by ``x -> -x`` and ``y -> -y`` (:func:`radial_start`) is solved on one
+    For even ``n``, a zero or radial start, or one whose interior is
+    bitwise unchanged by ``x -> -x`` and ``y -> -y``, is solved on one
     quadrant, decided before anything is built, and mirrored back (module
     docstring); any other on the full grid.  Either way ``w`` and a
     :class:`NonConvergenceError`'s iterate are full ``(2, n, n)`` arrays.
     """
     check_solver_options(tol, max_iter)
-    if initial is not None:
+    if initial is not None and not isinstance(initial, RadialSolution):
         initial = np.asarray(initial)
         shape = (2, grid.points_per_side, grid.points_per_side)
         if initial.shape != shape:
@@ -229,9 +247,10 @@ def solve_planar(
     return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
 
 
-def _d2_symmetric(grid: PlanarGrid, initial: Optional[np.ndarray]) -> bool:
-    """Whether ``n`` is even and ``initial`` is zero or has a D2-symmetric interior."""
-    a = None if initial is None else initial[:, 1:-1, 1:-1]
+def _d2_symmetric(grid: PlanarGrid, initial) -> bool:
+    """Whether ``n`` is even and ``initial`` is zero, radial or has a D2-symmetric interior."""
+    radial = initial is None or isinstance(initial, RadialSolution)  # symmetric by construction
+    a = None if radial else initial[:, 1:-1, 1:-1]
     return grid.points_per_side % 2 == 0 and (
         a is None or (np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1]))
     )

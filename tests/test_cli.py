@@ -615,6 +615,108 @@ class CsvWriterChecks:
         ]
 
 
+def mirrored(a):
+    """``a[..., :m, :m]`` (``m = ceil(n/2)``) copied to every mirror node of an ``n × n`` grid."""
+    n = a.shape[-1]
+    m = (n + 1) // 2
+    out = np.empty_like(a)
+    out[..., :m, :m] = a[..., :m, :m]
+    out[..., m:, :m] = out[..., : n - m, :m][..., ::-1, :]
+    out[..., m:] = out[..., : n - m][..., ::-1]
+    return out
+
+
+class TestFoldedCsv:
+    """Planar CSVs of mirror-symmetric fields: each distinct node formatted once.
+
+    Every output is checked against the per-value reference, and a spy on
+    :func:`cli._folded_writer` tells whether the fold was taken.
+    """
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        taken = []
+        folded_writer = cli._folded_writer
+
+        def spy(*args):
+            taken.append(1)
+            return folded_writer(*args)
+
+        monkeypatch.setattr(cli, "_folded_writer", spy)
+        return taken
+
+    @staticmethod
+    def symmetric_fields(n):
+        # Mirrored +-0.0 pairs, subnormals and +-inf among wide-range reals.
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((4, n, n)) * 10.0 ** rng.integers(-320, 300, (4, n, n))
+        special = [5e-324, -2.5e-310, np.inf, -np.inf, 0.0, -0.0]
+        a[:, 0, : len(special)] = special[:n]
+        fields = mirrored(a)
+        fields[:, -1, 0] = fields[:, -1, -1] = -0.0  # mirrors of 0.0
+        fields[:, 0, -1] = 0.0
+        fields[:, 0, 0] = 0.0
+        return fields
+
+    @staticmethod
+    def rows_match_per_value_format(fields, coords):
+        n = len(coords)
+        names = ("w1", "w2", "u1", "u2")
+        fh = io.StringIO()
+        _csv_writer({"grid": n}, dict(zip(names, fields.reshape(4, -1))), coords=coords)(fh)
+        meta, header, *rows = fh.getvalue().split("\n")
+        assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
+        nodes = [(x, y) for x in coords for y in coords]
+        assert rows[:-1] == [
+            ",".join(_fmt(float(v)) for v in (*node, *values))
+            for node, values in zip(nodes, fields.reshape(4, -1).T)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 32, 33])
+    def test_symmetric_fields_fold(self, folds, n):
+        # Odd n: the centre row and column are their own mirrors.
+        fields = self.symmetric_fields(n)
+        assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, 0])
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert folds
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_ulp_off_its_mirror_does_not_fold(self, folds, n, axis):
+        # Nodes (1, 1) and their mirror across the other axis move by one ulp,
+        # so only the reflection along ``axis`` is broken.
+        fields = self.symmetric_fields(n)
+        other = [2, 1, 1]
+        other[2 - axis] = n - 2
+        for node in ((2, 1, 1), tuple(other)):
+            fields[node] = np.nextafter(fields[node], np.inf)
+        g = fields[2]
+        assert np.array_equal(g, g[:, ::-1] if axis == 0 else g[::-1])  # the other one holds
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert not folds
+
+    def test_mirrored_nan_pair_does_not_fold(self, folds):
+        fields = self.symmetric_fields(8)
+        fields[3, 1, 2] = fields[3, 6, 2] = fields[3, 1, 5] = fields[3, 6, 5] = np.nan
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
+        assert not folds
+
+    def test_even_grid_solution_folds_and_is_not_forked(self, folds, tmp_path, capsys, monkeypatch):
+        # Reaching the fork threshold does not fork a CSV that folds.
+        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
+        monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+        monkeypatch.setattr(cli, "_write_forked", None)  # fails if called
+        folded = tmp_path / "folded.csv"
+        code, *_ = run(capsys, "solve-planar", "--N", "2", "--grid", "32", "--out", str(folded))
+        assert code == 0 and folds
+        monkeypatch.setattr(cli, "_folded_writer", None)  # fails if called
+        monkeypatch.setattr(cli, "_mirror_symmetric", lambda g: False)
+        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 1 << 62)
+        unfolded = tmp_path / "unfolded.csv"
+        assert run(capsys, "solve-planar", "--N", "2", "--grid", "32", "--out", str(unfolded))[0] == 0
+        assert folded.read_bytes() == unfolded.read_bytes()
+
+
 class TestOutput(CsvWriterChecks):
     @pytest.mark.parametrize(
         "argv",
@@ -673,8 +775,10 @@ def assert_no_child_left():
 class TestForkedCsv(CsvWriterChecks):
     """Every CSV formatted by two processes: the row threshold set to 0."""
 
-    #: A 32² planar CSV in blocks of 64 rows: 16 blocks, 8 from the child.
-    PLANAR = ("solve-planar", "--N", "2", "--grid", "32")
+    #: A 33² planar CSV in blocks of 64 rows: one 33-node grid row per block,
+    #: 33 blocks, 16 from the child.  An odd grid is solved on the full grid,
+    #: whose fields are not bitwise mirror-symmetric, so its CSV is not folded.
+    PLANAR = ("solve-planar", "--N", "2", "--grid", "33")
 
     @pytest.fixture(autouse=True)
     def forked(self, monkeypatch):
@@ -748,7 +852,7 @@ def test_forked_csv_through_a_piped_stdout_is_the_out_file(tmp_path):
         "cli._two_cpus = lambda: True\n"
         "raise SystemExit(cli.main(sys.argv[1:]))\n"
     )
-    argv = [sys.executable, "-c", script, "solve-planar", "--N", "2", "--grid", "32"]
+    argv = [sys.executable, "-c", script, "solve-planar", "--N", "2", "--grid", "33"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])

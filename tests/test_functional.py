@@ -713,8 +713,12 @@ class TestQuadrantConstruction:
     def test_radial_start_is_the_slice_of_the_full_start(self):
         params = ModelParams(N=3, n1=1, n2=2)
         grid = PlanarGrid(half_width=15.0, points_per_side=100)
-        initial = radial_start(solve_radial_P(params, radial_mesh()), grid)
+        radial = solve_radial_P(params, radial_mesh())
+        initial = radial_start(radial, grid)
         assert is_d2_symmetric(initial)
         full = _start(params, grid, quadrant=False, initial=initial)
         quad = _start(params, grid, quadrant=True, initial=initial)
         np.testing.assert_array_equal(quad, fold(full))
+        # A radial solution as the start gives the same arrays, bit for bit.
+        np.testing.assert_array_equal(_start(params, grid, quadrant=False, initial=radial), full)
+        np.testing.assert_array_equal(_start(params, grid, quadrant=True, initial=radial), quad)

@@ -300,9 +300,12 @@ class TestQuadrant:
         assert quad.final_gradient_norm < 1e-8
 
     def test_solution_is_mirror_symmetric(self):
+        # The planar CSV formats each distinct value once only while w and u
+        # are bitwise mirror images (cli._folded_writer).
         sol = solve_planar(make(N=3, n2=2), PlanarGrid(half_width=15.0, points_per_side=64))
-        np.testing.assert_array_equal(sol.w, sol.w[:, ::-1])
-        np.testing.assert_array_equal(sol.w, sol.w[:, :, ::-1])
+        for a in (sol.w, sol.u):
+            np.testing.assert_array_equal(a, a[:, ::-1])
+            np.testing.assert_array_equal(a, a[:, :, ::-1])
 
     @pytest.mark.parametrize("n, kind", [(64, "zero"), (64, "radial"), (65, "zero")])
     def test_symmetric_starts_on_even_grids_take_the_quadrant(self, monkeypatch, n, kind):
@@ -439,6 +442,28 @@ class TestRadialStart:
         assert warm.final_gradient_norm < 1e-8
         assert np.max(np.abs(warm.w - zero.w)) < 1e-9
         assert warm.iterations <= zero.iterations
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_radial_solution_start_is_interpolated_on_the_layout(self, monkeypatch, n):
+        # The same start as radial_start, so the same solve, but only the
+        # layout's interior nodes are interpolated.
+        params = make(N=3, n1=1, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        rs = self.radial(params)
+        sizes = []
+        interpolate = planar._interpolate
+
+        def spy(radial, r2):
+            sizes.append(r2.shape)
+            return interpolate(radial, r2)
+
+        monkeypatch.setattr(planar, "_interpolate", spy)
+        warm = solve_planar(params, grid, tol=1e-8, initial=rs)
+        assert sizes == [(n // 2, n // 2) if n % 2 == 0 else (n - 2, n - 2)]
+        array = solve_planar(params, grid, tol=1e-8, initial=radial_start(rs, grid))
+        np.testing.assert_array_equal(warm.w, array.w)
+        assert (warm.iterations, warm.cg_iterations) == (array.iterations, array.cg_iterations)
+        assert warm.energy_history == array.energy_history
 
     def test_report_cross_validation_matches_the_zero_start(self, tmp_path):
         # report --planar starts from its radial solution; the cross-validation
