@@ -17,19 +17,16 @@ input, 3 I/O failure.
 
 Output files carry a single ``#``-prefixed metadata line (key=value
 pairs) and are byte-identical across runs for a fixed configuration.
-CSV reals are printed to 17 significant digits.  A planar CSV whose
-fields are mirror-symmetric on both axes, as the solutions of even grids
-are bitwise, has each distinct value formatted once and copied to its
-mirror nodes.  Any other CSV of at least :data:`_CSV_FORK_ROWS` rows (a
-planar grid of 256² or more) is formatted by two processes on Linux when
-two or more CPUs are available: a forked child formats every other block
-of rows.  Either way the bytes are the same.  The child's memory is not
-in this process's own ``ru_maxrss``.  JSON
-output (reports and ``constants``) is written by the standard ``json``
-module: reals in their shortest round-trip form and non-finite ones as
-``NaN``, ``Infinity`` and ``-Infinity``, so parsing an emitted report
-reproduces it by value (a ``NaN`` comes back as a NaN, which compares
-unequal to itself).
+CSV reals are printed to 17 significant digits.  A planar CSV has each
+node formatted once per orbit of the symmetries its fields have bitwise:
+the mirrors of both axes and the swap of ``x`` and ``y``, all of which an
+even grid's solution has (one octant is formatted), and the swap alone,
+which an odd grid's has (one triangle).  Equal values give equal bytes, so
+the output is the same as with every node formatted.  JSON output (reports
+and ``constants``) is written by the standard ``json`` module: reals in
+their shortest round-trip form and non-finite ones as ``NaN``,
+``Infinity`` and ``-Infinity``, so parsing an emitted report reproduces it
+by value (a ``NaN`` comes back as a NaN, which compares unequal to itself).
 
 To cap the threads of the linear-algebra libraries, set
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` before launch.
@@ -39,12 +36,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import json
 import math
 import os
 import sys
 import warnings
+from array import array
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -102,171 +100,99 @@ def parse_report(text: str) -> VerificationReport:
     return VerificationReport(**json.loads(text))
 
 
-#: Rows per ``fh.write`` of a CSV: enough to amortize the per-call cost,
-#: few enough that one block's text stays a few hundred kB.
+#: Rows per ``fh.write`` of a CSV without grid coordinates: enough to
+#: amortize the per-call cost, few enough that one block's text stays a few
+#: hundred kB.
 _CSV_BLOCK_ROWS = 1024
-
-#: Rows from which a CSV that does not fold (see :func:`_folded_writer`)
-#: is formatted by two processes (see :func:`_write_forked`).  Measured on two cores in a process holding a
-#: solved 512² grid, forking was a wash for 24 000–32 768 rows of five
-#: columns and 10–35% faster from 40 000 rows up; this keeps a factor of
-#: two over that crossover, and every radial and profile CSV below it.
-_CSV_FORK_ROWS = 65536
 
 
 def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
     """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
     One row per node; the names are the keys of ``columns``.  Every value
-    is written as the bytes ``"%.17g" % value`` gives, comma-separated, a
-    block of about :data:`_CSV_BLOCK_ROWS` rows per format call and per
-    write.  Adding ``0.0`` folds ``-0.0`` into ``0``.
+    is written as the bytes ``"%.17g" % value`` gives, comma-separated.
+    Adding ``0.0`` folds ``-0.0`` into ``0``.  Without ``coords``, each block
+    of :data:`_CSV_BLOCK_ROWS` rows takes one format call and one write.
 
     With ``coords`` (``n`` reals) the nodes are those of an ``n × n`` grid,
     ``x`` slow and ``y`` fast: two leading columns ``x, y`` take their
     values from ``coords``, each formatted once, and every column of
-    ``columns`` holds the ``n²`` node values in that order.  Blocks are
-    then whole grid rows.  When every column, as an ``n × n`` array, is
-    unchanged by reversing either axis (``==``, so a ``NaN`` never
-    matches), each distinct node is formatted once (:func:`_folded_writer`);
-    equal values give equal bytes, so the output is the same.
+    ``columns`` holds the ``n²`` node values in that order.  They are
+    written by :func:`_write_grid_rows`.
     """
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
     names = (["x", "y"] if coords is not None else []) + list(columns)
     header += "\n" + ",".join(names) + "\n"
     fields = list(columns.values())
     line = ",".join(["%.17g"] * len(fields)) + "\n"
-    rows = len(fields[0])
-    if coords is None:
-        block_rows = _CSV_BLOCK_ROWS
-
-        def template(start: int, stop: int) -> str:
-            return line * (stop - start)
-
-    else:
-        n = len(coords)
-        xs = [_fmt(c) for c in coords.tolist()]
-        grids = [f.reshape(n, n) for f in fields]
-        if n > 1 and all(_mirror_symmetric(g) for g in grids):  # one node has no mirror
-            return _folded_writer(header, line, xs, grids)
-        block_rows = n * max(1, _CSV_BLOCK_ROWS // n)
-        # Row (i, j) is xs[i] + tails[j]; a grid row is xs[i] + xs[i].join(tails).
-        tails = ["," + y + "," + line for y in xs]
-
-        def template(start: int, stop: int) -> str:
-            return "".join(x + x.join(tails) for x in xs[start // n : stop // n])
-
-    def block(k: int) -> str:
-        start = k * block_rows
-        stop = min(start + block_rows, rows)
-        values = np.column_stack([c[start:stop] for c in fields]) + 0.0
-        return template(start, stop) % tuple(values.ravel().tolist())
 
     def write(fh) -> None:
         fh.write(header)
-        blocks = -(-rows // block_rows)
-        if not (rows >= _CSV_FORK_ROWS and _two_cpus() and _write_forked(fh, blocks, block)):
-            for k in range(blocks):
-                fh.write(block(k))
+        if coords is not None:
+            n = len(coords)
+            _write_grid_rows(fh, line, coords, [f.reshape(n, n) for f in fields])
+            return
+        for start in range(0, len(fields[0]), _CSV_BLOCK_ROWS):
+            values = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in fields]) + 0.0
+            fh.write((line * len(values)) % tuple(values.ravel().tolist()))
 
     return write
 
 
-def _mirror_symmetric(g: np.ndarray) -> bool:
-    """Whether ``g`` equals its reversal along each axis, value for value."""
-    return np.array_equal(g, g[::-1]) and np.array_equal(g, g[:, ::-1])
+def _grid_symmetries(grids: list) -> tuple[bool, bool]:
+    """Whether every ``n × n`` array of ``grids`` is unchanged by both mirrors, and by the swap.
 
-
-def _folded_writer(header: str, line: str, xs: list, grids: list):
-    """Writer of a grid CSV whose fields are mirror-symmetric on both axes.
-
-    Only the nodes ``(i, j)`` with ``i, j < m = ceil(n/2)`` are formatted,
-    row ``i`` by one ``(line * m) % values`` call, whose text is kept as one
-    string until the mirror row ``n - 1 - i`` has been written.  Each grid
-    row is written through one ``%s`` template, its ``x`` joined with
-    ``",<y_j>,%s\\n"``, which takes the row's ``m`` node strings and then
-    the first ``n // 2`` of them reversed.  No child process is forked.
+    The mirrors reverse either axis; the swap is the transpose.  Values are
+    compared with ``==``, so a ``NaN`` never matches, and ``-0.0`` matches
+    ``0.0``, which prints as ``0`` either way.  A single node has no mirror.
     """
-    n = len(xs)
-    m = (n + 1) // 2
+    mirrors = len(grids[0]) > 1 and all(
+        np.array_equal(g, g[::-1]) and np.array_equal(g, g[:, ::-1]) for g in grids
+    )
+    return mirrors, all(np.array_equal(g, g.T) for g in grids)
+
+
+def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
+    """Write the rows of a grid CSV, each node formatted once per symmetry orbit.
+
+    With the mirrors (:func:`_grid_symmetries`), only the rows and columns
+    ``< m = ceil(n/2)`` are formatted; with the swap, only the nodes
+    ``(i, j)`` with ``j >= i``.  An even grid's D4-symmetric solution is thus
+    formatted on one octant, an odd grid's swap-symmetric one on one
+    triangle, and any other field at every node.  Equal values give equal
+    bytes, so the output does not depend on which symmetries hold.  Each
+    distinct row is formatted by one ``(line * k) % values`` call, whose
+    text is kept until the last grid row that reads it.  Each grid row is
+    written through one ``%s`` template, its ``x`` joined with
+    ``",<y_j>,%s\\n"``, which takes the row's node strings: with the swap,
+    those left of the diagonal are sliced from the rows above.
+    """
+    n = len(coords)
+    mirrors, diagonal = _grid_symmetries(grids)
+    m = (n + 1) // 2 if mirrors else n
+    fold = [*range(m), *range(n - m - 1, -1, -1)]  # the distinct row, or column, of each index
+    last = {a: i for i, a in enumerate(fold)}  # with the swap alone, every later row reads row a
+    xs = [_fmt(c) for c in coords.tolist()]
     tails = ["," + y + ",%s\n" for y in xs]
-
-    def write(fh) -> None:
-        fh.write(header)
-        kept = {}  # formatted distinct rows, keyed by the mirror row that reads them
-        for i in range(n):
-            if i < m:
-                values = np.column_stack([g[i, :m] for g in grids]) + 0.0
-                text = (line * m) % tuple(values.ravel().tolist())
-                if n - 1 - i != i:
-                    kept[n - 1 - i] = text
-            else:
-                text = kept.pop(i)
-            nodes = text.split("\n")
-            nodes[m:] = nodes[: n // 2][::-1]  # the mirrored half replaces the final ""
-            x = xs[i]
-            fh.write((x + x.join(tails)) % tuple(nodes))
-
-    return write
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on two or more CPUs.
-
-    False where ``os.sched_getaffinity`` is missing; where it exists, so
-    does ``os.fork``.
-    """
-    return len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
-
-
-def _write_forked(fh, blocks: int, block) -> bool:
-    """Write ``block(0)``, ..., ``block(blocks - 1)`` to ``fh``, odd ones formatted by a child.
-
-    One forked child formats the odd blocks and sends each through a pipe,
-    its byte length first; the parent formats the even blocks and writes
-    every block in order.  The child only formats and writes to the pipe,
-    and leaves by ``os._exit``, so it never flushes the buffers or runs the
-    cleanup it inherited.  A child that stops before its last block raises
-    ``OSError`` here; the child is always reaped before this returns.
-    Returns false, having written nothing, where no child can be forked.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return False
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # no finalizer of an inherited object runs here
-            os.close(read_fd)
-            out = os.fdopen(write_fd, "wb")
-            for k in range(1, blocks, 2):
-                data = block(k).encode("ascii")
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
-            out.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as src:
-            for k in range(blocks):
-                if k % 2 == 0:
-                    fh.write(block(k))
-                    continue
-                head = src.read(8)
-                size = int.from_bytes(head, "little")
-                data = src.read(size)
-                if len(head) != 8 or len(data) != size:
-                    raise OSError(f"CSV formatting process stopped before block {k}")
-                fh.write(data.decode("ascii"))
-    finally:
-        os.waitpid(pid, 0)
-    return True
+    # Kept as one string per distinct row, not one per node: many small
+    # strings raised the peak RSS where a few large ones reuse freed memory.
+    texts = [None] * m  # distinct row a's nodes from column a (swap) or 0 up to m - 1
+    ends = [None] * m  # with the swap: where each node of texts[a] ends, its newline included
+    for i, (x, a) in enumerate(zip(xs, fold)):
+        if texts[a] is None:
+            lo = a if diagonal else 0
+            values = np.column_stack([g[a, lo:m] for g in grids]) + 0.0
+            texts[a] = (line * (m - lo)) % tuple(values.ravel().tolist())
+        nodes = texts[a].splitlines()
+        if diagonal:
+            if ends[a] is None:
+                ends[a] = array("l", accumulate(len(s) + 1 for s in nodes))
+            nodes[:0] = [texts[b][ends[b][a - b - 1] : ends[b][a - b] - 1] for b in range(a)]
+        if mirrors:
+            nodes += nodes[: n - m][::-1]
+        fh.write((x + x.join(tails)) % tuple(nodes))
+        if i == last[a] and (mirrors or not diagonal):
+            texts[a] = ends[a] = None
 
 
 def _emit(path: Optional[str], write, note: str) -> None:

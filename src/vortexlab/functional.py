@@ -136,11 +136,15 @@ def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
     return total
 
 
-def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal DST-I matrix of order ``m``: symmetric and its own inverse."""
+def _sine_matrix(m: int, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """Orthonormal DST-I matrix of order ``m``: symmetric and its own inverse.
+
+    ``rows`` and ``cols`` select a block, computed alone and equal to that
+    slice of the whole matrix.
+    """
     k = np.arange(1, m + 1)
     # Reduce j*k modulo 2(m+1) in integers so every sine argument is in [0, 2*pi).
-    phase = np.outer(k, k) % (2 * (m + 1))
+    phase = np.outer(k[rows], k[cols]) % (2 * (m + 1))
     return np.sqrt(2.0 / (m + 1)) * np.sin(phase * (np.pi / (m + 1)))
 
 
@@ -327,18 +331,20 @@ class DiscreteFunctional:
 
         On the quadrant the apply is the full one restricted to symmetric
         fields.  Those hold only odd wavenumbers, where ``S x = 2 A x_+``
-        with ``A = S[0::2, m/2:]`` and ``x_+`` the positive half, so each
-        transform pair is ``A x A^T`` forward and ``A^T x A`` back, with the
-        symbol ``4/(lam + kappa_k)`` at ``lam`` of the odd ``mu``.
+        with ``A = S[0::2, m/2:]`` (built alone, without ``S``) and ``x_+``
+        the positive half, so each transform pair is ``A x A^T`` forward and
+        ``A^T x A`` back, with the symbol ``4/(lam + kappa_k)`` at ``lam`` of
+        the odd ``mu``.
         """
         fc = self.fc
         m = self.grid.points_per_side - 2
-        S = _sine_matrix(m).astype(np.float32)
         mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
-        A, At, scale = S, S, 1.0
         if self.quadrant:
-            A = np.ascontiguousarray(S[0::2, m // 2 :])
+            A = _sine_matrix(m, slice(0, None, 2), slice(m // 2, None)).astype(np.float32)
             At, mu, scale = A.T, mu[0::2], 4.0
+        else:
+            A = At = _sine_matrix(m).astype(np.float32)
+            scale = 1.0
         lam = mu[:, None] + mu[None, :]
         d = np.sqrt([2.0 * fc.c_grad1, 2.0 * fc.c_grad2])
         J = np.array([[1.0, 0.0], [fc.a_mix, 1.0]])

@@ -19,12 +19,13 @@ search still resolves the last Newton decreases, which lie below the
 rounding of the total energy.  A trial step that overflows the exponent
 cap is rejected and halved like any other.  Strict convexity makes the
 minimizer unique.  With the default cap of 60 Newton steps the iteration
-was measured to converge from the zero start and from uniform random
-interior starts of amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at
-most 40 steps); random starts of amplitude 20 reach the cap.  It also
-converges from :func:`radial_start`, the radial solution interpolated onto
-the grid, which for coincident vortices is the minimizer up to
-discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
+was measured to converge from the zero start and from random starts of
+amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at most 40 steps); random
+starts of amplitude 20 reach the cap.  A random start of amplitude ``A``
+draws every interior node value of ``w1`` and ``w2`` independently and
+uniformly from ``[-A, A)``.  The iteration also converges from
+:func:`radial_start`, the radial solution interpolated onto the grid,
+which for coincident vortices is the minimizer up to discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
 3/9 (rank 2, ``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3,
 ``n = (1, 2)``, 384^2).  Over 324 cases (ranks 2, 3 and 5; ``n`` in
 (1, 1), (1, 2), (3, 1), (0, 0.5); tau in 0.2, 1, 5; L in 6, 15, 25;
@@ -32,19 +33,28 @@ discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
 start's 2378; in 15 cases, all with tau = 0.2 and spacing >= 0.78, it
 took one or two more.
 
-Coincident vortices make the problem D2-symmetric: ``u0``, the weights
+Coincident vortices make the problem D4-symmetric: ``u0``, the weights
 and the sources depend only on ``|x|^2``, so the functional is invariant
-under ``x -> -x`` and ``y -> -y``.  The unique minimizer then shares the
-symmetry, and by the principle of symmetric criticality (Palais 1979) it
-minimizes the functional restricted to symmetric fields, which lives on
-one quadrant.  On an even grid (no node on an axis) this holds bitwise by
-construction, so the layout is decided from the start alone: a zero start,
-a radial solution (interpolated at the quadrant nodes only) or an array
-bitwise unchanged by both reflections is built and solved on
-``(n/2 + 1)^2`` nodes and mirrored back, with the same
-Newton and CG counts (fields measured to agree to ``1e-13``; 4-5x faster
-at 384^2 and 512^2).  Odd grids and any other start, such as the random
-start of a uniqueness check, run on the full grid.
+under ``x -> -x``, ``y -> -y`` and the swap ``(x, y) -> (y, x)``.  The
+unique minimizer then shares these symmetries, and by the principle of
+symmetric criticality (Palais 1979) it minimizes the functional restricted
+to symmetric fields.  On an even grid (no node on an axis) the mirrors hold
+bitwise by construction, so the layout is decided from the start alone: a
+zero start, a radial solution (interpolated at the quadrant nodes only) or
+an array bitwise unchanged by both reflections is built and solved on
+``(n/2 + 1)^2`` nodes and mirrored back, with the same Newton and CG counts
+(fields measured to agree to ``1e-13``; 4-5x faster at 384^2 and 512^2).
+Odd grids are shifted by ``h/2`` and have no mirrors; they, and any other
+start, such as the random start of a uniqueness check, run on the full
+grid.  The swap holds on every grid, because both axes share their nodes.
+A zero or radial start, or an array equal to its transpose, is bitwise
+swap-symmetric, and each Newton step keeps it so on either layout: it sets
+the iterate to the mean of the stepped field and its transpose.  So every
+gradient is taken at a symmetric field, and the returned ``w`` and ``u``
+equal their transposes bitwise.  Against solves without the mean, the
+Newton and CG counts were unchanged (ranks 2 and 3, 32^2 to 1024^2), and
+the fields moved by at most ``1.8e-14`` from 384^2 up and ``2e-11`` on
+32^2 to 65^2, inside the solver tolerance.
 
 The physical fields must vanish at infinity; on the truncated box this is
 imposed at the edge, so the boundary values of ``w`` are the lifted data
@@ -220,8 +230,10 @@ def solve_planar(
     For even ``n``, a zero or radial start, or one whose interior is
     bitwise unchanged by ``x -> -x`` and ``y -> -y``, is solved on one
     quadrant, decided before anything is built, and mirrored back (module
-    docstring); any other on the full grid.  Either way ``w`` and a
-    :class:`NonConvergenceError`'s iterate are full ``(2, n, n)`` arrays.
+    docstring); any other on the full grid.  On any grid, a zero or radial
+    start, or one whose interior equals its transpose, is kept bitwise
+    swap-symmetric.  Either way ``w`` and a :class:`NonConvergenceError`'s
+    iterate are full ``(2, n, n)`` arrays.
     """
     check_solver_options(tol, max_iter)
     if initial is not None and not isinstance(initial, RadialSolution):
@@ -231,13 +243,13 @@ def solve_planar(
             raise ValueError(f"initial must have shape {shape}, got {initial.shape}")
         if not np.all(np.isfinite(initial)):
             raise ValueError("initial contains non-finite entries")
-    # Symmetric starts on even grids are solved on one quadrant (module docstring).
-    quadrant = _d2_symmetric(grid, initial)
+    # Symmetric starts are solved on one quadrant, or kept swap-symmetric (module docstring).
+    quadrant, diagonal = _symmetries(grid, initial)
     func = DiscreteFunctional(params, grid, quadrant)
     w = _start(params, grid, quadrant, initial)
     del initial  # a caller that passed the start inline frees it here
     try:
-        iteration, cg_total, gnorm, history = _minimize(func, w, tol, max_iter)
+        iteration, cg_total, gnorm, history = _minimize(func, w, tol, max_iter, diagonal)
     except NonConvergenceError as exc:
         if quadrant:
             exc.last_iterate = _unfold(exc.last_iterate)
@@ -247,13 +259,18 @@ def solve_planar(
     return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
 
 
-def _d2_symmetric(grid: PlanarGrid, initial) -> bool:
-    """Whether ``n`` is even and ``initial`` is zero, radial or has a D2-symmetric interior."""
-    radial = initial is None or isinstance(initial, RadialSolution)  # symmetric by construction
-    a = None if radial else initial[:, 1:-1, 1:-1]
-    return grid.points_per_side % 2 == 0 and (
-        a is None or (np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1]))
-    )
+def _symmetries(grid: PlanarGrid, initial) -> tuple[bool, bool]:
+    """Whether the solve keeps the mirrors ``x -> -x``, ``y -> -y`` and the swap ``x <-> y``.
+
+    A zero or radial start keeps both, the mirrors on even grids only; an
+    array start keeps those its interior has bitwise.
+    """
+    even = grid.points_per_side % 2 == 0
+    if initial is None or isinstance(initial, RadialSolution):  # symmetric by construction
+        return even, True
+    a = initial[:, 1:-1, 1:-1]
+    mirrors = even and np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1])
+    return mirrors, np.array_equal(a, a.transpose(0, 2, 1))
 
 
 def _unfold(wq: np.ndarray) -> np.ndarray:
@@ -263,12 +280,14 @@ def _unfold(wq: np.ndarray) -> np.ndarray:
     return np.concatenate([a[:, :, ::-1], a], axis=2)
 
 
-def _minimize(func, w, tol, max_iter):
+def _minimize(func, w, tol, max_iter, diagonal):
     """The Newton loop on ``func``'s layout: update ``w`` in place.
 
-    Returns ``(iterations, cg_iterations, final_gradient_norm,
-    energy_history)``; raises :class:`NonConvergenceError` with ``w`` as
-    its iterate.
+    With ``diagonal``, the start ``w`` equals its transpose and each step
+    keeps it so (:func:`_newton_step`), so every gradient is taken, and the
+    convergence tested, at a bitwise swap-symmetric ``w``.  Returns
+    ``(iterations, cg_iterations, final_gradient_norm, energy_history)``;
+    raises :class:`NonConvergenceError` with ``w`` as its iterate.
     """
     h2 = func.grid.cell_area
     precond = func.far_field_preconditioner()
@@ -286,7 +305,7 @@ def _minimize(func, w, tol, max_iter):
         # residual shrinks.
         eta = min(0.5, math.sqrt(gnorm))
         try:
-            change, cg_iters = _newton_step(func, precond, w, g, eta)
+            change, cg_iters = _newton_step(func, precond, w, g, eta, diagonal)
         except NonConvergenceError as exc:
             exc.iterations, exc.residual, exc.last_iterate = iteration, gnorm, w
             raise
@@ -302,13 +321,15 @@ def _minimize(func, w, tol, max_iter):
     )
 
 
-def _newton_step(func, precond, w, g, eta):
+def _newton_step(func, precond, w, g, eta, diagonal):
     """One damped Newton step: update ``w`` in place.
 
-    Returns the energy change and the CG iteration count; the caller adds
-    the iterate to a :class:`NonConvergenceError`.  The direction, its trial
-    scalings and the CG work arrays all live in this frame and in
-    :func:`_newton_direction`, so none outlives the step.
+    With ``diagonal``, ``w`` becomes the mean of ``w + d`` and its
+    transpose, which is bitwise symmetric, computed through ``d`` so that
+    no array is allocated.  Returns the energy change and the CG iteration
+    count; the caller adds the iterate to a :class:`NonConvergenceError`.
+    The direction, its trial scalings and the CG work arrays all live in
+    this frame and in :func:`_newton_direction`, so none outlives the step.
     """
     d, cg_iters = _newton_direction(func, precond, w, g, eta)
 
@@ -328,7 +349,12 @@ def _newton_step(func, precond, w, g, eta):
         d *= 0.5
         if t < 2.0**-40:
             raise NonConvergenceError("planar line search stalled")
-    w += d
+    if diagonal:
+        d += w
+        np.add(d, d.transpose(0, 2, 1), out=w)
+        w *= 0.5
+    else:
+        w += d
     return change, cg_iters
 
 

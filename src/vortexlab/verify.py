@@ -304,11 +304,13 @@ def build_report(
 ) -> VerificationReport:
     """Assemble a full report from a radial solution and optional planar ones.
 
-    Fluxes, decay fits and both residuals come from the radial solution
-    (it is the finer discretization); the profile-equation residual is
-    measured on profiles reconstructed from it.  The model parameters are
-    those of the radial solution.  A planar solution adds the
-    radial-vs-planar cross-validation, and a second planar one the
+    Fluxes, decay fits and both residuals come from the radial solution;
+    the profile-equation residual is measured on profiles reconstructed
+    from it.  Its fluxes are not the most accurate ones available: for
+    ``N = 2``, ``n = (1, 1)`` the flux-1 error is ``5.96e-5`` at the default
+    4000 radial nodes, against ``2.02e-6`` for a 512^2 planar solve.  The
+    model parameters are those of the radial solution.  A planar solution
+    adds the radial-vs-planar cross-validation, and a second planar one the
     uniqueness check.
     """
     params = radial_sol.params

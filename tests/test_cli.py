@@ -4,11 +4,6 @@ import dataclasses
 import io
 import json
 import math
-import os
-import signal
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,9 +530,215 @@ class TestIOFailure:
         assert code == 3
         assert "I/O failure" in err
 
+    def test_full_disk_during_a_csv_write_exits_3(self, capsys, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell() > 20_000:  # a few grid rows in
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
 
-class CsvWriterChecks:
-    """Byte checks of ``_csv_writer``, run on the serial and on the forked path."""
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        code, out, err = run(capsys, "solve-planar", "--N", "2", "--grid", "33", "--out", "p.csv")
+        assert code == 3
+        assert out == ""
+        assert "No space left on device" in err
+
+
+def orbit_fill(a, mirrors, diagonal):
+    """``a`` with every node of an ``n × n`` grid set to the value at its orbit's first node.
+
+    The orbits are those of the mirrors ``i -> n-1-i`` and ``j -> n-1-j``
+    together, of the swap ``i <-> j``, of both, or of neither.
+    """
+    n = a.shape[-1]
+    k = np.arange(n)
+    if mirrors:
+        k = np.minimum(k, n - 1 - k)
+    i, j = k[:, None], k[None, :]
+    if diagonal:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    return a[..., i, j]
+
+
+def orbit(n, i, j):
+    """The nodes that the mirrors and the swap map ``(i, j)`` to on an ``n × n`` grid."""
+    return {
+        (q, p) if swap else (p, q)
+        for p in (i, n - 1 - i)
+        for q in (j, n - 1 - j)
+        for swap in (False, True)
+    }
+
+
+class TestFoldedCsv:
+    """Planar CSVs of symmetric fields: each node formatted once per orbit.
+
+    Every output is checked against the per-value reference, and a spy on
+    :func:`cli._grid_symmetries` records which symmetries the writer used.
+    """
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        taken = []
+        grid_symmetries = cli._grid_symmetries
+
+        def spy(grids):
+            taken.append(grid_symmetries(grids))
+            return taken[-1]
+
+        monkeypatch.setattr(cli, "_grid_symmetries", spy)
+        return taken
+
+    @staticmethod
+    def symmetric_fields(n, mirrors=True, diagonal=False):
+        # Subnormals and +-inf among wide-range reals, and mirrored or
+        # swapped +-0.0 pairs.
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((4, n, n)) * 10.0 ** rng.integers(-320, 300, (4, n, n))
+        special = [5e-324, -2.5e-310, np.inf, -np.inf, 0.0, -0.0]
+        a[:, 0, : len(special)] = special[:n]
+        a[:, 0, 0] = a[:, 0, -1] = 0.0
+        fields = orbit_fill(a, mirrors, diagonal)
+        fields[:, -1, 0] = fields[:, -1, -1] = -0.0  # +-0.0 for either symmetry
+        return fields
+
+    @staticmethod
+    def rows_match_per_value_format(fields, coords):
+        n = len(coords)
+        names = ("w1", "w2", "u1", "u2")
+        fh = io.StringIO()
+        _csv_writer({"grid": n}, dict(zip(names, fields.reshape(4, -1))), coords=coords)(fh)
+        meta, header, *rows = fh.getvalue().split("\n")
+        assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
+        nodes = [(x, y) for x in coords for y in coords]
+        assert rows[:-1] == [
+            ",".join(_fmt(float(v)) for v in (*node, *values))
+            for node, values in zip(nodes, fields.reshape(4, -1).T)
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 32, 33])
+    def test_symmetric_fields_fold(self, folds, n):
+        # Odd n: the centre row and column are their own mirrors.
+        fields = self.symmetric_fields(n)
+        assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, 0])
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert folds == [(True, n == 2)]  # a 2 × 2 grid's mirrors imply the swap
+
+    @pytest.mark.parametrize("n", [3, 6, 7, 32, 33])
+    @pytest.mark.parametrize(
+        "mirrors, diagonal",
+        [(True, True), (False, True), (False, False)],
+        ids=["mirrors-and-diagonal", "diagonal", "neither"],
+    )
+    def test_fields_fold_on_their_orbits(self, folds, n, mirrors, diagonal):
+        fields = self.symmetric_fields(n, mirrors, diagonal)
+        if diagonal:  # a +-0.0 pair across the diagonal
+            assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, -1])
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert folds == [(mirrors, diagonal)]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_ulp_off_its_mirror_does_not_fold(self, folds, n, axis):
+        # Nodes (1, 1) and their mirror across the other axis move by one ulp,
+        # so only the reflection along ``axis`` is broken.
+        fields = self.symmetric_fields(n)
+        other = [2, 1, 1]
+        other[2 - axis] = n - 2
+        for node in ((2, 1, 1), tuple(other)):
+            fields[node] = np.nextafter(fields[node], np.inf)
+        g = fields[2]
+        assert np.array_equal(g, g[:, ::-1] if axis == 0 else g[::-1])  # the other one holds
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert folds == [(False, False)]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_one_ulp_off_the_diagonal_folds_on_the_mirrors(self, folds, n):
+        # Node (1, 2) and its mirror images move by one ulp; (2, 1) and its
+        # images do not.
+        fields = self.symmetric_fields(n, diagonal=True)
+        for i, j in {(1, 2), (n - 2, 2), (1, n - 3), (n - 2, n - 3)}:
+            fields[2, i, j] = np.nextafter(fields[2, i, j], np.inf)
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
+        assert folds == [(True, False)]
+
+    def test_mirrored_nan_pair_does_not_fold(self, folds):
+        fields = self.symmetric_fields(8)
+        fields[3, 1, 2] = fields[3, 6, 2] = fields[3, 1, 5] = fields[3, 6, 5] = np.nan
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
+        assert folds == [(False, False)]
+
+    def test_nan_pair_on_the_diagonal_does_not_fold(self, folds):
+        fields = self.symmetric_fields(8, diagonal=True)
+        for i, j in orbit(8, 1, 2):
+            fields[3, i, j] = np.nan
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
+        assert folds == [(False, False)]
+
+    @pytest.mark.parametrize(
+        "n, symmetries", [(32, (True, True)), (33, (False, True))], ids=["even", "odd"]
+    )
+    def test_solution_folds(self, folds, tmp_path, capsys, monkeypatch, n, symmetries):
+        # An even grid's solution is formatted on one octant, an odd grid's
+        # on one triangle, with the bytes of every node formatted.
+        argv = ["solve-planar", "--N", "2", "--grid", str(n), "--out"]
+        folded = tmp_path / "folded.csv"
+        assert run(capsys, *argv, str(folded))[0] == 0
+        assert folds == [symmetries]
+        monkeypatch.setattr(cli, "_grid_symmetries", lambda grids: (False, False))
+        unfolded = tmp_path / "unfolded.csv"
+        assert run(capsys, *argv, str(unfolded))[0] == 0
+        assert folded.read_bytes() == unfolded.read_bytes()
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "solve-radial --N 3 --n1 1 --n2 2 --nodes 1000",
+            "solve-profile --N 2 --nodes 2000",
+            "solve-planar --N 2 --grid 32",
+            "report --N 2 --nodes 1000",
+        ],
+        ids=["radial", "profile", "planar", "report"],
+    )
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "output"
+        code, announced, _ = run(capsys, *argv.split(), "--out", str(path))
+        assert code == 0
+        assert announced.startswith(f"wrote {path}")
+        assert announced.count("\n") == 1
+        code, printed, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert printed.encode("utf-8") == path.read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        u=hnp.arrays(np.float64, (2, 1000), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        residual=st.floats(),
+    )
+    def test_radial_csv_round_trip(self, tmp_path_factory, u, residual):
+        # -0.0 and subnormals in every example, besides those Hypothesis draws.
+        u[:, :3] = [[-0.0, 5e-324, -2.5e-310], [2.5e-310, -0.0, -5e-324]]
+        params = ModelParams(N=3, n1=1, n2=2)
+        r = radial_mesh(n=1000).r
+
+        def write(path, params, r, u1, u2, residual):
+            meta = {**dataclasses.asdict(params), "iterations": 7, "residual": residual}
+            with path.open("w", encoding="utf-8", newline="\n") as fh:
+                _csv_writer(meta, {"r": r, "u1": u1, "u2": u2})(fh)
+
+        first = tmp_path_factory.mktemp("csv") / "radial.csv"
+        write(first, params, r, u[0], u[1], residual)
+        back = _load_radial_csv(str(first))
+        assert back.params == params and back.iterations == 7
+        np.testing.assert_array_equal(back.mesh.r, r)
+        np.testing.assert_array_equal(back.u, u)
+        assert not np.signbit(back.u[0, 0]) and not np.signbit(back.u[1, 1])  # -0.0 reads as 0.0
+        assert back.residual == residual or (math.isnan(back.residual) and math.isnan(residual))
+        second = first.with_name("again.csv")
+        write(second, back.params, back.mesh.r, back.u[0], back.u[1], back.residual)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_csv_golden_bytes(self):
         values = [-0.0, 0.1, 2.0, 5e-324, np.nan, np.inf, -np.inf]
@@ -596,8 +797,9 @@ class CsvWriterChecks:
         ids=["1", "7", "33", "5-in-blocks-of-16", "33-in-blocks-of-16"],
     )
     def test_planar_rows_match_per_value_format(self, monkeypatch, n, block_rows):
-        # Blocks are whole grid rows: 7 and 33 do not divide 1024, 5 does not
-        # divide 16, and a 33-node grid row is longer than a 16-row block.
+        # Grid CSVs are written a grid row at a time, whatever the block size:
+        # 7 and 33 do not divide 1024, 5 does not divide 16, and a 33-node
+        # grid row is longer than a 16-row block.
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(n)
         coords = np.linspace(-3.0, 3.0, n) if n > 1 else np.array([-0.0])
@@ -615,266 +817,3 @@ class CsvWriterChecks:
         ]
 
 
-def mirrored(a):
-    """``a[..., :m, :m]`` (``m = ceil(n/2)``) copied to every mirror node of an ``n × n`` grid."""
-    n = a.shape[-1]
-    m = (n + 1) // 2
-    out = np.empty_like(a)
-    out[..., :m, :m] = a[..., :m, :m]
-    out[..., m:, :m] = out[..., : n - m, :m][..., ::-1, :]
-    out[..., m:] = out[..., : n - m][..., ::-1]
-    return out
-
-
-class TestFoldedCsv:
-    """Planar CSVs of mirror-symmetric fields: each distinct node formatted once.
-
-    Every output is checked against the per-value reference, and a spy on
-    :func:`cli._folded_writer` tells whether the fold was taken.
-    """
-
-    @pytest.fixture
-    def folds(self, monkeypatch):
-        taken = []
-        folded_writer = cli._folded_writer
-
-        def spy(*args):
-            taken.append(1)
-            return folded_writer(*args)
-
-        monkeypatch.setattr(cli, "_folded_writer", spy)
-        return taken
-
-    @staticmethod
-    def symmetric_fields(n):
-        # Mirrored +-0.0 pairs, subnormals and +-inf among wide-range reals.
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((4, n, n)) * 10.0 ** rng.integers(-320, 300, (4, n, n))
-        special = [5e-324, -2.5e-310, np.inf, -np.inf, 0.0, -0.0]
-        a[:, 0, : len(special)] = special[:n]
-        fields = mirrored(a)
-        fields[:, -1, 0] = fields[:, -1, -1] = -0.0  # mirrors of 0.0
-        fields[:, 0, -1] = 0.0
-        fields[:, 0, 0] = 0.0
-        return fields
-
-    @staticmethod
-    def rows_match_per_value_format(fields, coords):
-        n = len(coords)
-        names = ("w1", "w2", "u1", "u2")
-        fh = io.StringIO()
-        _csv_writer({"grid": n}, dict(zip(names, fields.reshape(4, -1))), coords=coords)(fh)
-        meta, header, *rows = fh.getvalue().split("\n")
-        assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
-        nodes = [(x, y) for x in coords for y in coords]
-        assert rows[:-1] == [
-            ",".join(_fmt(float(v)) for v in (*node, *values))
-            for node, values in zip(nodes, fields.reshape(4, -1).T)
-        ]
-
-    @pytest.mark.parametrize("n", [2, 3, 6, 7, 32, 33])
-    def test_symmetric_fields_fold(self, folds, n):
-        # Odd n: the centre row and column are their own mirrors.
-        fields = self.symmetric_fields(n)
-        assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, 0])
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert folds
-
-    @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_one_ulp_off_its_mirror_does_not_fold(self, folds, n, axis):
-        # Nodes (1, 1) and their mirror across the other axis move by one ulp,
-        # so only the reflection along ``axis`` is broken.
-        fields = self.symmetric_fields(n)
-        other = [2, 1, 1]
-        other[2 - axis] = n - 2
-        for node in ((2, 1, 1), tuple(other)):
-            fields[node] = np.nextafter(fields[node], np.inf)
-        g = fields[2]
-        assert np.array_equal(g, g[:, ::-1] if axis == 0 else g[::-1])  # the other one holds
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert not folds
-
-    def test_mirrored_nan_pair_does_not_fold(self, folds):
-        fields = self.symmetric_fields(8)
-        fields[3, 1, 2] = fields[3, 6, 2] = fields[3, 1, 5] = fields[3, 6, 5] = np.nan
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
-        assert not folds
-
-    def test_even_grid_solution_folds_and_is_not_forked(self, folds, tmp_path, capsys, monkeypatch):
-        # Reaching the fork threshold does not fork a CSV that folds.
-        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
-        monkeypatch.setattr(cli, "_two_cpus", lambda: True)
-        monkeypatch.setattr(cli, "_write_forked", None)  # fails if called
-        folded = tmp_path / "folded.csv"
-        code, *_ = run(capsys, "solve-planar", "--N", "2", "--grid", "32", "--out", str(folded))
-        assert code == 0 and folds
-        monkeypatch.setattr(cli, "_folded_writer", None)  # fails if called
-        monkeypatch.setattr(cli, "_mirror_symmetric", lambda g: False)
-        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 1 << 62)
-        unfolded = tmp_path / "unfolded.csv"
-        assert run(capsys, "solve-planar", "--N", "2", "--grid", "32", "--out", str(unfolded))[0] == 0
-        assert folded.read_bytes() == unfolded.read_bytes()
-
-
-class TestOutput(CsvWriterChecks):
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            "solve-radial --N 3 --n1 1 --n2 2 --nodes 1000",
-            "solve-profile --N 2 --nodes 2000",
-            "solve-planar --N 2 --grid 32",
-            "report --N 2 --nodes 1000",
-        ],
-        ids=["radial", "profile", "planar", "report"],
-    )
-    def test_stdout_is_the_out_file(self, tmp_path, capsys, argv):
-        path = tmp_path / "output"
-        code, announced, _ = run(capsys, *argv.split(), "--out", str(path))
-        assert code == 0
-        assert announced.startswith(f"wrote {path}")
-        assert announced.count("\n") == 1
-        code, printed, _ = run(capsys, *argv.split())
-        assert code == 0
-        assert printed.encode("utf-8") == path.read_bytes()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        u=hnp.arrays(np.float64, (2, 1000), elements=st.floats(allow_nan=False, allow_infinity=False)),
-        residual=st.floats(),
-    )
-    def test_radial_csv_round_trip(self, tmp_path_factory, u, residual):
-        # -0.0 and subnormals in every example, besides those Hypothesis draws.
-        u[:, :3] = [[-0.0, 5e-324, -2.5e-310], [2.5e-310, -0.0, -5e-324]]
-        params = ModelParams(N=3, n1=1, n2=2)
-        r = radial_mesh(n=1000).r
-
-        def write(path, params, r, u1, u2, residual):
-            meta = {**dataclasses.asdict(params), "iterations": 7, "residual": residual}
-            with path.open("w", encoding="utf-8", newline="\n") as fh:
-                _csv_writer(meta, {"r": r, "u1": u1, "u2": u2})(fh)
-
-        first = tmp_path_factory.mktemp("csv") / "radial.csv"
-        write(first, params, r, u[0], u[1], residual)
-        back = _load_radial_csv(str(first))
-        assert back.params == params and back.iterations == 7
-        np.testing.assert_array_equal(back.mesh.r, r)
-        np.testing.assert_array_equal(back.u, u)
-        assert not np.signbit(back.u[0, 0]) and not np.signbit(back.u[1, 1])  # -0.0 reads as 0.0
-        assert back.residual == residual or (math.isnan(back.residual) and math.isnan(residual))
-        second = first.with_name("again.csv")
-        write(second, back.params, back.mesh.r, back.u[0], back.u[1], back.residual)
-        assert second.read_bytes() == first.read_bytes()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestForkedCsv(CsvWriterChecks):
-    """Every CSV formatted by two processes: the row threshold set to 0."""
-
-    #: A 33² planar CSV in blocks of 64 rows: one 33-node grid row per block,
-    #: 33 blocks, 16 from the child.  An odd grid is solved on the full grid,
-    #: whose fields are not bitwise mirror-symmetric, so its CSV is not folded.
-    PLANAR = ("solve-planar", "--N", "2", "--grid", "33")
-
-    @pytest.fixture(autouse=True)
-    def forked(self, monkeypatch):
-        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
-        monkeypatch.setattr(cli, "_two_cpus", lambda: True)
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        yield
-        assert forks, "no CSV was formatted by a child"
-        assert_no_child_left()
-
-    def test_same_bytes_as_serial_and_no_child_left(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
-        forked = tmp_path / "forked.csv"
-        code, out, _ = run(capsys, *self.PLANAR, "--out", str(forked))
-        assert code == 0 and out.startswith(f"wrote {forked}")
-        assert_no_child_left()
-        monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 1 << 62)
-        serial = tmp_path / "serial.csv"
-        assert run(capsys, *self.PLANAR, "--out", str(serial))[0] == 0
-        assert forked.read_bytes() == serial.read_bytes()
-
-    def test_failed_write_exits_3_and_reaps_the_child(self, capsys, monkeypatch):
-        class FullDisk(io.StringIO):
-            def write(self, text):
-                if self.tell() > 20_000:  # a few blocks in
-                    raise OSError(28, "No space left on device")
-                return super().write(text)
-
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
-        code, out, err = run(capsys, *self.PLANAR, "--out", "planar.csv")
-        assert code == 3
-        assert out == ""
-        assert "No space left on device" in err
-
-    @pytest.mark.parametrize("death", ["exit-0", "exit-1", "killed"])
-    def test_failed_child_exits_nonzero(self, tmp_path, capsys, monkeypatch, death):
-        fork = os.fork
-
-        def failing_fork():
-            pid = fork()
-            if pid == 0:
-                if death == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(1 if death == "exit-1" else 0)
-            return pid
-
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 64)
-        monkeypatch.setattr(os, "fork", failing_fork)
-        code, out, err = run(capsys, *self.PLANAR, "--out", str(tmp_path / "planar.csv"))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: I/O failure on output: CSV formatting process")
-
-
-def test_forked_csv_through_a_piped_stdout_is_the_out_file(tmp_path):
-    # When the child is forked, the header waits in the buffer of stdout (a
-    # pipe) or of the --out file; a child that flushed either would write it
-    # twice.
-    script = (
-        "import sys\n"
-        "from vortexlab import cli\n"
-        "cli._CSV_FORK_ROWS, cli._CSV_BLOCK_ROWS = 0, 64\n"
-        "cli._two_cpus = lambda: True\n"
-        "raise SystemExit(cli.main(sys.argv[1:]))\n"
-    )
-    argv = [sys.executable, "-c", script, "solve-planar", "--N", "2", "--grid", "33"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
-    path = tmp_path / "planar.csv"
-    written = subprocess.run([*argv, "--out", str(path)], env=env, capture_output=True, timeout=300)
-    printed = subprocess.run(argv, env=env, capture_output=True, timeout=300)
-    assert written.returncode == 0 and printed.returncode == 0
-    assert written.stdout.startswith(f"wrote {path}".encode())
-    assert printed.stdout == path.read_bytes()
-
-
-def test_csv_written_serially_when_fork_fails(monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    columns = {"a": np.arange(3000.0), "b": np.linspace(-1.0, 1.0, 3000)}
-    serial = io.StringIO()
-    _csv_writer({"N": 2}, columns)(serial)
-    monkeypatch.setattr(cli, "_CSV_FORK_ROWS", 0)
-    monkeypatch.setattr(cli, "_two_cpus", lambda: True)
-    monkeypatch.setattr(os, "fork", no_fork)
-    fh = io.StringIO()
-    _csv_writer({"N": 2}, columns)(fh)
-    assert fh.getvalue() == serial.getvalue()

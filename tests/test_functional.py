@@ -650,6 +650,12 @@ class TestQuadrant:
         error = np.max(np.abs(quad.far_field_preconditioner()(fold(r))[:, 1:, 1:] - expected))
         assert error < 10 * F32_EPS * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("m", [14, 30, 62, 64, 126, 382, 510, 1022])
+    def test_sine_block_is_the_slice_of_the_full_matrix(self, m):
+        # The quadrant preconditioner builds this block alone, bit for bit.
+        block = _sine_matrix(m, slice(0, None, 2), slice(m // 2, None))
+        np.testing.assert_array_equal(block, _sine_matrix(m)[0::2, m // 2 :])
+
     def test_preconditioner_symmetric_positive_float64(self):
         _, quad, grid = self.problem(N=3, n1=0, n2=0, n=66)
         precond = quad.far_field_preconditioner()

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vortexlab import functional, planar
+from vortexlab import cli, functional, planar
 from vortexlab.cli import main, parse_report
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
 from vortexlab.functional import DiscreteFunctional, PlanarGrid
@@ -20,7 +20,7 @@ from vortexlab.planar import (
     solve_planar,
 )
 from vortexlab.radial import radial_mesh, solve_radial_P
-from vortexlab.verify import cross_validate
+from vortexlab.verify import cross_validate, uniqueness_check
 
 
 def make(N=2, n1=1, n2=1, tau=1.0, theorem_mode=None):
@@ -261,8 +261,8 @@ class TestQuadrant:
 
     The quadrant CG is the full-grid CG restricted to symmetric vectors, so
     both paths must take the same Newton and CG steps and agree to
-    rounding.  The full-grid path is reached through the private
-    ``_d2_symmetric`` seam.
+    rounding.  The full-grid path, kept swap-symmetric like the quadrant, is
+    reached through the private ``_symmetries`` seam.
     """
 
     CASES = [
@@ -288,7 +288,7 @@ class TestQuadrant:
         initial = self.start(params, grid, kind)
         seen = layouts(monkeypatch)
         quad = solve_planar(params, grid, tol=1e-8, initial=initial)
-        monkeypatch.setattr(planar, "_d2_symmetric", lambda grid, initial: False)
+        monkeypatch.setattr(planar, "_symmetries", lambda grid, initial: (False, True))
         full = solve_planar(params, grid, tol=1e-8, initial=initial)
         q = n // 2 + 1
         assert seen == [(2, q, q), (2, n, n)]
@@ -301,7 +301,7 @@ class TestQuadrant:
 
     def test_solution_is_mirror_symmetric(self):
         # The planar CSV formats each distinct value once only while w and u
-        # are bitwise mirror images (cli._folded_writer).
+        # are bitwise mirror images (cli._write_grid_rows).
         sol = solve_planar(make(N=3, n2=2), PlanarGrid(half_width=15.0, points_per_side=64))
         for a in (sol.w, sol.u):
             np.testing.assert_array_equal(a, a[:, ::-1])
@@ -377,6 +377,57 @@ class TestQuadrant:
         edge[1:-1, 1:-1] = False
         np.testing.assert_array_equal(w[:, edge], boundary_values(params, grid)[:, edge])
         assert np.max(np.abs(w[:, 1:-1, 1:-1])) > 0.0  # one Newton step was taken
+
+
+class TestSwapSymmetry:
+    """Zero and radial starts are kept swap-symmetric, ``w == w^T`` bitwise, on every grid.
+
+    The mean with the transpose moves the iterate by rounding only, so the
+    Newton and CG counts are those measured before it was taken.
+    """
+
+    COUNTS = {
+        # (N, n1, n2, n, start): (Newton, CG)
+        (2, 1, 1, 32, "zero"): (5, 11), (2, 1, 1, 32, "radial"): (5, 9),
+        (2, 1, 1, 33, "zero"): (5, 10), (2, 1, 1, 33, "radial"): (3, 9),
+        (2, 1, 1, 64, "zero"): (6, 12), (2, 1, 1, 64, "radial"): (4, 9),
+        (2, 1, 1, 65, "zero"): (6, 12), (2, 1, 1, 65, "radial"): (4, 9),
+        (3, 1, 2, 32, "zero"): (7, 18), (3, 1, 2, 32, "radial"): (5, 17),
+        (3, 1, 2, 33, "zero"): (7, 18), (3, 1, 2, 33, "radial"): (5, 19),
+        (3, 1, 2, 64, "zero"): (8, 21), (3, 1, 2, 64, "radial"): (5, 17),
+        (3, 1, 2, 65, "zero"): (7, 16), (3, 1, 2, 65, "radial"): (5, 17),
+    }
+
+    @pytest.mark.parametrize("N, n1, n2, n, kind", sorted(COUNTS))
+    def test_solution_is_swap_symmetric(self, N, n1, n2, n, kind):
+        params = make(N=N, n1=n1, n2=n2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        initial = None
+        if kind == "radial":  # the mesh of solve-planar's radial start
+            initial = solve_radial_P(params, radial_mesh(r_max=max(30.0, 15.0 * np.sqrt(2.0))))
+        sol = solve_planar(params, grid, initial=initial)
+        for a in (sol.w, sol.u):
+            np.testing.assert_array_equal(a, a.transpose(0, 2, 1))
+        assert (sol.iterations, sol.cg_iterations) == self.COUNTS[N, n1, n2, n, kind]
+        assert sol.final_gradient_norm < 1e-8
+
+    def test_random_start_is_never_symmetrized(self, monkeypatch):
+        # Every iterate the solve differentiates is the unsymmetrized one.
+        params = make(N=3, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        swapped = []
+        gradient = DiscreteFunctional.gradient
+
+        def spy(self, w):
+            swapped.append(np.array_equal(w, w.transpose(0, 2, 1)))
+            return gradient(self, w)
+
+        monkeypatch.setattr(DiscreteFunctional, "gradient", spy)
+        alt = solve_planar(params, grid, initial=cli._random_start(20240, grid))
+        assert len(swapped) == alt.iterations + 1 and not any(swapped)
+        sol = solve_planar(params, grid)
+        assert all(swapped[alt.iterations + 1 :])
+        assert uniqueness_check(sol, alt)["sup_difference"] < 1e-6
 
 
 class TestStoredFields:
