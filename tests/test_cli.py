@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -675,20 +676,30 @@ class TestFoldedCsv:
         self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
         assert folds == [(False, False)]
 
-    @pytest.mark.parametrize(
-        "n, symmetries", [(32, (True, True)), (33, (False, True))], ids=["even", "odd"]
-    )
-    def test_solution_folds(self, folds, tmp_path, capsys, monkeypatch, n, symmetries):
-        # An even grid's solution is formatted on one octant, an odd grid's
-        # on one triangle, with the bytes of every node formatted.
+    @staticmethod
+    def solution_folds(folds, tmp_path, capsys, monkeypatch, n):
+        # The CSV is written in-process, with the bytes of every node
+        # formatted; os.fork fails if called.
+        def no_fork():
+            raise AssertionError("a planar CSV was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         argv = ["solve-planar", "--N", "2", "--grid", str(n), "--out"]
         folded = tmp_path / "folded.csv"
         assert run(capsys, *argv, str(folded))[0] == 0
-        assert folds == [symmetries]
+        found = list(folds)
         monkeypatch.setattr(cli, "_grid_symmetries", lambda grids: (False, False))
         unfolded = tmp_path / "unfolded.csv"
         assert run(capsys, *argv, str(unfolded))[0] == 0
         assert folded.read_bytes() == unfolded.read_bytes()
+        return found
+
+    def test_even_grid_solution_folds_and_is_not_forked(self, folds, tmp_path, capsys, monkeypatch):
+        # Formatted on one octant.
+        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 32) == [(True, True)]
+
+    def test_odd_grid_solution_folds_on_one_triangle(self, folds, tmp_path, capsys, monkeypatch):
+        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 33) == [(False, True)]
 
 
 class TestOutput:
@@ -817,3 +828,24 @@ class TestOutput:
         ]
 
 
+
+
+def test_csv_written_serially_when_fork_fails(monkeypatch):
+    # No CSV needs a second process: with os.fork failing, column and grid
+    # CSVs are written in-process with the same bytes.
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    columns = {"a": np.arange(3000.0), "b": np.linspace(-1.0, 1.0, 3000)}
+    fields = dict(zip(("w1", "w2", "u1", "u2"), TestFoldedCsv.symmetric_fields(33).reshape(4, -1)))
+    coords = np.linspace(-3.0, 3.0, 33)
+    writers = [_csv_writer({"N": 2}, columns), _csv_writer({"grid": 33}, fields, coords=coords)]
+    serial = []
+    for write in writers:
+        serial.append(io.StringIO())
+        write(serial[-1])
+    monkeypatch.setattr(os, "fork", no_fork)
+    for write, expected in zip(writers, serial):
+        fh = io.StringIO()
+        write(fh)
+        assert fh.getvalue() == expected.getvalue()
