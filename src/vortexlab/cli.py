@@ -21,7 +21,8 @@ CSV reals are printed to 17 significant digits.  A planar CSV has each
 node formatted once per orbit of the symmetries its fields have bitwise:
 the mirrors of both axes and the swap of ``x`` and ``y``, all of which an
 even grid's solution has (one octant is formatted), and the swap alone,
-which an odd grid's has (one triangle).  Equal values give equal bytes, so
+which an odd grid's has (one triangle).  Grid rows read the nodes by
+orbit key from one list.  Equal values give equal bytes, so
 the output is the same as with every node formatted.  JSON output (reports
 and ``constants``) is written by the standard ``json`` module: reals in
 their shortest round-trip form and non-finite ones as ``NaN``,
@@ -41,14 +42,12 @@ import math
 import os
 import sys
 import warnings
-from array import array
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonConvergenceError, VortexlabError, check_solver_options
-from .functional import PlanarGrid
+from .functional import PlanarGrid, symmetries
 from .model import (
     ModelParams,
     background,
@@ -140,59 +139,45 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
 
 
 def _grid_symmetries(grids: list) -> tuple[bool, bool]:
-    """Whether every ``n × n`` array of ``grids`` is unchanged by both mirrors, and by the swap.
+    """Whether every array of ``grids`` has both mirrors, and the swap (:func:`symmetries`).
 
-    The mirrors reverse either axis; the swap is the transpose.  Values are
-    compared with ``==``, so a ``NaN`` never matches, and ``-0.0`` matches
-    ``0.0``, which prints as ``0`` either way.  A single node has no mirror.
+    A ``-0.0`` that matches a ``0.0`` prints as ``0`` either way.
     """
-    mirrors = len(grids[0]) > 1 and all(
-        np.array_equal(g, g[::-1]) and np.array_equal(g, g[:, ::-1]) for g in grids
-    )
-    return mirrors, all(np.array_equal(g, g.T) for g in grids)
+    mirrors, swap = zip(*map(symmetries, grids))
+    return all(mirrors), all(swap)
 
 
 def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
     """Write the rows of a grid CSV, each node formatted once per symmetry orbit.
 
-    With the mirrors (:func:`_grid_symmetries`), only the rows and columns
-    ``< m = ceil(n/2)`` are formatted; with the swap, only the nodes
-    ``(i, j)`` with ``j >= i``.  An even grid's D4-symmetric solution is thus
-    formatted on one octant, an odd grid's swap-symmetric one on one
-    triangle, and any other field at every node.  Equal values give equal
-    bytes, so the output does not depend on which symmetries hold.  Each
-    distinct row is formatted by one ``(line * k) % values`` call, whose
-    text is kept until the last grid row that reads it.  Each grid row is
-    written through one ``%s`` template, its ``x`` joined with
-    ``",<y_j>,%s\\n"``, which takes the row's node strings: with the swap,
-    those left of the diagonal are sliced from the rows above.
+    With the mirrors (:func:`_grid_symmetries`), index ``i`` folds to the
+    distinct row or column ``fold[i] < m = ceil(n/2)``; with the swap, only
+    the nodes ``(a, b)`` with ``b >= a`` are distinct.  So an even grid's
+    D4-symmetric solution is formatted on one octant, an odd grid's
+    swap-symmetric one on one triangle, and any other field at every node;
+    equal values give equal bytes.  Each distinct row ``a`` is formatted by
+    one ``(line * k) % values`` call into ``nodes``, where its column 0
+    would sit at ``first[a]``.  Grid row ``i`` is written through one ``%s``
+    template, its ``x`` joined with ``",<y_j>,%s\\n"``, and takes node
+    ``(i, j)`` from key ``first[a] + b``, where ``a, b = fold[i], fold[j]``,
+    sorted with the swap.
     """
     n = len(coords)
-    mirrors, diagonal = _grid_symmetries(grids)
+    mirrors, swap = _grid_symmetries(grids)
     m = (n + 1) // 2 if mirrors else n
-    fold = [*range(m), *range(n - m - 1, -1, -1)]  # the distinct row, or column, of each index
-    last = {a: i for i, a in enumerate(fold)}  # with the swap alone, every later row reads row a
+    fold = np.array([*range(m), *range(n - m - 1, -1, -1)])
+    nodes, first = [], []
+    for a in range(m):
+        lo = a if swap else 0
+        first.append(len(nodes) - lo)
+        values = np.column_stack([g[a, lo:m] for g in grids]) + 0.0
+        nodes += ((line * (m - lo)) % tuple(values.ravel().tolist())).splitlines()
+    first = np.array(first)
     xs = [_fmt(c) for c in coords.tolist()]
     tails = ["," + y + ",%s\n" for y in xs]
-    # Kept as one string per distinct row, not one per node: many small
-    # strings raised the peak RSS where a few large ones reuse freed memory.
-    texts = [None] * m  # distinct row a's nodes from column a (swap) or 0 up to m - 1
-    ends = [None] * m  # with the swap: where each node of texts[a] ends, its newline included
-    for i, (x, a) in enumerate(zip(xs, fold)):
-        if texts[a] is None:
-            lo = a if diagonal else 0
-            values = np.column_stack([g[a, lo:m] for g in grids]) + 0.0
-            texts[a] = (line * (m - lo)) % tuple(values.ravel().tolist())
-        nodes = texts[a].splitlines()
-        if diagonal:
-            if ends[a] is None:
-                ends[a] = array("l", accumulate(len(s) + 1 for s in nodes))
-            nodes[:0] = [texts[b][ends[b][a - b - 1] : ends[b][a - b] - 1] for b in range(a)]
-        if mirrors:
-            nodes += nodes[: n - m][::-1]
-        fh.write((x + x.join(tails)) % tuple(nodes))
-        if i == last[a] and (mirrors or not diagonal):
-            texts[a] = ends[a] = None
+    for x, a in zip(xs, fold.tolist()):
+        keys = first[np.minimum(fold, a)] + np.maximum(fold, a) if swap else first[a] + fold
+        fh.write((x + x.join(tails)) % tuple(map(nodes.__getitem__, keys.tolist())))
 
 
 def _emit(path: Optional[str], write, note: str) -> None:
@@ -427,6 +412,8 @@ def _cmd_report(args):
     check_decay_window(args.window)
     if args.uniqueness and not args.planar:
         raise ValueError("--uniqueness needs --planar")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.planar:
         check_solver_options(args.planar_tol)
         grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)

@@ -50,7 +50,7 @@ from .errors import FieldOverflowError
 from .model import ModelParams, background, coupling_matrix, functional_coefficients
 from .model import _symmetric_eig_2x2
 
-__all__ = ["PlanarGrid", "DiscreteFunctional"]
+__all__ = ["PlanarGrid", "DiscreteFunctional", "symmetries"]
 
 #: Largest ``|s_k|`` of the exponents ``s = 2 J w`` accepted by an evaluation.
 EXP_CAP = 300.0
@@ -115,6 +115,17 @@ def _layout_radius_squared(grid: PlanarGrid, quadrant: bool) -> np.ndarray:
         raise ValueError(f"the quadrant layout needs an even grid, got {n} points")
     x2 = grid.coords[n // 2 - 1 :] ** 2 if quadrant else grid.coords**2
     return x2[:, None] + x2[None, :]
+
+
+def symmetries(a: np.ndarray) -> tuple[bool, bool]:
+    """Whether ``a`` is unchanged by both mirrors of its last two axes, and by their swap.
+
+    The mirrors reverse either axis; the swap is the transpose.  Values are
+    compared with ``==``, so a ``NaN`` never matches, and ``-0.0`` matches
+    ``0.0``.
+    """
+    mirrors = np.array_equal(a, a[..., ::-1, :]) and np.array_equal(a, a[..., ::-1])
+    return mirrors, np.array_equal(a, np.swapaxes(a, -1, -2))
 
 
 def _edge_energy(w: np.ndarray) -> float:

@@ -25,13 +25,13 @@ starts of amplitude 20 reach the cap.  A random start of amplitude ``A``
 draws every interior node value of ``w1`` and ``w2`` independently and
 uniformly from ``[-A, A)``.  The iteration also converges from
 :func:`radial_start`, the radial solution interpolated onto the grid,
-which for coincident vortices is the minimizer up to discretization error: at tol 1e-8 the Newton/CG counts fall from 7/16 to
-3/9 (rank 2, ``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3,
-``n = (1, 2)``, 384^2).  Over 324 cases (ranks 2, 3 and 5; ``n`` in
-(1, 1), (1, 2), (3, 1), (0, 0.5); tau in 0.2, 1, 5; L in 6, 15, 25;
-32^2, 48^2 and 65^2 grids) it took 1571 Newton steps against the zero
-start's 2378; in 15 cases, all with tau = 0.2 and spacing >= 0.78, it
-took one or two more.
+which for coincident vortices is the minimizer up to discretization
+error: at tol 1e-8 the Newton/CG counts fall from 7/16 to 3/9 (rank 2,
+``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3, ``n = (1, 2)``,
+384^2).  Over 324 cases (ranks 2, 3 and 5; ``n`` in (1, 1), (1, 2),
+(3, 1), (0, 0.5); tau in 0.2, 1, 5; L in 6, 15, 25; 32^2, 48^2 and 65^2
+grids) it took 1571 Newton steps against the zero start's 2378; in 15
+cases, all with tau = 0.2 and spacing >= 0.78, it took one or two more.
 
 Coincident vortices make the problem D4-symmetric: ``u0``, the weights
 and the sources depend only on ``|x|^2``, so the functional is invariant
@@ -76,7 +76,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError, check_solver_options
-from .functional import DiscreteFunctional, PlanarGrid, _layout_radius_squared
+from .functional import DiscreteFunctional, PlanarGrid, _layout_radius_squared, symmetries
 from .model import ModelParams, background, coupling_matrix
 from .radial import RadialSolution
 
@@ -268,9 +268,8 @@ def _symmetries(grid: PlanarGrid, initial) -> tuple[bool, bool]:
     even = grid.points_per_side % 2 == 0
     if initial is None or isinstance(initial, RadialSolution):  # symmetric by construction
         return even, True
-    a = initial[:, 1:-1, 1:-1]
-    mirrors = even and np.array_equal(a, a[:, ::-1]) and np.array_equal(a, a[:, :, ::-1])
-    return mirrors, np.array_equal(a, a.transpose(0, 2, 1))
+    mirrors, swap = symmetries(initial[:, 1:-1, 1:-1])
+    return even and mirrors, swap
 
 
 def _unfold(wq: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +460,19 @@ class TestReportCommand:
         assert out == ""
         assert err == "error: --uniqueness needs --planar\n"
 
+    def test_negative_seed_exits_2_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --seed was checked")
+
+        monkeypatch.setattr(cli, "solve_radial_P", no_solve)
+        monkeypatch.setattr(cli, "solve_planar", no_solve)
+        code, out, err = run(
+            capsys, "report", "--N", "2", "--planar", "--uniqueness", "--seed", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize(
         "box, grid, message",
         [
@@ -676,6 +691,32 @@ class TestFoldedCsv:
         self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
         assert folds == [(False, False)]
 
+    def test_write_peak_is_bounded_by_the_octant_strings(self, folds):
+        # The writer keeps one string per octant node and works on one row at
+        # a time, so its traced peak stays below those strings (their text,
+        # object headers and list slots) plus half again.  Formatting the
+        # whole octant in one call peaks near twice them: the text, the
+        # values' tuple and the strings are alive at once.
+        n, m = 256, 128
+        fields = self.symmetric_fields(n, diagonal=True)
+        octant = [
+            ",".join(_fmt(float(v)) for v in fields[:, i, j]) for i in range(m) for j in range(i, m)
+        ]
+        kept = sum(sys.getsizeof(node) + 8 for node in octant)
+        columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
+        write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
+        with open(os.devnull, "w") as fh:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                write(fh)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert folds == [(True, True)]
+        assert peak < 1.5 * kept
+
     @staticmethod
     def solution_folds(folds, tmp_path, capsys, monkeypatch, n):
         # The CSV is written in-process, with the bytes of every node
@@ -802,16 +843,9 @@ class TestOutput:
         )
         assert fh.getvalue() == expected.getvalue()
 
-    @pytest.mark.parametrize(
-        "n, block_rows",
-        [(1, 1024), (7, 1024), (33, 1024), (5, 16), (33, 16)],
-        ids=["1", "7", "33", "5-in-blocks-of-16", "33-in-blocks-of-16"],
-    )
-    def test_planar_rows_match_per_value_format(self, monkeypatch, n, block_rows):
-        # Grid CSVs are written a grid row at a time, whatever the block size:
-        # 7 and 33 do not divide 1024, 5 does not divide 16, and a 33-node
-        # grid row is longer than a 16-row block.
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    @pytest.mark.parametrize("n", [1, 5, 7, 33])
+    def test_planar_rows_match_per_value_format(self, n):
+        # Random fields, with no symmetry for n > 1: every node is formatted.
         rng = np.random.default_rng(n)
         coords = np.linspace(-3.0, 3.0, n) if n > 1 else np.array([-0.0])
         special = [-0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vortexlab.errors import FieldOverflowError
-from vortexlab.functional import DiscreteFunctional, PlanarGrid, _sine_matrix
+from vortexlab.functional import DiscreteFunctional, PlanarGrid, _sine_matrix, symmetries
 from vortexlab.model import ModelParams, background, coupling_matrix, functional_coefficients
 from vortexlab.planar import _start, boundary_values, radial_start
 from vortexlab.radial import radial_mesh, solve_radial_P
@@ -63,6 +63,18 @@ def fd_gradient(func, fp, eps=1e-6):
                 w[i, j] = orig
                 g[i, j] = (ep - em) / (2.0 * eps)
     return out
+
+
+def test_symmetries_over_the_last_two_axes():
+    i, k = np.arange(6.0), np.minimum(np.arange(6.0), 5.0 - np.arange(6.0))
+    d4 = np.stack([k[:, None] + k, k[:, None] * k])  # (2, 6, 6), both species D4-symmetric
+    assert symmetries(d4) == (True, True)
+    assert symmetries(np.stack([d4[0], i[:, None] + i])) == (False, True)
+    assert symmetries(np.stack([d4[0], k[:, None] + 2.0 * k])) == (True, False)
+    d4[1, 0, 0] = -0.0  # equals the 0.0 at its images
+    assert symmetries(d4) == (True, True)
+    d4[1, 0, 0] = d4[1, 0, 5] = d4[1, 5, 0] = d4[1, 5, 5] = np.nan  # NaN never matches
+    assert symmetries(d4) == (False, False)
 
 
 class TestPlanarGrid:
