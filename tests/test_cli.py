@@ -843,9 +843,17 @@ class TestOutput:
         )
         assert fh.getvalue() == expected.getvalue()
 
-    @pytest.mark.parametrize("n", [1, 5, 7, 33])
-    def test_planar_rows_match_per_value_format(self, n):
+    @pytest.mark.parametrize(
+        "n, block_rows",
+        [(1, None), (5, None), (7, None), (33, None), (33, 16)],
+        ids=["1", "5", "7", "33", "33-in-blocks-of-16"],
+    )
+    def test_planar_rows_match_per_value_format(self, monkeypatch, n, block_rows):
         # Random fields, with no symmetry for n > 1: every node is formatted.
+        # Grid rows are not cut into column blocks: a 16-row block, shorter
+        # than a 33-node grid row, leaves the bytes as they are.
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(n)
         coords = np.linspace(-3.0, 3.0, n) if n > 1 else np.array([-0.0])
         special = [-0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]
