@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 from .errors import NonConvergenceError, check_solver_options
 from .model import ModelParams, background, coupling_matrix
@@ -279,10 +280,12 @@ class _RegularizedSystem:
             far, -_apply_stencil(self.stencil, self.u0), np.stack([bg.phi_1(r2), bg.phi_2(r2)])
         )
         sub, self.dia, sup = self.stencil
-        # Stencil bands of the Jacobian; the last node's coefficients are zero.
-        self.bands = np.zeros((5, 2 * n))
-        self.bands[0, 2:] = np.repeat(sup[: n - 1], 2)
-        self.bands[4, : 2 * n - 2] = np.repeat(sub[1:], 2)
+        # Stencil bands of the Jacobian in the LAPACK workspace layout of
+        # :func:`solve_banded`, two leading rows left zero for the fill-in;
+        # the last node's coefficients are zero.
+        self.bands = np.zeros((7, 2 * n), order="F")
+        self.bands[2, 2:] = np.repeat(sup[: n - 1], 2)
+        self.bands[6, : 2 * n - 2] = np.repeat(sub[1:], 2)
 
     def fields(self, z):
         """``E = expm1(2 u)`` of the interleaved unknowns, shape ``(2, n)``."""
@@ -301,16 +304,17 @@ class _RegularizedSystem:
         F[-2:] = P[:, -1] + self.u0[:, -1]
         return F
 
-    def jacobian(self, z):
+    def jacobian(self, z, ab):
+        """Write the Jacobian at ``z`` into the ``(7, 2n)`` workspace ``ab``."""
         A, dia = self.A, self.dia
         dE = 2.0 * (self.fields(z) + 1.0)
         dE[:, -1] = 0.0  # Dirichlet rows carry no coupling
-        ab = self.bands.copy()
-        ab[1, 1::2] = -A[0, 1] * dE[1]  # dF1/dP2 at the same node
-        ab[2].reshape(-1, 2).T[...] = dia - np.diag(A)[:, None] * dE
-        ab[2, -2:] = 1.0
-        ab[3, 0::2] = -A[1, 0] * dE[0]  # dF2/dP1 at the same node
-        return ab
+        ab[...] = self.bands
+        ab[3, 1::2] = -A[0, 1] * dE[1]  # dF1/dP2 at the same node
+        ab[4, 0::2] = dia - A[0, 0] * dE[0]
+        ab[4, 1::2] = dia - A[1, 1] * dE[1]
+        ab[4, -2:] = 1.0
+        ab[5, 0::2] = -A[1, 0] * dE[0]  # dF2/dP1 at the same node
 
     def floor(self, z):
         # Evaluation floor of the residual: the stencil rows cancel to
@@ -319,9 +323,39 @@ class _RegularizedSystem:
         return 4.0 * np.finfo(float).eps * float(np.max(np.abs(self.dia))) * scale
 
 
+def solve_banded(bands, ab, b):
+    """Solve a banded system held in LAPACK's band storage, in place.
+
+    ``bands = (kl, ku)`` are the numbers of sub- and superdiagonals, and
+    ``ab`` is a Fortran-ordered float array of shape ``(2*kl + ku + 1, n)``
+    holding entry ``(i, j)`` of the matrix at ``ab[kl + ku + i - j, j]``;
+    its ``kl`` leading rows are zero, room for the fill-in of the pivoted
+    factorization (Anderson et al., *LAPACK Users' Guide*, 1999).  ``dgbsv``
+    overwrites ``ab`` with the factors and ``b`` with the solution, which is
+    returned.  As :func:`scipy.linalg.solve_banded` does, a non-finite
+    ``ab`` or ``b`` raises ``ValueError`` and a singular matrix
+    ``LinAlgError``.
+    """
+    for a in (ab, b):  # min and max propagate a NaN, and allocate nothing
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ValueError("array must not contain infs or NaNs")
+    kl, ku = bands
+    _, _, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x
+
+
 def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None):
     """Residual-norm damped Newton with a banded Jacobian.
 
+    ``bands = (kl, ku)`` gives the Jacobian's band widths.  One
+    Fortran-ordered workspace of shape ``(2*kl + ku + 1, z.size)`` is
+    allocated per solve; at each step ``jacobian(z, ab)`` writes every entry
+    of it, the Jacobian in :func:`solve_banded`'s layout with the ``kl``
+    leading rows zero, and :func:`solve_banded` factors it in place.
     Each step solves ``J(z) d = -F(z)`` and halves ``t`` from 1 until the
     sup norm of the residual drops below ``(1 - 1e-4 t)`` times its current
     value (Dennis & Schnabel 1983).  When halving reaches ``2**-30`` the
@@ -330,12 +364,15 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
     stalled.  Returns ``(z, iterations, norm)``; a failure raises
     :class:`NonConvergenceError` carrying the last accepted ``z``.
     """
+    kl, ku = bands
+    ab = np.empty((2 * kl + ku + 1, z.size), order="F")
     F = system(z)
     norm = float(np.max(np.abs(F)))
     for iteration in range(1, max_iter + 1):
         if norm < tol:
             return z, iteration - 1, norm
-        step = solve_banded(bands, jacobian(z), -F)
+        jacobian(z, ab)
+        step = solve_banded(bands, ab, -F)
         t = 1.0
         while True:
             trial = z + t * step
@@ -467,10 +504,11 @@ def solve_profile_bps(
         F[-1] = q2[-1] - 1.0
         return F
 
-    def jacobian(z):
+    def jacobian(z, ab):
         c1, c2, f, fna, q1, q2 = unpack(z)
-        # Band storage: entry (row, col) of J sits at ab[5 + row - col, col].
-        ab = np.zeros((11, size))
+        # Band storage: entry (row, col) of J sits at ab[10 + row - col, col],
+        # below the five zero rows that solve_banded leaves for the fill-in.
+        ab.fill(0.0)
         r0sq = r[0] ** 2
         for row, col, value in (
             (0, 2, 1.0),
@@ -484,7 +522,7 @@ def solve_profile_bps(
             (size - 2, size - 2, 1.0),
             (size - 1, size - 1, 1.0),
         ):
-            ab[5 + row - col, col] = value
+            ab[10 + row - col, col] = value
 
         fm, fnam, q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (f, fna, q1, q2))
 
@@ -507,9 +545,8 @@ def solve_profile_bps(
         for k in range(4):
             for m in range(4):
                 coeff = 0.0 - 0.5 * h * Jf[:, k, m]  # structural zeros stay +0.0
-                ab[7 + k - m, 2 + m : -4 : 4] = coeff - (1.0 if k == m else 0.0)
-                ab[3 + k - m, 6 + m :: 4] = coeff + (1.0 if k == m else 0.0)
-        return ab
+                ab[12 + k - m, 2 + m : -4 : 4] = coeff - (1.0 if k == m else 0.0)
+                ab[8 + k - m, 6 + m :: 4] = coeff + (1.0 if k == m else 0.0)
 
     # Initial guess: unit-amplitude cores decaying on an O(1) scale.
     sech2 = 1.0 / np.cosh(r) ** 2

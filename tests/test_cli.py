@@ -100,6 +100,21 @@ class TestSolveRadial:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_bad_arguments_between_two_calls_change_nothing(self, tmp_path, capsys):
+        # The parser is built once per process; a call that argparse rejects
+        # (exit 2) leaves nothing behind for the next call to read.
+        assert cli._build_parser() is cli._build_parser()
+        argv = ["solve-radial", "--N", "2", "--nodes", "1000", "--out"]
+        assert run(capsys, *argv, str(tmp_path / "a.csv"))[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            bad = ["--N", "3", "--n1", "2", "--nodes", "many", "--out", str(tmp_path / "c.csv")]
+            main(["solve-radial", *bad])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert run(capsys, *argv, str(tmp_path / "b.csv"))[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert not (tmp_path / "c.csv").exists()
+
     def test_nonconvergence_exit_code(self, capsys):
         code, _, err = run(
             capsys,
@@ -716,6 +731,26 @@ class TestFoldedCsv:
                 tracemalloc.stop()
         assert folds == [(True, True)]
         assert peak < 1.5 * kept
+
+    def test_write_peak_without_symmetry_is_below_one_column(self, folds):
+        # A field with no symmetry is formatted one grid row at a time, so
+        # its traced peak stays below the bytes of one field column (0.52 MB
+        # at 256²).  Keeping every node string until the end peaked at 9.1 MB.
+        n = 256
+        fields = np.random.default_rng(3).standard_normal((4, n, n))
+        columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
+        write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
+        with open(os.devnull, "w") as fh:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                write(fh)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert folds == [(False, False)]
+        assert peak < fields[0].nbytes
 
     @staticmethod
     def solution_folds(folds, tmp_path, capsys, monkeypatch, n):

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vortexlab import radial
 from vortexlab.cli import _load_radial_csv, main
@@ -190,6 +192,42 @@ class TestSolveRadial:
             solve_radial_P(params, radial_mesh(n=1000), tol=0.0)
 
 
+class TestSolveBanded:
+    @staticmethod
+    def system(kl=2, ku=3, n=40):
+        rng = np.random.default_rng(7)
+        bands = rng.standard_normal((kl + ku + 1, n))
+        bands[ku] += 4.0
+        return (kl, ku), bands, rng.standard_normal(n)
+
+    @staticmethod
+    def workspace(kl, bands):
+        ab = np.zeros((kl + bands.shape[0], bands.shape[1]), order="F")
+        ab[kl:] = bands
+        return ab
+
+    def test_matches_scipy_bitwise(self):
+        (kl, ku), bands, b = self.system()
+        want = scipy.linalg.solve_banded((kl, ku), bands, b)
+        assert np.array_equal(radial.solve_banded((kl, ku), self.workspace(kl, bands), b.copy()), want)
+
+    @pytest.mark.parametrize("where", ["ab", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, where, value):
+        (kl, ku), bands, b = self.system()
+        ab = self.workspace(kl, bands)
+        (ab if where == "ab" else b)[..., 5] = value
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            radial.solve_banded((kl, ku), ab, b)
+
+    def test_zero_column_raises_lin_alg_error(self):
+        (kl, ku), bands, b = self.system()
+        ab = self.workspace(kl, bands)
+        ab[:, 5] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError, match="singular matrix"):
+            radial.solve_banded((kl, ku), ab, b)
+
+
 class TestStoredFields:
     def test_energy_field_is_not_stored(self):
         names = {f.name for f in dataclasses.fields(RadialSolution)}
@@ -312,11 +350,14 @@ class TestProfileSolver:
         monkeypatch.setattr(radial, "_damped_newton", capture)
         solve_profile_bps(N, n=1000)
         system, z, (lower, upper) = captured["system"], captured["z"], captured["bands"]
-        ab = captured["jacobian"](z)
+        # The LAPACK workspace, filled with NaN: the Jacobian must write all of it.
+        ab = np.full((2 * lower + upper + 1, z.size), np.nan, order="F")
+        captured["jacobian"](z, ab)
+        assert not np.any(ab[:lower])  # the rows left for the fill-in
         # Columns lower + upper + 1 apart touch disjoint rows, so one central
         # difference per colour gives every band entry of those columns.
         width, step = lower + upper + 1, 1e-6
-        fd = np.zeros_like(ab)
+        fd = np.zeros((width, z.size))
         for colour in range(width):
             dz = np.zeros(z.size)
             dz[colour::width] = step
@@ -326,7 +367,21 @@ class TestProfileSolver:
                 rows = cols + band_row - upper
                 inside = (rows >= 0) & (rows < z.size)
                 fd[band_row, cols[inside]] = diff[rows[inside]]
-        assert np.max(np.abs(ab - fd)) < 1e-7
+        assert np.max(np.abs(ab[lower:] - fd)) < 1e-7
+
+    def test_traced_peak_is_below_two_band_workspaces(self):
+        # The (16, 96002) LAPACK workspace is 12.3 MB; a solve that copied the
+        # Jacobian into a fresh workspace at each step peaked at 38.8 MB.
+        n = 24000
+        workspace = 16 * (4 * n + 2) * 8
+        solve_profile_bps(2, n=2000)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            solve_profile_bps(2, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * workspace
 
     def test_rejects_bad_rank(self):
         for N in (1, 2.5, math.inf, math.nan):
