@@ -106,8 +106,8 @@ class TestSolveRadial:
         assert cli._build_parser() is cli._build_parser()
         argv = ["solve-radial", "--N", "2", "--nodes", "1000", "--out"]
         assert run(capsys, *argv, str(tmp_path / "a.csv"))[0] == 0
+        bad = ["--N", "3", "--n1", "2", "--nodes", "many", "--out", str(tmp_path / "c.csv")]
         with pytest.raises(SystemExit) as exc:
-            bad = ["--N", "3", "--n1", "2", "--nodes", "many", "--out", str(tmp_path / "c.csv")]
             main(["solve-radial", *bad])
         assert exc.value.code == 2
         assert "invalid int value: 'many'" in capsys.readouterr().err

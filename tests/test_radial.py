@@ -209,7 +209,8 @@ class TestSolveBanded:
     def test_matches_scipy_bitwise(self):
         (kl, ku), bands, b = self.system()
         want = scipy.linalg.solve_banded((kl, ku), bands, b)
-        assert np.array_equal(radial.solve_banded((kl, ku), self.workspace(kl, bands), b.copy()), want)
+        got = radial.solve_banded((kl, ku), self.workspace(kl, bands), b.copy())
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("where", ["ab", "b"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
