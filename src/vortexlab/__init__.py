@@ -31,7 +31,7 @@ from .model import (
     functional_coefficients,
     spectral_constants,
 )
-from .planar import PlanarSolution, extract_radial_slice, radial_start, solve_planar
+from .planar import PlanarSolution, extract_radial_slice, solve_planar
 from .radial import (
     ProfileSet,
     RadialMesh,
@@ -84,7 +84,6 @@ __all__ = [
     "ode_residual",
     "pde_residual",
     "radial_mesh",
-    "radial_start",
     "reconstruct_profiles",
     "solve_planar",
     "solve_profile_bps",

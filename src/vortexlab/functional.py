@@ -160,8 +160,9 @@ def _sine_matrix(m: int, rows: slice = slice(None), cols: slice = slice(None)) -
 
 
 def _neighbor_sum(w: np.ndarray) -> np.ndarray:
-    # 4*w - sum of neighbors on interior nodes.
-    return 4.0 * w[1:-1, 1:-1] - w[:-2, 1:-1] - w[2:, 1:-1] - w[1:-1, :-2] - w[1:-1, 2:]
+    # 4*w - sum of neighbors on interior nodes, over the last two axes.
+    return (4.0 * w[..., 1:-1, 1:-1] - w[..., :-2, 1:-1] - w[..., 2:, 1:-1]
+            - w[..., 1:-1, :-2] - w[..., 1:-1, 2:])
 
 
 class DiscreteFunctional:

@@ -23,8 +23,8 @@ was measured to converge from the zero start and from random starts of
 amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at most 40 steps); random
 starts of amplitude 20 reach the cap.  A random start of amplitude ``A``
 draws every interior node value of ``w1`` and ``w2`` independently and
-uniformly from ``[-A, A)``.  The iteration also converges from
-:func:`radial_start`, the radial solution interpolated onto the grid,
+uniformly from ``[-A, A)``.  The iteration also converges from a
+radial solution interpolated onto the grid (``initial=radial_sol``),
 which for coincident vortices is the minimizer up to discretization
 error: at tol 1e-8 the Newton/CG counts fall from 7/16 to 3/9 (rank 2,
 ``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3, ``n = (1, 2)``,
@@ -82,8 +82,6 @@ from .radial import RadialSolution
 
 __all__ = [
     "PlanarSolution",
-    "boundary_values",
-    "radial_start",
     "solve_planar",
     "extract_radial_slice",
 ]
@@ -148,21 +146,11 @@ def _smooth_parts(params: ModelParams, w: np.ndarray) -> np.ndarray:
     return P
 
 
-def boundary_values(params: ModelParams, grid: PlanarGrid) -> np.ndarray:
-    """Dirichlet data on the box edge: ``w = L^-1 @ (-u0)``, zero interior.
-
-    With ``P = L @ w`` this pins ``u = u0 + P`` to zero on the boundary,
-    the truncated form of the topological condition at infinity.  The
-    result has shape ``(2, n, n)``.
-    """
-    return _start(params, grid, quadrant=False)
-
-
 def _start(params, grid, quadrant, initial=None):
     """The first iterate on a layout: lifted edge data and ``initial``'s interior (default zero).
 
-    A :class:`RadialSolution` ``initial`` is interpolated at the layout's
-    interior nodes only, with the values :func:`radial_start` gives there.
+    The edge holds ``w = L^-1 @ (-u0)``, so ``u = u0 + L @ w`` is zero there.  A
+    :class:`RadialSolution` ``initial`` is interpolated at the layout's interior nodes only.
     """
     bg = background(params)
     r2 = _layout_radius_squared(grid, quadrant)
@@ -179,24 +167,14 @@ def _start(params, grid, quadrant, initial=None):
 
 
 def _interpolate(radial: RadialSolution, r2: np.ndarray) -> np.ndarray:
-    """``w`` of the radial solution at the nodes of squared radius ``r2``."""
+    """``w`` of the radial solution at the nodes of squared radius ``r2``.
+
+    Each ``P_k`` is ``radial.P[k]`` interpolated at ``|x|``; ``w`` inverts :func:`_smooth_parts`.
+    """
     r = np.sqrt(r2)
     w = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
     w[1] -= coupling_matrix(radial.params).gamma * w[0]
     return w
-
-
-def radial_start(radial: RadialSolution, grid: PlanarGrid) -> np.ndarray:
-    """A planar start ``w`` of shape ``(2, n, n)`` from a radial solution.
-
-    Each smooth part ``P_k`` is ``np.interp`` of ``radial.P[k]`` at the node
-    radius ``|x|`` (constant beyond the mesh ends), and ``w1 = P1``,
-    ``w2 = P2 - gamma * P1`` invert :func:`_smooth_parts`.  For coincident
-    vortices the planar minimizer is radial, so this start differs from it
-    by discretization error only.  ``solve_planar(initial=radial)`` starts
-    from the same values, interpolated at the solve's own nodes only.
-    """
-    return _interpolate(radial, grid.radius_squared())
 
 
 def solve_planar(
@@ -210,11 +188,10 @@ def solve_planar(
 
     ``tol`` bounds the sup norm of the per-node Euler-Lagrange residual
     (gradient divided by cell area).  The iteration starts from the lifted
-    Dirichlet data of :func:`boundary_values` with the interior of
+    Dirichlet data ``L^-1 @ (-u0)`` on the box edge with the interior of
     ``initial`` (zero by default), a finite array of shape ``(2, n, n)``
     holding ``w1`` and ``w2``; the edge of ``initial`` is ignored.  A
-    :class:`RadialSolution` ``initial`` is the start of
-    :func:`radial_start`, interpolated at the solved nodes only.
+    :class:`RadialSolution` ``initial`` is interpolated at the solved nodes only.
     Every start that converges reaches the same minimizer (strict
     convexity); the module docstring lists the starts measured to converge
     within the default ``max_iter``.

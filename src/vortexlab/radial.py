@@ -619,10 +619,7 @@ def ode_residual(ps: ProfileSet, params: ModelParams) -> float:
     """
     N = params.N
     r = ps.mesh.r
-    df = central_derivative(r, ps.f)
-    dfna = central_derivative(r, ps.f_NA)
-    dq1 = central_derivative(r, ps.Q1)
-    dq2 = central_derivative(r, ps.Q2)
+    df, dfna, dq1, dq2 = central_derivative(r, np.stack([ps.f, ps.f_NA, ps.Q1, ps.Q2]))
     s = slice(1, -1)
     r_i = r[s]
     q1, q2, f, fna = ps.Q1[s], ps.Q2[s], ps.f[s], ps.f_NA[s]

@@ -243,7 +243,7 @@ def pde_residual(sol: Solution) -> float:
     phi = np.stack([bg.phi_1(r2), bg.phi_2(r2)])[:, 1:-1, 1:-1]
     A = coupling_matrix(sol.params).A[:, :, None, None]
     E = sol.E[:, 1:-1, 1:-1]
-    lap = -np.stack([_neighbor_sum(P) for P in sol.P]) / sol.grid.cell_area
+    lap = -_neighbor_sum(sol.P) / sol.grid.cell_area
     return float(np.max(np.abs(lap - (A[:, 0] * E[0] + A[:, 1] * E[1] + phi))))
 
 

@@ -23,7 +23,7 @@ from vortexlab.model import (
     flux_targets,
     spectral_constants,
 )
-from vortexlab.planar import radial_start, solve_planar
+from vortexlab.planar import solve_planar
 from vortexlab.radial import radial_mesh, solve_profile_bps, solve_radial_P
 from vortexlab.verify import cross_validate, decay_fit, flux_integrals
 
@@ -81,7 +81,7 @@ def planar_rank2_fine(params_rank2, radial_rank2):
     # Criterion 8 compares fluxes only, so this solve may start from the
     # radial solution: the same minimizer in about half the Newton steps.
     grid = PlanarGrid(half_width=15.0, points_per_side=1024)
-    return solve_planar(params_rank2, grid, tol=1e-8, initial=radial_start(radial_rank2, grid))
+    return solve_planar(params_rank2, grid, tol=1e-8, initial=radial_rank2)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -706,7 +705,7 @@ class TestFoldedCsv:
         self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
         assert folds == [(False, False)]
 
-    def test_write_peak_is_bounded_by_the_octant_strings(self, folds):
+    def test_write_peak_is_bounded_by_the_octant_strings(self, folds, traced_peak):
         # The writer keeps one string per octant node and works on one row at
         # a time, so its traced peak stays below those strings (their text,
         # object headers and list slots) plus half again.  Formatting the
@@ -721,18 +720,11 @@ class TestFoldedCsv:
         columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
         write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
         with open(os.devnull, "w") as fh:
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                write(fh)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: write(fh))
         assert folds == [(True, True)]
         assert peak < 1.5 * kept
 
-    def test_write_peak_without_symmetry_is_below_one_column(self, folds):
+    def test_write_peak_without_symmetry_is_below_one_column(self, folds, traced_peak):
         # A field with no symmetry is formatted one grid row at a time, so
         # its traced peak stays below the bytes of one field column (0.52 MB
         # at 256²).  Keeping every node string until the end peaked at 9.1 MB.
@@ -741,14 +733,7 @@ class TestFoldedCsv:
         columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
         write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
         with open(os.devnull, "w") as fh:
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                write(fh)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: write(fh))
         assert folds == [(False, False)]
         assert peak < fields[0].nbytes
 

@@ -8,9 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vortexlab.errors import FieldOverflowError
-from vortexlab.functional import DiscreteFunctional, PlanarGrid, _sine_matrix, symmetries
+from vortexlab.functional import (
+    DiscreteFunctional,
+    PlanarGrid,
+    _neighbor_sum,
+    _sine_matrix,
+    symmetries,
+)
 from vortexlab.model import ModelParams, background, coupling_matrix, functional_coefficients
-from vortexlab.planar import _start, boundary_values, radial_start
+from vortexlab.planar import _interpolate, _start
 from vortexlab.radial import radial_mesh, solve_radial_P
 
 #: Machine epsilon of float32, the precision of the preconditioner's transforms.
@@ -546,6 +552,11 @@ class TestStackedMatchesPerSpecies:
                 d = random_pair(grid, rng, scale=1.0)
                 self.assert_close(hess(d), ref.hessian_apply(w, d))
 
+    def test_neighbor_sum_of_a_stack_is_bitwise_per_species(self):
+        # verify.pde_residual takes the stencil of both smooth parts in one call.
+        w = np.random.default_rng(67).standard_normal((2, 33, 33))
+        np.testing.assert_array_equal(_neighbor_sum(w), np.stack([_neighbor_sum(x) for x in w]))
+
 
 def symmetric_pair(grid, rng, scale=0.3):
     """A random field pair unchanged, to the last bit, by ``x -> -x`` and ``y -> -y``."""
@@ -721,7 +732,7 @@ class TestQuadrantConstruction:
         np.testing.assert_array_equal(grid.coords, -grid.coords[::-1])
         full = DiscreteFunctional(params, grid)
         quad = DiscreteFunctional(params, grid, quadrant=True)
-        edge = boundary_values(params, grid)
+        edge = _start(params, grid, quadrant=False)
         for a in (full.weight, full.source, edge):
             assert is_d2_symmetric(a)
         self.assert_quadrant_of(quad.weight, full.weight)
@@ -732,7 +743,7 @@ class TestQuadrantConstruction:
         params = ModelParams(N=3, n1=1, n2=2)
         grid = PlanarGrid(half_width=15.0, points_per_side=100)
         radial = solve_radial_P(params, radial_mesh())
-        initial = radial_start(radial, grid)
+        initial = _interpolate(radial, grid.radius_squared())
         assert is_d2_symmetric(initial)
         full = _start(params, grid, quadrant=False, initial=initial)
         quad = _start(params, grid, quadrant=True, initial=initial)

@@ -14,9 +14,8 @@ from vortexlab.planar import (
     PlanarSolution,
     _newton_direction,
     _smooth_parts,
-    boundary_values,
+    _start,
     extract_radial_slice,
-    radial_start,
     solve_planar,
 )
 from vortexlab.radial import radial_mesh, solve_radial_P
@@ -27,6 +26,11 @@ def make(N=2, n1=1, n2=1, tau=1.0, theorem_mode=None):
     if theorem_mode is None:
         theorem_mode = not (n1 == 0 and n2 == 0)
     return ModelParams(N=N, n1=n1, n2=n2, tau=tau, theorem_mode=theorem_mode)
+
+
+def radial_array(radial, grid):
+    """The radial solution interpolated at every node of ``grid``: an array start."""
+    return planar._interpolate(radial, grid.radius_squared())
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +182,7 @@ class TestSolve:
         # and on the quadrant.
         params, grid, sol = default_solution
         full = DiscreteFunctional(params, grid)
-        w = boundary_values(params, grid)
+        w = _start(params, grid, quadrant=False)
         k0 = grid.points_per_side // 2 - 1
         quad = DiscreteFunctional(params, grid, quadrant=True)
         for func, w in ((full, w), (quad, w[:, k0:, k0:].copy())):
@@ -228,7 +232,7 @@ class TestSolve:
         grid = PlanarGrid(half_width=15.0, points_per_side=32)
         with pytest.raises(NonConvergenceError) as err:
             solve_planar(params, grid, tol=1e-8)
-        w0 = boundary_values(params, grid)
+        w0 = _start(params, grid, quadrant=False)
         residual = float(np.max(np.abs(DiscreteFunctional(params, grid).gradient(w0))))
         assert err.value.last_iterate.shape == (2, 32, 32)
         np.testing.assert_array_equal(err.value.last_iterate, w0)
@@ -279,7 +283,7 @@ class TestQuadrant:
     def start(params, grid, kind):
         if kind == "zero":
             return None
-        return radial_start(solve_radial_P(params, radial_mesh()), grid)
+        return radial_array(solve_radial_P(params, radial_mesh()), grid)
 
     @pytest.mark.parametrize("N, n1, n2, tau, L, n, kind", CASES)
     def test_matches_the_full_grid(self, monkeypatch, N, n1, n2, tau, L, n, kind):
@@ -322,7 +326,7 @@ class TestQuadrant:
         # Symmetric under one reflection only: one node pair differs.
         params = make()
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        initial = radial_start(solve_radial_P(params, radial_mesh()), grid)
+        initial = radial_array(solve_radial_P(params, radial_mesh()), grid)
         index = [0, 20, 20]
         index[axis] = 10
         initial[tuple(index)] += 1e-3
@@ -375,7 +379,7 @@ class TestQuadrant:
         np.testing.assert_array_equal(w, w[:, :, ::-1])
         edge = np.ones((64, 64), dtype=bool)
         edge[1:-1, 1:-1] = False
-        np.testing.assert_array_equal(w[:, edge], boundary_values(params, grid)[:, edge])
+        np.testing.assert_array_equal(w[:, edge], _start(params, grid, quadrant=False)[:, edge])
         assert np.max(np.abs(w[:, 1:-1, 1:-1])) > 0.0  # one Newton step was taken
 
 
@@ -453,10 +457,11 @@ class TestStoredFields:
 
 class TestBoundaryValues:
     def test_lifted_data_cancels_background(self):
+        # The solved w keeps the lifted edge data: P = L @ w reproduces -u0
+        # there, and the start it was solved from has a zero interior.
         params = make()
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
-        g = boundary_values(params, grid)
-        # P = L @ w reproduces -u0 on the edge.
+        g = solve_planar(params, grid, tol=1e-8).w
         bg = background(params)
         r2 = grid.radius_squared()
         P1 = g[0]
@@ -464,7 +469,7 @@ class TestBoundaryValues:
         for P, u0 in ((P1, bg.u0_1(r2)), (P2, bg.u0_2(r2))):
             assert np.max(np.abs(P[0, :] + u0[0, :])) < 1e-15
             assert np.max(np.abs(P[:, -1] + u0[:, -1])) < 1e-15
-        assert np.max(np.abs(g[0, 1:-1, 1:-1])) == 0.0
+        assert np.max(np.abs(_start(params, grid, quadrant=False)[0, 1:-1, 1:-1])) == 0.0
 
 
 class TestRadialStart:
@@ -479,7 +484,7 @@ class TestRadialStart:
         grid = PlanarGrid(half_width=15.0, points_per_side=64)
         rs = self.radial(params)
         r = np.sqrt(grid.radius_squared())
-        P = _smooth_parts(params, radial_start(rs, grid))
+        P = _smooth_parts(params, radial_array(rs, grid))
         for k in range(2):
             assert np.max(np.abs(P[k] - np.interp(r, rs.mesh.r, rs.P[k]))) < 1e-15
 
@@ -489,15 +494,15 @@ class TestRadialStart:
         params = make(N=N, n1=n1, n2=n2)
         grid = PlanarGrid(half_width=15.0, points_per_side=n)
         zero = solve_planar(params, grid, tol=1e-8)
-        warm = solve_planar(params, grid, tol=1e-8, initial=radial_start(self.radial(params), grid))
+        warm = solve_planar(params, grid, tol=1e-8, initial=radial_array(self.radial(params), grid))
         assert warm.final_gradient_norm < 1e-8
         assert np.max(np.abs(warm.w - zero.w)) < 1e-9
         assert warm.iterations <= zero.iterations
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_radial_solution_start_is_interpolated_on_the_layout(self, monkeypatch, n):
-        # The same start as radial_start, so the same solve, but only the
-        # layout's interior nodes are interpolated.
+        # The same start as the array interpolated on the full grid, so the
+        # same solve, but only the layout's interior nodes are interpolated.
         params = make(N=3, n1=1, n2=2)
         grid = PlanarGrid(half_width=15.0, points_per_side=n)
         rs = self.radial(params)
@@ -511,7 +516,7 @@ class TestRadialStart:
         monkeypatch.setattr(planar, "_interpolate", spy)
         warm = solve_planar(params, grid, tol=1e-8, initial=rs)
         assert sizes == [(n // 2, n // 2) if n % 2 == 0 else (n - 2, n - 2)]
-        array = solve_planar(params, grid, tol=1e-8, initial=radial_start(rs, grid))
+        array = solve_planar(params, grid, tol=1e-8, initial=radial_array(rs, grid))
         np.testing.assert_array_equal(warm.w, array.w)
         assert (warm.iterations, warm.cg_iterations) == (array.iterations, array.cg_iterations)
         assert warm.energy_history == array.energy_history

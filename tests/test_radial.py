@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +103,13 @@ class TestDerivatives:
             dy = central_derivative(r, np.sin(r))
             errs.append(np.max(np.abs(dy - np.cos(r))))
         assert errs[0] / errs[1] > 3.0
+
+    def test_central_derivative_of_a_stack_is_bitwise_per_row(self):
+        # ode_residual differentiates its four profiles in one call.
+        r = radial_mesh(n=1500).r
+        y = np.random.default_rng(7).standard_normal((4, r.size))
+        rows = np.stack([central_derivative(r, row) for row in y])
+        np.testing.assert_array_equal(central_derivative(r, y), rows)
 
     def test_laplacian_exact_on_r_squared(self):
         r = radial_mesh(n=1500).r
@@ -370,18 +376,13 @@ class TestProfileSolver:
                 fd[band_row, cols[inside]] = diff[rows[inside]]
         assert np.max(np.abs(ab[lower:] - fd)) < 1e-7
 
-    def test_traced_peak_is_below_two_band_workspaces(self):
+    def test_traced_peak_is_below_two_band_workspaces(self, traced_peak):
         # The (16, 96002) LAPACK workspace is 12.3 MB; a solve that copied the
         # Jacobian into a fresh workspace at each step peaked at 38.8 MB.
         n = 24000
         workspace = 16 * (4 * n + 2) * 8
         solve_profile_bps(2, n=2000)  # first-call allocations outside the trace
-        tracemalloc.start()
-        try:
-            solve_profile_bps(2, n=n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_profile_bps(2, n=n))
         assert peak < 2 * workspace
 
     def test_rejects_bad_rank(self):
