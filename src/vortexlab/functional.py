@@ -14,8 +14,9 @@ directions and preconditioner inputs and outputs share that layout.
 Boundary entries are Dirichlet data; only interior entries are degrees of
 freedom.  The background enters through two node arrays of that layout,
 built once per problem: ``weight``, the coefficient of each exponential
-``exp(s_k)`` with ``s = 2 J w`` and ``J = [[1, 0], [a_mix, 1]]``, and
-``source``, the coefficient of each ``w_k``.  Each potential term is one
+``exp(s_k)`` with ``s = 2 J w`` and ``J = L = [[1, 0], [gamma, 1]]``, the
+Crout factor of the coupling matrix, and ``source``, the coefficient of
+each ``w_k``.  Each potential term is one
 expression over both species; only the edge terms, weighted by one
 ``c_grad`` per species, run on per-species slices.
 
@@ -169,10 +170,10 @@ class DiscreteFunctional:
     """Energy, gradient and Hessian-vector product of one problem on a grid.
 
     Derived from ``params`` once, at construction: the coefficients ``fc``,
-    the per-species ``c_grad`` of the edge terms, and the node arrays
-    ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]`` and
-    ``source = [c_psi1 * psi_1 - c_lin1, c_psi2 * psi_2 - 2]``, so that the
-    node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
+    the Crout coefficient ``gamma``, the per-species ``c_grad`` of the edge
+    terms, and the node arrays ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]``
+    and ``source = [2*c_grad1 * psi_1 - c_lin1, 2*c_grad2 * psi_2 - 2]``, so
+    that the node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
     Evaluation is then pure array arithmetic, deterministic in
     single-threaded mode.
 
@@ -193,14 +194,17 @@ class DiscreteFunctional:
     def __init__(self, params: ModelParams, grid: PlanarGrid, quadrant: bool = False):
         self.grid = grid
         self.quadrant = quadrant
-        fc = self.fc = functional_coefficients(coupling_matrix(params))
+        cd = coupling_matrix(params)
+        fc = self.fc = functional_coefficients(cd)
+        self.gamma = cd.gamma
         self.c_grad = (fc.c_grad1, fc.c_grad2)
         bg = background(params)
         r2 = _layout_radius_squared(grid, quadrant)
         self.weight = np.stack([fc.c_exp1 * bg.exp_two_u0_1(r2), bg.exp_two_u0_2(r2)])
-        self.source = np.stack(
-            [fc.c_psi1 * bg.psi_1(r2) - fc.c_lin1, fc.c_psi2 * bg.psi_2(r2) - 2.0]
-        )
+        self.source = np.stack([
+            2.0 * fc.c_grad1 * bg.psi_1(r2) - fc.c_lin1,
+            2.0 * fc.c_grad2 * bg.psi_2(r2) - 2.0,
+        ])
         if quadrant:
             for a in (self.weight, self.source):
                 a[:, 0, :] = a[:, :, 0] = 0.0
@@ -210,7 +214,7 @@ class DiscreteFunctional:
     def _exponents(self, w: np.ndarray) -> np.ndarray:
         """``s = 2 J w`` as a new ``(2, n, n)`` array, checked against the cap."""
         s = 2.0 * w
-        s[1] += self.fc.a_mix * s[0]
+        s[1] += self.gamma * s[0]
         self._check_cap(s)
         return s
 
@@ -263,7 +267,7 @@ class DiscreteFunctional:
         """
         s = self._exponents(w)
         ds = 2.0 * step
-        ds[1] += self.fc.a_mix * ds[0]
+        ds[1] += self.gamma * ds[0]
         self._check_cap(s + ds)
         e = self._weighted_exp(s)
         pot = float(np.vdot(e, np.expm1(ds, out=ds))) + float(np.vdot(self.source, step))
@@ -280,7 +284,7 @@ class DiscreteFunctional:
         The potential part is ``h^2 * (2 J^T (weight * exp(s)) + source)``.
         """
         pot = self._weighted_exp(self._exponents(w))
-        pot[0] += self.fc.a_mix * pot[1]
+        pot[0] += self.gamma * pot[1]
         pot *= 2.0
         pot += self.source
         pot *= self.grid.cell_area
@@ -298,7 +302,7 @@ class DiscreteFunctional:
         (conjugate-gradient inner iterations) cost only stencil arithmetic.
         Directions must carry zero boundary entries; outputs do.
         """
-        a = self.fc.a_mix
+        a = self.gamma
         s = self._exponents(w)
         c = 4.0 * self.grid.cell_area
         # One array per species: a stacked (2, m, m) product, or views into
@@ -359,7 +363,7 @@ class DiscreteFunctional:
             scale = 1.0
         lam = mu[:, None] + mu[None, :]
         d = np.sqrt([2.0 * fc.c_grad1, 2.0 * fc.c_grad2])
-        J = np.array([[1.0, 0.0], [fc.a_mix, 1.0]])
+        J = np.array([[1.0, 0.0], [self.gamma, 1.0]])
         curvature = 4.0 * self.grid.cell_area * (J.T @ np.diag([fc.c_exp1, 1.0]) @ J)
         *kappa, Q = _symmetric_eig_2x2(curvature / np.outer(d, d))
         inv = [(scale / (lam + k)).astype(np.float32) for k in kappa]

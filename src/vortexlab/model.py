@@ -150,20 +150,19 @@ class SpectralConstants:
 class FunctionalCoefficients:
     """Scalar coefficients of the convex action functional.
 
-    ``a_mix`` couples the first field into the second exponential, the
-    ``c_*`` constants weight the gradient, exponential, source, and linear
-    terms.  They satisfy the zero-slope identity
-    ``2*a_mix + 2*c_exp1 - c_lin1 == 0``: with zero background the
+    The ``c_*`` constants weight the gradient, exponential and linear
+    terms; each source term ``psi_k`` is weighted by ``2*c_grad_k``.  The
+    exponents are ``s = 2 L w`` with the Crout factor ``L`` of
+    :class:`CouplingData`, so ``gamma`` couples the first field into the
+    second exponential.  With it they satisfy the zero-slope identity
+    ``2*gamma + 2*c_exp1 - c_lin1 == 0``: with zero background the
     functional is stationary at the zero field.
     """
 
-    a_mix: float
     c_grad1: float
     c_grad2: float
     c_exp1: float
-    c_psi1: float
     c_lin1: float
-    c_psi2: float
 
 
 def coupling_matrix(params: ModelParams) -> CouplingData:
@@ -247,13 +246,10 @@ def functional_coefficients(cd: CouplingData) -> FunctionalCoefficients:
     alpha, beta = cd.alpha, cd.beta
     off = 2.0 * alpha - 1.0
     return FunctionalCoefficients(
-        a_mix=1.0 - 1.0 / (2.0 * alpha),
         c_grad1=off / (2.0 * alpha * beta),
         c_grad2=2.0 * alpha / (alpha + beta),
         c_exp1=off / (2.0 * beta),
-        c_psi1=off / (alpha * beta),
         c_lin1=off * (alpha + beta) / (alpha * beta),
-        c_psi2=4.0 * alpha / (alpha + beta),
     )
 
 
@@ -304,12 +300,14 @@ class BackgroundField:
     so planar callers never form square roots.  ``exp_two_u0_i`` is the
     rational power ``(r2 / (r2 + tau)) ** (2 * n_i)``, exactly zero at the
     origin for positive multiplicity; ``u0_i`` is its half-logarithm,
-    evaluated stably as ``-n_i * log1p(tau / r2)``.
+    evaluated stably as ``-n_i * log1p(tau / r2)``.  The sources are
+    ``psi_1 = phi_1`` and ``psi_2 = -gamma * phi_1 + phi_2``, with the Crout
+    coefficient ``gamma`` of :func:`coupling_matrix`.
     """
 
-    def __init__(self, params: ModelParams, alpha: float):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.alpha = alpha
+        self.gamma = coupling_matrix(params).gamma
 
     # -- raw fields ------------------------------------------------------
 
@@ -364,8 +362,7 @@ class BackgroundField:
         return self._phi(r2, self.params.n1)
 
     def psi_2(self, r2):
-        mix = 1.0 / (2.0 * self.alpha) - 1.0
-        return mix * self._phi(r2, self.params.n1) + self._phi(r2, self.params.n2)
+        return -self.gamma * self._phi(r2, self.params.n1) + self._phi(r2, self.params.n2)
 
     def phi_disc_integral(self, index: int, radius: float) -> float:
         """Closed-form integral of ``phi_index`` over a disc of the given radius."""
@@ -376,4 +373,4 @@ class BackgroundField:
 
 def background(params: ModelParams) -> BackgroundField:
     """Background field evaluators for a problem instance."""
-    return BackgroundField(params, coupling_matrix(params).alpha)
+    return BackgroundField(params)

@@ -171,10 +171,11 @@ class TestEnergy:
         # With unit exp(2*u0) and zero sources the node density reduces to a
         # strictly convex scalar with its minimum exactly at zero.
         _, _, fc = make_problem(N=3, n1=0, n2=0)
+        gamma = coupling_matrix(ModelParams(N=3)).gamma
 
         def density(c):
             return (
-                math.expm1(2.0 * (fc.a_mix + 1.0) * c)
+                math.expm1(2.0 * (gamma + 1.0) * c)
                 + fc.c_exp1 * math.expm1(2.0 * c)
                 - fc.c_lin1 * c
                 - 2.0 * c
@@ -215,10 +216,14 @@ class TestGradient:
         bg = background(ModelParams(N=2, n1=1, n2=1))
         r2 = grid.radius_squared()
         e2u01, e2u02 = bg.exp_two_u0_1(r2), bg.exp_two_u0_2(r2)
+        gamma = coupling_matrix(ModelParams(N=2, n1=1, n2=1)).gamma
         expected1 = h2 * (
-            2.0 * fc.a_mix * e2u02 + 2.0 * fc.c_exp1 * e2u01 + fc.c_psi1 * bg.psi_1(r2) - fc.c_lin1
+            2.0 * gamma * e2u02
+            + 2.0 * fc.c_exp1 * e2u01
+            + 2.0 * fc.c_grad1 * bg.psi_1(r2)
+            - fc.c_lin1
         )
-        expected2 = h2 * (2.0 * e2u02 + fc.c_psi2 * bg.psi_2(r2) - 2.0)
+        expected2 = h2 * (2.0 * e2u02 + 2.0 * fc.c_grad2 * bg.psi_2(r2) - 2.0)
         np.testing.assert_allclose(g[0, 1:-1, 1:-1], expected1[1:-1, 1:-1], rtol=1e-13)
         np.testing.assert_allclose(g[1, 1:-1, 1:-1], expected2[1:-1, 1:-1], rtol=1e-13)
 
@@ -298,7 +303,7 @@ def per_mode_inverse_reference(func):
     DST-I mode ``lam = mu_j + mu_k``, inverted between float64 transforms.
     """
     fc = func.fc
-    a = fc.a_mix
+    a = func.gamma
     m = func.grid.points_per_side - 2
     S = _sine_matrix(m)
     mu = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
@@ -414,12 +419,14 @@ class PerSpeciesReference:
 
     These are the formulas the stacked ``weight``/``source`` arrays replaced:
     each exponential and each source term is spelled out per species, with
-    ``s1 = 2*w1`` and ``s2 = 2*(a_mix*w1 + w2)``.  They are kept as the
+    ``s1 = 2*w1`` and ``s2 = 2*(gamma*w1 + w2)``.  They are kept as the
     reference the stacked expressions must reproduce to rounding.
     """
 
     def __init__(self, params, grid):
-        self.fc = functional_coefficients(coupling_matrix(params))
+        cd = coupling_matrix(params)
+        self.fc = functional_coefficients(cd)
+        self.gamma = cd.gamma
         self.c_grad = (self.fc.c_grad1, self.fc.c_grad2)
         self.h2 = grid.cell_area
         bg = background(params)
@@ -430,7 +437,7 @@ class PerSpeciesReference:
         self.psi2 = bg.psi_2(r2)
 
     def exponents(self, w):
-        return 2.0 * w[0], 2.0 * (self.fc.a_mix * w[0] + w[1])
+        return 2.0 * w[0], 2.0 * (self.gamma * w[0] + w[1])
 
     def edge_energy(self, w):
         return sum(
@@ -461,8 +468,8 @@ class PerSpeciesReference:
         pot = (
             self.e2u02 * np.expm1(s2)
             + fc.c_exp1 * self.e2u01 * np.expm1(s1)
-            + (fc.c_psi1 * self.psi1 - fc.c_lin1) * w[0]
-            + (fc.c_psi2 * self.psi2 - 2.0) * w[1]
+            + (2.0 * fc.c_grad1 * self.psi1 - fc.c_lin1) * w[0]
+            + (2.0 * fc.c_grad2 * self.psi2 - 2.0) * w[1]
         )
         return self.edge_energy(w) + self.h2 * float(np.sum(pot))
 
@@ -473,8 +480,8 @@ class PerSpeciesReference:
         pot = (
             self.e2u02 * np.exp(s2) * np.expm1(ds2)
             + fc.c_exp1 * self.e2u01 * np.exp(s1) * np.expm1(ds1)
-            + (fc.c_psi1 * self.psi1 - fc.c_lin1) * step[0]
-            + (fc.c_psi2 * self.psi2 - 2.0) * step[1]
+            + (2.0 * fc.c_grad1 * self.psi1 - fc.c_lin1) * step[0]
+            + (2.0 * fc.c_grad2 * self.psi2 - 2.0) * step[1]
         )
         return self.edge_energy_change(w, step) + self.h2 * float(np.sum(pot))
 
@@ -483,12 +490,12 @@ class PerSpeciesReference:
         s1, s2 = self.exponents(w)
         exp1, exp2 = np.exp(s1), np.exp(s2)
         pot1 = (
-            2.0 * fc.a_mix * self.e2u02 * exp2
+            2.0 * self.gamma * self.e2u02 * exp2
             + 2.0 * fc.c_exp1 * self.e2u01 * exp1
-            + fc.c_psi1 * self.psi1
+            + 2.0 * fc.c_grad1 * self.psi1
             - fc.c_lin1
         )
-        pot2 = 2.0 * self.e2u02 * exp2 + fc.c_psi2 * self.psi2 - 2.0
+        pot2 = 2.0 * self.e2u02 * exp2 + 2.0 * fc.c_grad2 * self.psi2 - 2.0
         g = self.stiffness(w)
         g[0, 1:-1, 1:-1] += self.h2 * pot1[1:-1, 1:-1]
         g[1, 1:-1, 1:-1] += self.h2 * pot2[1:-1, 1:-1]
@@ -496,7 +503,7 @@ class PerSpeciesReference:
 
     def hessian_apply(self, w, d):
         fc = self.fc
-        a = fc.a_mix
+        a = self.gamma
         s1, s2 = self.exponents(w)
         T = (4.0 * self.h2 * fc.c_exp1) * (self.e2u01 * np.exp(s1))[1:-1, 1:-1]
         S = (4.0 * self.h2) * (self.e2u02 * np.exp(s2))[1:-1, 1:-1]

@@ -171,15 +171,17 @@ class TestSpectralConstants:
 class TestFunctionalCoefficients:
     @pytest.mark.parametrize("N", RANKS)
     def test_zero_slope_identity(self, N):
-        fc = functional_coefficients(coupling_matrix(make(N)))
+        cd = coupling_matrix(make(N))
+        fc = functional_coefficients(cd)
         # First-variation terms cancel at the zero field with zero background.
-        assert abs(2.0 * fc.a_mix + 2.0 * fc.c_exp1 - fc.c_lin1) < 1e-12
+        assert abs(2.0 * cd.gamma + 2.0 * fc.c_exp1 - fc.c_lin1) < 1e-12
         assert abs(2.0 - 2.0) == 0.0
 
     def test_positive_weights(self):
-        fc = functional_coefficients(coupling_matrix(make(5)))
+        cd = coupling_matrix(make(5))
+        fc = functional_coefficients(cd)
         assert fc.c_grad1 > 0 and fc.c_grad2 > 0 and fc.c_exp1 > 0
-        assert 0 < fc.a_mix < 1
+        assert 0 < cd.gamma < 1
 
 
 class TestFluxTargets:
