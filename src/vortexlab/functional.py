@@ -129,11 +129,20 @@ def symmetries(a: np.ndarray) -> tuple[bool, bool]:
     return mirrors, np.array_equal(a, np.swapaxes(a, -1, -2))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` over all entries, by a reduction that does not call BLAS.
+
+    OpenBLAS splits a long ``ddot`` across its threads, which changes the
+    summation order; this sum has the same bits at every thread count.
+    """
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def _edge_energy(w: np.ndarray) -> float:
     # Forward-difference edges; h cancels: (d/h)^2 * h^2 = d^2.
     dx = w[1:, :] - w[:-1, :]
     dy = w[:, 1:] - w[:, :-1]
-    return float(np.sum(dx * dx) + np.sum(dy * dy))
+    return _dot(dx, dx) + _dot(dy, dy)
 
 
 def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
@@ -144,7 +153,7 @@ def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
         dd = np.diff(step, axis=axis)
         dw *= 2.0
         dw += dd
-        total += float(np.vdot(dd, dw))
+        total += _dot(dd, dw)
     return total
 
 
@@ -174,8 +183,8 @@ class DiscreteFunctional:
     terms, and the node arrays ``weight = [c_exp1 * exp(2*u0_1), exp(2*u0_2)]``
     and ``source = [2*c_grad1 * psi_1 - c_lin1, 2*c_grad2 * psi_2 - 2]``, so
     that the node potential is ``sum_k weight_k * expm1(s_k) + source_k * w_k``.
-    Evaluation is then pure array arithmetic, deterministic in
-    single-threaded mode.
+    Evaluation is then pure array arithmetic, and every sum is taken by
+    :func:`_dot`, so results do not depend on the BLAS thread count.
 
     Fields use the full ``(2, n, n)`` layout unless ``quadrant`` is true
     (even ``n``, a problem unchanged by ``x -> -x`` and ``y -> -y``): the
@@ -251,7 +260,7 @@ class DiscreteFunctional:
     def energy(self, w: np.ndarray) -> float:
         """Value of the discrete action functional."""
         s = self._exponents(w)
-        pot = float(np.vdot(self.weight, np.expm1(s, out=s))) + float(np.vdot(self.source, w))
+        pot = _dot(self.weight, np.expm1(s, out=s)) + _dot(self.source, w)
         o = int(self.quadrant)  # the quadrant's edge sums skip its mirror
         grad = sum(c * _edge_energy(wk[o:, o:]) for c, wk in zip(self.c_grad, w))
         return grad + self.grid.cell_area * pot
@@ -270,7 +279,7 @@ class DiscreteFunctional:
         ds[1] += self.gamma * ds[0]
         self._check_cap(s + ds)
         e = self._weighted_exp(s)
-        pot = float(np.vdot(e, np.expm1(ds, out=ds))) + float(np.vdot(self.source, step))
+        pot = _dot(e, np.expm1(ds, out=ds)) + _dot(self.source, step)
         o = int(self.quadrant)
         grad = sum(
             c * _edge_energy_change(wk[o:, o:], dk[o:, o:])

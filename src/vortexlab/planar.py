@@ -76,7 +76,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldOverflowError, NonConvergenceError, check_solver_options
-from .functional import DiscreteFunctional, PlanarGrid, _layout_radius_squared, symmetries
+from .functional import DiscreteFunctional, PlanarGrid, _dot, _layout_radius_squared, symmetries
 from .model import ModelParams, background, coupling_matrix
 from .radial import RadialSolution
 
@@ -312,7 +312,7 @@ def _newton_step(func, precond, w, g, eta, diagonal):
     # Backtracking line search on the energy change (Armijo).  A trial that
     # overflows the exponent cap is rejected like any other.  Halving is
     # exact, so after k halvings ``d`` holds ``t * d`` for ``t = 2**-k``.
-    slope = float(np.vdot(g, d))
+    slope = _dot(g, d)
     t = 1.0
     while True:
         try:
@@ -345,7 +345,7 @@ def _newton_direction(func, precond, w, g, eta):
     d = np.zeros_like(w)
     p = np.zeros_like(w)
     r = -g
-    rr = float(np.vdot(r, r))
+    rr = _dot(r, r)
     target = eta * math.sqrt(rr)
     rz_old = math.inf  # first pass: beta = 0, so p = z
     cg_iters = 0
@@ -353,13 +353,13 @@ def _newton_direction(func, precond, w, g, eta):
         if cg_iters >= CG_MAX_ITER:
             raise NonConvergenceError("conjugate gradient exceeded its iteration cap")
         z = precond(r)
-        rz = float(np.vdot(r, z))
+        rz = _dot(r, z)
         p *= rz / rz_old
         p += z
         del z  # release before the Hessian apply allocates its result
         rz_old = rz
         hp = hess(p)
-        php = float(np.vdot(p, hp))
+        php = _dot(p, hp)
         if php <= 0.0:  # cannot happen for a strictly convex energy
             raise NonConvergenceError("nonpositive curvature encountered in CG")
         alpha = rz / php
@@ -367,7 +367,7 @@ def _newton_direction(func, precond, w, g, eta):
         r -= hp
         del hp  # release before alpha * p, and before the next preconditioner apply
         d += alpha * p
-        rr = float(np.vdot(r, r))
+        rr = _dot(r, r)
         cg_iters += 1
     return d, cg_iters
 

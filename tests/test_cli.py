@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -228,6 +229,25 @@ class TestSolveProfile:
 
 
 class TestSolvePlanar:
+    #: sha256 of small ``solve-planar`` CSVs, the same at one and two BLAS
+    #: threads: an even grid (quadrant solve, octant writer), an odd grid
+    #: (full-grid solve, triangle writer), and a case with ``n1 != n2``.
+    CSV_SHA256 = {
+        ("--N", "2", "--grid", "64"):
+            "850a42723396b3eba33b1cce7c0f4b392813d757efc40eb6d4fa8be4f3813a41",
+        ("--N", "2", "--grid", "65"):
+            "1cf44cd820001fcbcb05c2098347ba33a61845cca59839864ad555492748828e",
+        ("--N", "3", "--n2", "2", "--grid", "64"):
+            "0e3ecdb04c5b59fa12efafc1de78aeebfcd1c4b8252b339d28de768ed044b76e",
+    }
+
+    @pytest.mark.parametrize("args", sorted(CSV_SHA256), ids=" ".join)
+    def test_csv_sha256(self, tmp_path, capsys, args):
+        out = tmp_path / "planar.csv"
+        code, *_ = run(capsys, "solve-planar", *args, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_SHA256[args]
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "planar.csv"
         code, *_ = run(

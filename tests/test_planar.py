@@ -1,10 +1,17 @@
 """Planar Newton-CG solver: convergence, symmetry, uniqueness, slices."""
 
 import dataclasses
+import hashlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexlab
 from vortexlab import cli, functional, planar
 from vortexlab.cli import main, parse_report
 from vortexlab.errors import FieldOverflowError, NonConvergenceError
@@ -432,6 +439,54 @@ class TestSwapSymmetry:
         sol = solve_planar(params, grid)
         assert all(swapped[alt.iterations + 1 :])
         assert uniqueness_check(sol, alt)["sup_difference"] < 1e-6
+
+
+class TestBlasThreadCount:
+    """Planar outputs have the same bytes at every BLAS thread count.
+
+    OpenBLAS splits a ``ddot`` of more than 10000 entries across its
+    threads, which changes the summation order.  So the planar path takes
+    its inner products by a reduction that does not call BLAS.  The grids
+    below are above that size: 97^2 is a full-grid solve, 160^2 a quadrant
+    one, and both wrote different bytes at one and two threads when the CG
+    and the energy called ``ddot``.
+    """
+
+    #: Solves both grids in one process; ``argv[1]`` prefixes the CSV paths.
+    CHILD = (
+        "import sys\n"
+        "from vortexlab.cli import main\n"
+        "for grid in ('97', '160'):\n"
+        "    out = sys.argv[1] + '-' + grid + '.csv'\n"
+        "    assert main(['solve-planar', '--N', '2', '--grid', grid, '--out', out]) == 0\n"
+    )
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs: on one, OpenBLAS runs one thread whatever it is asked for",
+    )
+    def test_csv_bytes_are_the_same_at_one_and_two_threads(self, tmp_path):
+        src = str(Path(vortexlab.__file__).resolve().parents[1])
+        digests = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            prefix = str(tmp_path / threads)
+            subprocess.run(
+                [sys.executable, "-c", self.CHILD, prefix], env=env, check=True, capture_output=True
+            )
+            digests[threads] = [
+                hashlib.sha256(Path(f"{prefix}-{grid}.csv").read_bytes()).hexdigest()
+                for grid in ("97", "160")
+            ]
+        assert digests["1"] == digests["2"]
+
+    @pytest.mark.parametrize("module", [functional, planar], ids=lambda m: m.__name__)
+    def test_planar_path_calls_no_blas_inner_product(self, module):
+        # Holds on a one-CPU host too, where the subprocess test skips.
+        source = inspect.getsource(module)
+        for name in ("np.vdot", "np.dot", "np.inner", "tensordot"):
+            assert name not in source, f"{module.__name__} calls {name}"
 
 
 class TestStoredFields:
