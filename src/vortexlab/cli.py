@@ -16,11 +16,10 @@ codes: 0 success, 1 solver non-convergence, 2 invalid parameters or
 input, 3 I/O failure.
 
 Output files carry a single ``#``-prefixed metadata line (key=value
-pairs) and are byte-identical across runs for a fixed configuration.  For
-planar CSVs that includes the BLAS thread count: on a 2-core host the
-512² ``solve-planar --N 2`` CSV has sha256 ``56a3cbd0…`` with OpenBLAS's
-default threads and ``6cfb2883…`` with ``OPENBLAS_NUM_THREADS=1``.
-Radial and profile CSVs and reports are the same at one and two threads.
+pairs) and are byte-identical across runs for a fixed configuration.
+Planar CSVs, like radial and profile CSVs and reports, are the same at one
+and two BLAS threads, measured on a 2-core host: the 512²
+``solve-planar --N 2`` CSV has sha256 ``b229195f…`` at both.
 CSV reals are printed to 17 significant digits.  A planar CSV has each
 node formatted once per orbit of the symmetries its fields have bitwise:
 the mirrors of both axes and the swap of ``x`` and ``y``, all of which an
@@ -43,7 +42,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import warnings
@@ -365,9 +363,8 @@ def _cmd_solve_planar(args):
     check_solver_options(args.tol, args.max_iter)
     grid = PlanarGrid(half_width=args.box, points_per_side=args.grid)
     params = _params_from_args(args)
-    # Start from the radial solution on a mesh that reaches the box corner.
-    r_max = max(30.0, math.sqrt(2.0) * grid.half_width)
-    radial = solve_radial_P(params, radial_mesh(r_max=r_max))
+    # Start from the radial solution on the default mesh, as report --planar does by default.
+    radial = solve_radial_P(params, radial_mesh())
     sol = solve_planar(params, grid, tol=args.tol, max_iter=args.max_iter, initial=radial)
     meta = {
         **dataclasses.asdict(sol.params),

@@ -415,7 +415,7 @@ class TestSwapSymmetry:
         grid = PlanarGrid(half_width=15.0, points_per_side=n)
         initial = None
         if kind == "radial":  # the mesh of solve-planar's radial start
-            initial = solve_radial_P(params, radial_mesh(r_max=max(30.0, 15.0 * np.sqrt(2.0))))
+            initial = solve_radial_P(params, radial_mesh())
         sol = solve_planar(params, grid, initial=initial)
         for a in (sol.w, sol.u):
             np.testing.assert_array_equal(a, a.transpose(0, 2, 1))
