@@ -15,10 +15,10 @@ Boundary entries are Dirichlet data; only interior entries are degrees of
 freedom.  The background enters through two node arrays of that layout,
 built once per problem: ``weight``, the coefficient of each exponential
 ``exp(s_k)`` with ``s = 2 J w`` and ``J = L = [[1, 0], [gamma, 1]]``, the
-Crout factor of the coupling matrix, and ``source``, the coefficient of
-each ``w_k``.  Each potential term is one
-expression over both species; only the edge terms, weighted by one
-``c_grad`` per species, run on per-species slices.
+coupling matrix's Crout factor, and ``source``, the coefficient of each
+``w_k``.  Each potential term is one expression over both species; only
+the edge terms, weighted by one ``c_grad`` per species, run on
+per-species slices.
 
 Exponential-minus-one terms are evaluated with ``expm1`` so small fields
 do not lose precision, and an exponent cap (``EXP_CAP``) rejects fields
@@ -130,19 +130,13 @@ def symmetries(a: np.ndarray) -> tuple[bool, bool]:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of ``a * b`` over all entries, by a reduction that does not call BLAS.
-
-    OpenBLAS splits a long ``ddot`` across its threads, which changes the
-    summation order; this sum has the same bits at every thread count.
-    """
+    """Sum of ``a * b``, not by BLAS, whose threads would change the summation order."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _edge_energy(w: np.ndarray) -> float:
     # Forward-difference edges; h cancels: (d/h)^2 * h^2 = d^2.
-    dx = w[1:, :] - w[:-1, :]
-    dy = w[:, 1:] - w[:, :-1]
-    return _dot(dx, dx) + _dot(dy, dy)
+    return sum(_dot(d, d) for d in (np.diff(w, axis=0), np.diff(w, axis=1)))
 
 
 def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:

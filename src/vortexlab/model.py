@@ -151,12 +151,10 @@ class FunctionalCoefficients:
     """Scalar coefficients of the convex action functional.
 
     The ``c_*`` constants weight the gradient, exponential and linear
-    terms; each source term ``psi_k`` is weighted by ``2*c_grad_k``.  The
-    exponents are ``s = 2 L w`` with the Crout factor ``L`` of
-    :class:`CouplingData`, so ``gamma`` couples the first field into the
-    second exponential.  With it they satisfy the zero-slope identity
-    ``2*gamma + 2*c_exp1 - c_lin1 == 0``: with zero background the
-    functional is stationary at the zero field.
+    terms, and ``2*c_grad_k`` weights the source ``psi_k``.  With the Crout
+    coefficient ``gamma`` of the exponents ``s = 2 L w`` they satisfy the
+    zero-slope identity ``2*gamma + 2*c_exp1 - c_lin1 == 0``: with zero
+    background the functional is stationary at the zero field.
     """
 
     c_grad1: float
@@ -300,9 +298,7 @@ class BackgroundField:
     so planar callers never form square roots.  ``exp_two_u0_i`` is the
     rational power ``(r2 / (r2 + tau)) ** (2 * n_i)``, exactly zero at the
     origin for positive multiplicity; ``u0_i`` is its half-logarithm,
-    evaluated stably as ``-n_i * log1p(tau / r2)``.  The sources are
-    ``psi_1 = phi_1`` and ``psi_2 = -gamma * phi_1 + phi_2``, with the Crout
-    coefficient ``gamma`` of :func:`coupling_matrix`.
+    evaluated stably as ``-n_i * log1p(tau / r2)``.  ``psi_2`` reads ``gamma = L[1, 0]``.
     """
 
     def __init__(self, params: ModelParams):

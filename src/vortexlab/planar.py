@@ -170,8 +170,7 @@ def _interpolate(radial: RadialSolution, r2: np.ndarray) -> np.ndarray:
     """``w`` of the radial solution at the nodes of squared radius ``r2``.
 
     Each ``P_k`` is ``radial.P[k]`` interpolated at ``|x|``; ``w`` inverts :func:`_smooth_parts`.
-    Beyond the last radial node, ``np.interp`` holds its ``P``: a node outside
-    the radial mesh gets the values at ``r_max``.
+    Beyond the last radial node, ``np.interp`` holds its ``P`` (the values at ``r_max``).
     """
     r = np.sqrt(r2)
     w = np.stack([np.interp(r, radial.mesh.r, P) for P in radial.P])
