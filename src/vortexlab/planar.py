@@ -2,8 +2,11 @@
 
 Minimizes the discrete convex functional on the box grid.  Each outer step
 solves the Newton system ``H d = -g`` approximately by conjugate gradients
-(the Hessian is symmetric positive definite by strict convexity) with an
-Eisenstat-Walker style forcing term, then backtracks on the energy.
+(the Hessian is symmetric positive definite by strict convexity) with a
+forcing term proportional to the residual, which makes Newton converge
+quadratically (Dembo, Eisenstat & Steihaug 1982), then backtracks on the
+energy.  A safeguard (Kelley 1995, section 6.3) keeps the last step from
+solving further than its linearized next residual of half the tolerance.
 
 The CG is preconditioned with the inverse of the Hessian's far-field
 operator (curvature frozen at ``exp(2*u0) = 1``, ``w = 0``), applied by
@@ -20,18 +23,20 @@ rounding of the total energy.  A trial step that overflows the exponent
 cap is rejected and halved like any other.  Strict convexity makes the
 minimizer unique.  With the default cap of 60 Newton steps the iteration
 was measured to converge from the zero start and from random starts of
-amplitude up to 10 (rank 2, 64^2 and 128^2 grids, at most 40 steps); random
-starts of amplitude 20 reach the cap.  A random start of amplitude ``A``
+amplitude up to 10 (ranks 2 and 3, 64^2 and 128^2 grids, seeds 0 and 1:
+6-7 steps at amplitude 0.5, 19-21 at 5, 34-37 at 10); random starts of
+amplitude 20 reach the cap.  A random start of amplitude ``A``
 draws every interior node value of ``w1`` and ``w2`` independently and
 uniformly from ``[-A, A)``.  The iteration also converges from a
 radial solution interpolated onto the grid (``initial=radial_sol``),
 which for coincident vortices is the minimizer up to discretization
-error: at tol 1e-8 the Newton/CG counts fall from 7/16 to 3/9 (rank 2,
-``n = (1, 1)``, 512^2) and from 8/22 to 4/15 (rank 3, ``n = (1, 2)``,
+error: at tol 1e-8 the Newton/CG counts fall from 5/11 to 2/7 (rank 2,
+``n = (1, 1)``, 512^2) and from 6/17 to 3/10 (rank 3, ``n = (1, 2)``,
 384^2).  Over 324 cases (ranks 2, 3 and 5; ``n`` in (1, 1), (1, 2),
 (3, 1), (0, 0.5); tau in 0.2, 1, 5; L in 6, 15, 25; 32^2, 48^2 and 65^2
-grids) it took 1571 Newton steps against the zero start's 2378; in 15
-cases, all with tau = 0.2 and spacing >= 0.78, it took one or two more.
+grids) it took 1149 Newton steps and 3683 CG iterations against the zero
+start's 1798 and 4948; in 15 cases, all with tau = 0.2 and spacing
+>= 0.78, it took one or two more Newton steps.
 
 Coincident vortices make the problem D4-symmetric: ``u0``, the weights
 and the sources depend only on ``|x|^2``, so the functional is invariant
@@ -86,12 +91,13 @@ __all__ = [
     "extract_radial_slice",
 ]
 
-#: CG iterations allowed in one Newton step: 25 times the largest count
-#: measured in one step (8, over the zero start and uniform random starts of
-#: amplitude 0.5 and 10, ranks 2 and 3, on 64^2 and 128^2 grids).  The
-#: preconditioned count does not grow with the grid (at most 11 per step in
-#: any solve measured, up to 1024^2), so reaching the cap means CG has broken
-#: down, and it is reported after 200 applies rather than 20000.
+#: CG iterations allowed in one Newton step: about 13 times the largest count
+#: measured in one step (15, over the zero and radial starts from 64^2 to
+#: 1024^2 and uniform random starts of amplitude 0.5 to 20 on 64^2 and 128^2
+#: grids, ranks 2 and 3).  The preconditioned count does not grow with the
+#: grid (at most 7 per step from the zero and radial starts, up to 1024^2),
+#: so reaching the cap means CG has broken down, and it is reported after
+#: 200 applies rather than 20000.
 CG_MAX_ITER = 200
 
 
@@ -199,7 +205,9 @@ def solve_planar(
 
     Each Newton system is solved by CG preconditioned with the far-field
     fast-Poisson operator, to ``||r||_2 <= eta * ||g||_2`` with
-    ``eta = min(0.5, sqrt(residual))``; ``CG_MAX_ITER`` caps the CG
+    ``eta = min(0.3, max(residual, 0.5 * tol / residual))`` on the sup-norm
+    residual: proportional to it, and no tighter than what brings the
+    linearized next residual to ``tol / 2``.  ``CG_MAX_ITER`` caps the CG
     iterations of one Newton step.  Steps are backtracked on the energy
     change (Armijo); trial steps beyond ``functional.EXP_CAP`` count as
     rejected.  ``energy_history`` accumulates the start energy and the
@@ -278,9 +286,11 @@ def _minimize(func, w, tol, max_iter, diagonal):
         if iteration == max_iter:
             break
 
-        # Inexact Newton: the CG forcing tolerance tightens as the outer
-        # residual shrinks.
-        eta = min(0.5, math.sqrt(gnorm))
+        # Inexact Newton: the forcing term is proportional to the residual
+        # (quadratic convergence), but no tighter than what brings the
+        # linearized next residual to tol / 2, so the last step is not
+        # oversolved.
+        eta = min(0.3, max(gnorm, 0.5 * tol / gnorm))
         try:
             change, cg_iters = _newton_step(func, precond, w, g, eta, diagonal)
         except NonConvergenceError as exc:

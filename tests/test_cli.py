@@ -234,11 +234,11 @@ class TestSolvePlanar:
     #: (full-grid solve, triangle writer), and a case with ``n1 != n2``.
     CSV_SHA256 = {
         ("--N", "2", "--grid", "64"):
-            "850a42723396b3eba33b1cce7c0f4b392813d757efc40eb6d4fa8be4f3813a41",
+            "9e9d0fd3f64de12ce86b3d8e0d334db254b9e374c6f1644fbe20a883450dd495",
         ("--N", "2", "--grid", "65"):
-            "1cf44cd820001fcbcb05c2098347ba33a61845cca59839864ad555492748828e",
+            "2eda5506040060e85f3633ce52ecac04211285fe9625d04c9000ed12f0567cc3",
         ("--N", "3", "--n2", "2", "--grid", "64"):
-            "0e3ecdb04c5b59fa12efafc1de78aeebfcd1c4b8252b339d28de768ed044b76e",
+            "6a1169ad9b750ef071f2c1b4aa72050771c88b3c907f4d185719d1dbf873e3be",
     }
 
     @pytest.mark.parametrize("args", sorted(CSV_SHA256), ids=" ".join)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vortexlab.functional import DiscreteFunctional, PlanarGrid
 from vortexlab.model import (
     ModelParams,
     background,
@@ -175,7 +176,11 @@ class TestFunctionalCoefficients:
         fc = functional_coefficients(cd)
         # First-variation terms cancel at the zero field with zero background.
         assert abs(2.0 * cd.gamma + 2.0 * fc.c_exp1 - fc.c_lin1) < 1e-12
-        assert abs(2.0 - 2.0) == 0.0
+        # Species 2's terms cancel exactly: its vacuum gradient at zero is zero.
+        params = ModelParams(N, n1=0, n2=0, theorem_mode=False)
+        grid = PlanarGrid(half_width=15.0, points_per_side=17)
+        g = DiscreteFunctional(params, grid).gradient(np.zeros((2, 17, 17)))
+        assert not np.any(g[1])
 
     def test_positive_weights(self):
         cd = coupling_matrix(make(5))

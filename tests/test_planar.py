@@ -165,19 +165,39 @@ class TestSolve:
         sol = solve_planar(params, grid, tol=1e-8)
         assert sol.cg_iterations <= 5 * sol.iterations
 
-    @pytest.mark.parametrize(
-        "N, n_pair, n, newton, cg",
-        [
-            (2, (1, 1), 64, 6, 12),
-            (2, (1, 1), 256, 7, 16),
-            (3, (1, 2), 64, 8, 21),
-            (3, (1, 2), 256, 8, 22),
-        ],
-    )
-    def test_counts_match_the_float64_preconditioner(self, N, n_pair, n, newton, cg):
-        # Newton and CG counts from the zero start with float64 transforms in
-        # the preconditioner; float32 transforms must leave them within one.
-        params = make(N=N, n1=n_pair[0], n2=n_pair[1])
+    def test_forcing_is_proportional_to_the_residual(self, monkeypatch):
+        # eta = min(0.3, max(r, 0.5 * tol / r)) on the sup-norm residual r of
+        # each step; the safeguard sets the last step's eta, so CG stops
+        # once the linearized next residual is about half the tolerance.
+        tol = 1e-8
+        steps = []
+        newton_step = planar._newton_step
+
+        def spy(func, precond, w, g, eta, diagonal):
+            steps.append((float(np.max(np.abs(g))) / func.grid.cell_area, eta))
+            return newton_step(func, precond, w, g, eta, diagonal)
+
+        monkeypatch.setattr(planar, "_newton_step", spy)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        sol = solve_planar(make(N=3, n2=2), grid, tol=tol)
+        assert len(steps) == sol.iterations
+        for r, eta in steps:
+            assert eta == min(0.3, max(r, 0.5 * tol / r))
+        r, eta = steps[-1]
+        assert eta == 0.5 * tol / r < 0.3
+
+    #: Newton and CG counts from the zero start with float64 transforms in
+    #: the preconditioner, keyed by ``(N, n1, n2, n)``.
+    FLOAT64_COUNTS = {
+        (2, 1, 1, 64): (5, 11), (2, 1, 1, 256): (5, 11),
+        (3, 1, 2, 64): (5, 16), (3, 1, 2, 256): (6, 17),
+    }
+
+    @pytest.mark.parametrize("N, n1, n2, n", sorted(FLOAT64_COUNTS))
+    def test_counts_match_the_float64_preconditioner(self, N, n1, n2, n):
+        # Float32 transforms must leave the counts within one of float64's.
+        newton, cg = self.FLOAT64_COUNTS[N, n1, n2, n]
+        params = make(N=N, n1=n1, n2=n2)
         sol = solve_planar(params, PlanarGrid(half_width=15.0, points_per_side=n), tol=1e-8)
         assert abs(sol.iterations - newton) <= 1
         assert abs(sol.cg_iterations - cg) <= 1
@@ -399,14 +419,14 @@ class TestSwapSymmetry:
 
     COUNTS = {
         # (N, n1, n2, n, start): (Newton, CG)
-        (2, 1, 1, 32, "zero"): (5, 11), (2, 1, 1, 32, "radial"): (5, 9),
-        (2, 1, 1, 33, "zero"): (5, 10), (2, 1, 1, 33, "radial"): (3, 9),
-        (2, 1, 1, 64, "zero"): (6, 12), (2, 1, 1, 64, "radial"): (4, 9),
-        (2, 1, 1, 65, "zero"): (6, 12), (2, 1, 1, 65, "radial"): (4, 9),
-        (3, 1, 2, 32, "zero"): (7, 18), (3, 1, 2, 32, "radial"): (5, 17),
-        (3, 1, 2, 33, "zero"): (7, 18), (3, 1, 2, 33, "radial"): (5, 19),
-        (3, 1, 2, 64, "zero"): (8, 21), (3, 1, 2, 64, "radial"): (5, 17),
-        (3, 1, 2, 65, "zero"): (7, 16), (3, 1, 2, 65, "radial"): (5, 17),
+        (2, 1, 1, 32, "zero"): (4, 10), (2, 1, 1, 32, "radial"): (3, 8),
+        (2, 1, 1, 33, "zero"): (4, 10), (2, 1, 1, 33, "radial"): (3, 8),
+        (2, 1, 1, 64, "zero"): (5, 11), (2, 1, 1, 64, "radial"): (3, 9),
+        (2, 1, 1, 65, "zero"): (5, 11), (2, 1, 1, 65, "radial"): (3, 9),
+        (3, 1, 2, 32, "zero"): (5, 16), (3, 1, 2, 32, "radial"): (4, 14),
+        (3, 1, 2, 33, "zero"): (5, 16), (3, 1, 2, 33, "radial"): (4, 13),
+        (3, 1, 2, 64, "zero"): (5, 16), (3, 1, 2, 64, "radial"): (4, 13),
+        (3, 1, 2, 65, "zero"): (5, 16), (3, 1, 2, 65, "radial"): (4, 13),
     }
 
     @pytest.mark.parametrize("N, n1, n2, n, kind", sorted(COUNTS))
