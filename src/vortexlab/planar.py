@@ -5,8 +5,8 @@ solves the Newton system ``H d = -g`` approximately by conjugate gradients
 (the Hessian is symmetric positive definite by strict convexity) with a
 forcing term proportional to the residual, which makes Newton converge
 quadratically (Dembo, Eisenstat & Steihaug 1982), then backtracks on the
-energy.  A safeguard (Kelley 1995, section 6.3) keeps the last step from
-solving further than its linearized next residual of half the tolerance.
+energy.  A safeguard (Kelley 1995, section 6.3) stops the last step's CG
+once its linearized next residual is about half the tolerance.
 
 The CG is preconditioned with the inverse of the Hessian's far-field
 operator (curvature frozen at ``exp(2*u0) = 1``, ``w = 0``), applied by
