@@ -18,8 +18,8 @@ input, 3 I/O failure.
 Output files carry a single ``#``-prefixed metadata line (key=value
 pairs) and are byte-identical across runs for a fixed configuration.
 Planar CSVs, like radial and profile CSVs and reports, are the same at one
-and two BLAS threads, measured on a 2-core host: the 512²
-``solve-planar --N 2`` CSV has sha256 ``b229195f…`` at both.
+and two BLAS threads (``tests/test_planar.py::TestBlasThreadCount``;
+``tests/test_cli.py::TestSolvePlanar::test_csv_sha256`` pins small ones).
 CSV reals are printed to 17 significant digits.  A planar CSV has each
 node formatted once per orbit of the symmetries its fields have bitwise:
 the mirrors of both axes and the swap of ``x`` and ``y``, all of which an

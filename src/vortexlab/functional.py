@@ -134,12 +134,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _edge_energy(w: np.ndarray) -> float:
-    # Forward-difference edges; h cancels: (d/h)^2 * h^2 = d^2.
-    return sum(_dot(d, d) for d in (np.diff(w, axis=0), np.diff(w, axis=1)))
-
-
 def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
+    # Forward-difference edges; h cancels: (d/h)^2 * h^2 = d^2.
     # (dw + dd)^2 - dw^2 = dd * (2*dw + dd) per edge, with no cancellation.
     total = 0.0
     for axis in (0, 1):
@@ -252,12 +248,8 @@ class DiscreteFunctional:
     # -- operations --------------------------------------------------------
 
     def energy(self, w: np.ndarray) -> float:
-        """Value of the discrete action functional."""
-        s = self._exponents(w)
-        pot = _dot(self.weight, np.expm1(s, out=s)) + _dot(self.source, w)
-        o = int(self.quadrant)  # the quadrant's edge sums skip its mirror
-        grad = sum(c * _edge_energy(wk[o:, o:]) for c, wk in zip(self.c_grad, w))
-        return grad + self.grid.cell_area * pot
+        """Value of the discrete action functional: the change from ``w = 0``."""
+        return self.energy_change(np.zeros_like(w), w)
 
     def energy_change(self, w: np.ndarray, step: np.ndarray) -> float:
         """``energy(w + step) - energy(w)``, evaluated without cancellation.
@@ -266,7 +258,9 @@ class DiscreteFunctional:
         ``exp(s) * expm1(ds)``, so the result is accurate relative to the
         change itself, not to the total energy.  Raises
         :class:`FieldOverflowError` if ``w`` or ``w + step`` exceeds the
-        exponent cap.  Boundary entries of ``step`` must be zero.
+        exponent cap.  ``step`` is any array of the layout of ``w``: its
+        boundary entries enter the edge and node terms as the interior ones
+        do; on the quadrant, the mirror entries of both are ignored.
         """
         s = self._exponents(w)
         ds = 2.0 * step
@@ -274,7 +268,7 @@ class DiscreteFunctional:
         self._check_cap(s + ds)
         e = self._weighted_exp(s)
         pot = _dot(e, np.expm1(ds, out=ds)) + _dot(self.source, step)
-        o = int(self.quadrant)
+        o = int(self.quadrant)  # the quadrant's edge sums skip its mirror
         grad = sum(
             c * _edge_energy_change(wk[o:, o:], dk[o:, o:])
             for c, wk, dk in zip(self.c_grad, w, step)

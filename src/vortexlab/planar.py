@@ -387,22 +387,19 @@ def extract_radial_slice(sol: PlanarSolution) -> tuple[np.ndarray, np.ndarray]:
     """Sample the physical fields along the positive x-axis.
 
     Returns ``(r, u)``: the radii are the positive x node coordinates and
-    ``u`` has shape ``(2, len(r))``.  No node row sits on the axis (see
-    :class:`PlanarGrid`), so the smooth parts are linearly interpolated to
-    ``y = 0`` between the two straddling node rows and the singular
-    background is added analytically; the slice is second-order accurate
-    even close to the origin.
+    ``u`` has shape ``(2, len(r))``.  No node row sits on the axis: the
+    coordinates are odd multiples of ``h/2`` (see :class:`PlanarGrid`), so
+    the smooth parts at ``y = 0`` are the mean of the node rows at
+    ``y = -h/2`` and ``+h/2``, and the singular background is added
+    analytically; the slice is second-order accurate even close to the
+    origin.
     """
     coords = sol.grid.coords
     pos = coords > 0.0
     r = coords[pos]
 
-    j = int(np.searchsorted(coords, 0.0)) - 1
-    y0, y1 = coords[j], coords[j + 1]
-    wlo = y1 / (y1 - y0)
-    whi = 1.0 - wlo
-    P = _smooth_parts(sol.params, sol.w[:, pos, j : j + 2])
-    P = wlo * P[..., 0] + whi * P[..., 1]
+    j = sol.grid.points_per_side // 2  # the row at y = +h/2
+    P = _smooth_parts(sol.params, sol.w[:, pos, j - 1 : j + 1]).mean(axis=-1)
 
     bg = background(sol.params)
     r2 = r * r

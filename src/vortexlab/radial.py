@@ -413,9 +413,14 @@ def solve_radial_P(
 
     Boundary conditions: ``P'(r_min) = 0`` (the smooth parts have zero
     slope at the axis) and ``P_i(r_max) = -u0_i(r_max)`` so the physical
-    fields vanish at the outer radius.  Converges when the sup norm of the
-    discrete residual drops below ``tol``, which must be positive and
-    finite.  The solution's ``P`` and ``u`` have shape ``(2, n)``.
+    fields vanish at the outer radius.  ``tol`` must be positive and
+    finite.  The solve stops when the sup norm of the discrete residual
+    drops below ``tol``, or when the line search stalls (30 halvings) at an
+    iterate whose residual is within ``max(tol, floor)``, the
+    floating-point evaluation floor of the residual (1.4e-8 to 4.5e-8 on
+    the default mesh).  So the returned ``residual`` can exceed a ``tol``
+    below the floor: at ``tol = 1e-9``, ``(N, n1, n2) = (3, 1, 2)`` stops
+    at 1.9e-9.  The solution's ``P`` and ``u`` have shape ``(2, n)``.
     A :class:`NonConvergenceError` carries the last iterate interleaved as
     ``(P1_0, P2_0, P1_1, ...)``.
     """

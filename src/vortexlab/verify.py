@@ -167,12 +167,12 @@ def _fit_rate(r: np.ndarray, values: np.ndarray, window: tuple[float, float]) ->
     n_used = int(np.count_nonzero(mask))
     warning = None
     if n_used < 2:
-        return {
-            "window": [lo, hi],
-            "fitted_rate": None,
-            "n_points": n_used,
-            "warning": "window entirely below the floating-point floor",
-        }
+        if requested < 2:
+            warning = (f"{requested} node{'s' * (requested != 1)} in the window, fewer than 2; "
+                       f"the nodes span r = {r[0]:g} to {r[-1]:g}")
+        else:
+            warning = "window entirely below the floating-point floor"
+        return {"window": [lo, hi], "fitted_rate": None, "n_points": n_used, "warning": warning}
     if n_used < requested:
         warning = "window shrunk: values at or below the floating-point floor dropped"
     rw = r[mask]

@@ -456,6 +456,16 @@ class TestVerify:
 
 
 class TestReportCommand:
+    def test_planar_report_sha256(self, tmp_path, capsys):
+        # Reaches the planar axis slice through the cross-validation.  The
+        # digest was measured the same at one and two BLAS threads.
+        out = tmp_path / "report.json"
+        code, *_ = run(capsys, "report", "--N", "3", "--n1", "1", "--n2", "2", "--planar",
+                       "--uniqueness", "--grid", "64", "--seed", "1", "--out", str(out))
+        assert code == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "0318b37f8372753f4592074bef682fc6814ba6931c94b2db5e5c279206ed7dad")
+
     def test_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, *_ = run(

@@ -294,6 +294,17 @@ class TestEnergyChange:
         with pytest.raises(FieldOverflowError):
             func.energy_change(zeros(grid), step)
 
+    @pytest.mark.parametrize("quadrant", [False, True], ids=["full", "quadrant"])
+    def test_energy_is_the_change_from_zero_bitwise(self, quadrant):
+        # On the lifted start plus interior noise, so the edge entries are nonzero.
+        params = ModelParams(N=3, n1=1, n2=2)
+        grid = PlanarGrid(half_width=15.0, points_per_side=64)
+        func = DiscreteFunctional(params, grid, quadrant)
+        w = _start(params, grid, quadrant)
+        assert np.all(w[:, -1, :] != 0.0)
+        w[:, 1:-1, 1:-1] += np.random.default_rng(41).uniform(-0.5, 0.5, w[:, 1:-1, 1:-1].shape)
+        assert func.energy(w) == func.energy_change(np.zeros_like(w), w)
+
 
 def per_mode_inverse_reference(func):
     """The far-field inverse as one explicit 2x2 solve per mode, all in float64.

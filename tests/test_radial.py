@@ -185,6 +185,14 @@ class TestSolveRadial:
             assert rate >= 0.85 * math.sqrt(sc.lambda0)
             assert expected[0] < rate < expected[1]
 
+    def test_stalled_solve_is_accepted_within_the_evaluation_floor(self):
+        # The default mesh and the CLI's tol: the line search stalls above
+        # tol, and the iterate is accepted because it is within the floor.
+        params = ModelParams(N=3, n1=1, n2=2)
+        sol = solve_radial_P(params, radial_mesh(), tol=1e-9)
+        floor = radial._RegularizedSystem(params, sol.mesh).floor(sol.P.T.ravel())
+        assert 1e-9 < sol.residual <= floor
+
     def test_nonconvergence_diagnostics(self):
         params = ModelParams(N=2, n1=1, n2=1)
         with pytest.raises(NonConvergenceError) as err:

@@ -134,6 +134,18 @@ class TestDecayFit:
         with pytest.raises(ValueError, match="decay window must have finite ends lo < hi"):
             decay_fit(radial_case, window=window)
 
+    @pytest.mark.parametrize("window, count", [((40.0, 50.0), 0), ((29.995, 40.0), 1)],
+                             ids=["beyond", "one-node"])
+    def test_window_with_fewer_than_two_nodes_says_so(self, radial_case, window, count):
+        assert radial_case.mesh.r[-1] == 30.0
+        assert np.count_nonzero(radial_case.mesh.r >= window[0]) == count
+        for record in decay_fit(radial_case, window=window):
+            assert record["fitted_rate"] is None and record["n_points"] <= count
+            assert record["warning"] == (
+                f"{count} node{'s' * (count != 1)} in the window, fewer than 2; "
+                "the nodes span r = 0.0001 to 30"
+            )
+
     def test_planar_solution_supported(self, planar_case):
         records = decay_fit(planar_case, window=(8.0, 12.0))
         by_name = {r["quantity"]: r for r in records}
