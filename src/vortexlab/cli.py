@@ -108,7 +108,9 @@ def parse_report(text: str) -> VerificationReport:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
+def _csv_writer(
+    meta: dict, columns: dict, coords: Optional[np.ndarray] = None, quadrant: bool = False
+):
     """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
     One row per node; the names are the keys of ``columns``.  Every value
@@ -119,8 +121,10 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
     With ``coords`` (``n`` reals) the nodes are those of an ``n × n`` grid,
     ``x`` slow and ``y`` fast: two leading columns ``x, y`` take their
     values from ``coords``, each formatted once, and every column of
-    ``columns`` holds the ``n²`` node values in that order.  They are
-    written by :func:`_write_grid_rows`.
+    ``columns`` holds the ``n²`` node values in that order, or, with
+    ``quadrant``, the ``(n/2 + 1, n/2 + 1)`` quadrant layout of fields
+    mirrored across both axes (:class:`~vortexlab.planar.PlanarSolution`).
+    They are written by :func:`_write_grid_rows`.
     """
     header = "# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())
     names = (["x", "y"] if coords is not None else []) + list(columns)
@@ -132,7 +136,8 @@ def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
         fh.write(header)
         if coords is not None:
             n = len(coords)
-            _write_grid_rows(fh, line, coords, [f.reshape(n, n) for f in fields])
+            grids = fields if quadrant else [f.reshape(n, n) for f in fields]
+            _write_grid_rows(fh, line, coords, grids, quadrant)
             return
         for start in range(0, len(fields[0]), _CSV_BLOCK_ROWS):
             values = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in fields]) + 0.0
@@ -150,12 +155,19 @@ def _grid_symmetries(grids: list) -> tuple[bool, bool]:
     return all(mirrors), all(swap)
 
 
-def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
+def _write_grid_rows(
+    fh, line: str, coords: np.ndarray, grids: list, quadrant: bool = False
+) -> None:
     """Write the rows of a grid CSV, each node formatted once per symmetry orbit.
 
-    With the mirrors (:func:`_grid_symmetries`), index ``i`` folds to the
-    distinct row or column ``fold[i] < m = ceil(n/2)``; with the swap, only
-    the nodes ``(a, b)`` with ``b >= a`` are distinct.  So an even grid's
+    Each field's distinct nodes form the block ``[:m, :m]`` of its full
+    grid.  On the quadrant layout the mirrors come from the layout: the
+    block, with ``m = n/2``, is the view ``quad[m:0:-1, m:0:-1]`` (index 0
+    is no node), and only the swap is tested, on the block.  Full grids
+    are tested for both (:func:`_grid_symmetries`): with the mirrors,
+    ``m = ceil(n/2)``, and without, ``m = n``.  Index ``i`` then folds to
+    the distinct row or column ``fold[i] < m``; with the swap, only the
+    nodes ``(a, b)`` with ``b >= a`` are distinct.  So an even grid's
     D4-symmetric solution is formatted on one octant, an odd grid's
     swap-symmetric one on one triangle, and any other field at every node;
     equal values give equal bytes.  Each distinct row ``a`` is formatted by
@@ -168,7 +180,14 @@ def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
     written, and no node string outlives its row.
     """
     n = len(coords)
-    mirrors, swap = _grid_symmetries(grids)
+    if quadrant:
+        m = n // 2
+        blocks = [g[m:0:-1, m:0:-1] for g in grids]
+        mirrors, swap = True, _grid_symmetries(blocks)[1]  # the block itself has no mirrors
+    else:
+        mirrors, swap = _grid_symmetries(grids)
+        m = (n + 1) // 2 if mirrors else n
+        blocks = [g[:m, :m] for g in grids]
     xs = [_fmt(c) for c in coords.tolist()]
     if not (mirrors or swap):
         slots = ["," + y + "," + line for y in xs]
@@ -176,13 +195,12 @@ def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
             values = np.column_stack([g[i] for g in grids]) + 0.0
             fh.write((x + x.join(slots)) % tuple(values.ravel().tolist()))
         return
-    m = (n + 1) // 2 if mirrors else n
     fold = np.array([*range(m), *range(n - m - 1, -1, -1)])
     nodes, first = [], []
     for a in range(m):
         lo = a if swap else 0
         first.append(len(nodes) - lo)
-        values = np.column_stack([g[a, lo:m] for g in grids]) + 0.0
+        values = np.column_stack([b[a, lo:] for b in blocks]) + 0.0
         nodes += ((line * (m - lo)) % tuple(values.ravel().tolist())).splitlines()
     first = np.array(first)
     tails = ["," + y + ",%s\n" for y in xs]
@@ -375,15 +393,10 @@ def _cmd_solve_planar(args):
         "gradient_norm": sol.final_gradient_norm,
         "energy": sol.final_energy,
     }
-    u = sol.u
-    columns = {
-        "w1": sol.w[0].ravel(),
-        "w2": sol.w[1].ravel(),
-        "u1": u[0].ravel(),
-        "u2": u[1].ravel(),
-    }
+    w, u = sol.w_solved, sol.u_solved  # on the solved layout: no full-grid copy
+    columns = {"w1": w[0], "w2": w[1], "u1": u[0], "u2": u[1]}
     note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
-    return _csv_writer(meta, columns, coords=grid.coords), note
+    return _csv_writer(meta, columns, coords=grid.coords, quadrant=sol.quadrant), note
 
 
 def _cmd_verify(args):

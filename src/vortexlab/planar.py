@@ -47,8 +47,9 @@ to symmetric fields.  On an even grid (no node on an axis) the mirrors hold
 bitwise by construction, so the layout is decided from the start alone: a
 zero start, a radial solution (interpolated at the quadrant nodes only) or
 an array bitwise unchanged by both reflections is built and solved on
-``(n/2 + 1)^2`` nodes and mirrored back, with the same Newton and CG counts
-(fields measured to agree to ``1e-13``; 4-5x faster at 384^2 and 512^2).
+``(n/2 + 1)^2`` nodes, with the same Newton and CG counts (fields measured
+to agree to ``1e-13``; 4-5x faster at 384^2 and 512^2), and the solution
+keeps that quadrant.
 Odd grids are shifted by ``h/2`` and have no mirrors; they, and any other
 start, such as the random start of a uniqueness check, run on the full
 grid.  The swap holds on every grid, because both axes share their nodes.
@@ -67,9 +68,17 @@ imposed at the edge, so the boundary values of ``w`` are the lifted data
 would be pinned to the background there, which measurably biases the flux
 integrals).  Interior nodes are the only degrees of freedom.
 
-Every field of a planar solution is a ``(2, n, n)`` array whose leading
-axis is the species: ``w`` is stored, and the smooth parts ``P = L @ w``,
-``u = u0 + P`` and ``E = exp(2u) - 1`` are new arrays derived on each read.
+A planar solution stores ``w`` on the layout it was solved on: the
+``(2, n/2 + 1, n/2 + 1)`` quadrant of a mirror-symmetric solve, the full
+``(2, n, n)`` grid otherwise.  Its fields are ``(2, n, n)`` arrays whose
+leading axis is the species: ``w``, the smooth parts ``P = L @ w``,
+``u = u0 + P`` and ``E = exp(2u) - 1`` are new arrays on each read, derived
+on the stored layout and then mirrored, so a quadrant solution allocates
+its full grid only when a caller reads one.  ``u_solved`` derives ``u`` on
+the stored layout alone, which is what the planar CSV writer reads: a
+fresh ``solve-planar --grid 1024`` peaks at 103 MB resident, against
+118 MB when the solution held, and the writer read, full-grid ``w`` and
+``u`` (one thread, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -103,41 +112,66 @@ CG_MAX_ITER = 200
 
 @dataclass
 class PlanarSolution:
-    """Converged planar unknowns ``w`` and solve metadata.
+    """Converged planar unknowns ``w`` on the layout they were solved on, and solve metadata.
 
-    ``w`` has shape ``(2, n, n)``, index 0 holding species 1: ``w[0]`` is
-    ``w1`` and ``w[1]`` is ``w2``.  ``P``, ``u`` and ``E`` are not stored:
-    each read derives a new ``(2, n, n)`` array from ``w``.
+    ``w_solved`` is the quadrant ``(2, n/2 + 1, n/2 + 1)`` of the nodes
+    ``[n/2 - 1:, n/2 - 1:]`` for a mirror-symmetric solve (:attr:`quadrant`),
+    and the full ``(2, n, n)`` array otherwise; index 0 holds species 1.  On
+    the quadrant, index 0 of either axis is no node of its own: it mirrors
+    index 1, and readers use indices ``1..n/2``.  ``w``, ``P``, ``u`` and
+    ``E`` are not stored: each read derives a new ``(2, n, n)`` array, on
+    the solved layout and then mirrored to the full grid.
     """
 
     params: ModelParams
     grid: PlanarGrid
-    w: np.ndarray
+    w_solved: np.ndarray
     iterations: int
     cg_iterations: int
     final_gradient_norm: float
     energy_history: list
 
     @property
-    def P(self) -> np.ndarray:
-        """Smooth parts ``P = L @ w``, a new ``(2, n, n)`` array."""
-        return _smooth_parts(self.params, self.w)
+    def quadrant(self) -> bool:
+        """Whether ``w_solved`` is the quadrant layout (grids have ``n >= 16`` nodes per side)."""
+        return self.w_solved.shape[-1] != self.grid.points_per_side
+
+    def _full(self, a: np.ndarray) -> np.ndarray:
+        # A new array on the solved layout, as a full (2, n, n) array.
+        return _unfold(a) if self.quadrant else a
 
     @property
-    def u(self) -> np.ndarray:
-        """Physical fields ``u = u0 + P``, a new ``(2, n, n)`` array."""
+    def w(self) -> np.ndarray:
+        """``w = (w1, w2)`` at every node, a new ``(2, n, n)`` array."""
+        return _unfold(self.w_solved) if self.quadrant else self.w_solved.copy()
+
+    @property
+    def P(self) -> np.ndarray:
+        """Smooth parts ``P = L @ w``, a new ``(2, n, n)`` array."""
+        return self._full(_smooth_parts(self.params, self.w_solved))
+
+    @property
+    def u_solved(self) -> np.ndarray:
+        """Physical fields ``u = u0 + P`` on the layout of ``w_solved``, a new array."""
         bg = background(self.params)
-        r2 = self.grid.radius_squared()
-        u = self.P
+        r2 = _layout_radius_squared(self.grid, self.quadrant)
+        u = _smooth_parts(self.params, self.w_solved)
         u[0] += bg.u0_1(r2)
         u[1] += bg.u0_2(r2)
         return u
 
     @property
+    def u(self) -> np.ndarray:
+        """Physical fields ``u = u0 + P``, a new ``(2, n, n)`` array."""
+        return self._full(self.u_solved)
+
+    @property
     def E(self) -> np.ndarray:
         """``E = exp(2u) - 1``, a new ``(2, n, n)`` array."""
+        u = self.u_solved
         with np.errstate(over="ignore"):
-            return np.expm1(2.0 * self.u)
+            np.expm1(2.0 * u, out=u)
+        return self._full(u)
 
     @property
     def final_energy(self) -> float:
@@ -215,11 +249,12 @@ def solve_planar(
 
     For even ``n``, a zero or radial start, or one whose interior is
     bitwise unchanged by ``x -> -x`` and ``y -> -y``, is solved on one
-    quadrant, decided before anything is built, and mirrored back (module
-    docstring); any other on the full grid.  On any grid, a zero or radial
-    start, or one whose interior equals its transpose, is kept bitwise
-    swap-symmetric.  Either way ``w`` and a :class:`NonConvergenceError`'s
-    iterate are full ``(2, n, n)`` arrays.
+    quadrant, decided before anything is built (module docstring); any
+    other on the full grid.  The solution stores ``w`` on the layout it was
+    solved on (:class:`PlanarSolution`), and a read of its ``w`` mirrors it
+    to the full grid.  On any grid, a zero or radial start, or one whose
+    interior equals its transpose, is kept bitwise swap-symmetric.  A
+    :class:`NonConvergenceError`'s iterate is a full ``(2, n, n)`` array.
     """
     check_solver_options(tol, max_iter)
     if initial is not None and not isinstance(initial, RadialSolution):
@@ -241,7 +276,7 @@ def solve_planar(
             exc.last_iterate = _unfold(exc.last_iterate)
         raise
     if quadrant:  # the quadrant energy is a quarter of the full grid's
-        w, history = _unfold(w), [4.0 * e for e in history]
+        history = [4.0 * e for e in history]
     return PlanarSolution(params, grid, w, iteration, cg_total, gnorm, history)
 
 
@@ -392,14 +427,19 @@ def extract_radial_slice(sol: PlanarSolution) -> tuple[np.ndarray, np.ndarray]:
     the smooth parts at ``y = 0`` are the mean of the node rows at
     ``y = -h/2`` and ``+h/2``, and the singular background is added
     analytically; the slice is second-order accurate even close to the
-    origin.
+    origin.  A quadrant solution's row is read from its stored quadrant,
+    where the two rows are one (their mean is that row, bitwise).
     """
     coords = sol.grid.coords
     pos = coords > 0.0
     r = coords[pos]
 
-    j = sol.grid.points_per_side // 2  # the row at y = +h/2
-    P = _smooth_parts(sol.params, sol.w[:, pos, j - 1 : j + 1]).mean(axis=-1)
+    if sol.quadrant:  # x > 0 at indices 1..n/2; the row at y = -h/2 mirrors that at +h/2
+        rows = sol.w_solved[:, 1:, 1:2]
+    else:
+        j = sol.grid.points_per_side // 2  # the row at y = +h/2
+        rows = sol.w_solved[:, pos, j - 1 : j + 1]
+    P = _smooth_parts(sol.params, rows).mean(axis=-1)
 
     bg = background(sol.params)
     r2 = r * r

@@ -531,27 +531,35 @@ def solve_profile_bps(
 
         fm, fnam, q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (f, fna, q1, q2))
 
-        # 4x4 Jacobian of the right-hand side at the midpoints.
-        Jf = np.zeros((n - 1, 4, 4))
-        Jf[:, 0, 2] = 2.0 * rm * N * q1m
-        Jf[:, 0, 3] = 2.0 * rm * N * (N - 1.0) * q2m
-        Jf[:, 1, 2] = rm * q1m
-        Jf[:, 1, 3] = -rm * q2m
-        inv = 1.0 / (N * rm)
-        Jf[:, 2, 0] = q1m * inv
-        Jf[:, 2, 1] = (N - 1.0) * q1m * inv
-        Jf[:, 2, 2] = ((N - 1.0) * fnam + fm) * inv
-        Jf[:, 3, 0] = q2m * inv
-        Jf[:, 3, 1] = -q2m * inv
-        Jf[:, 3, 3] = (-fnam + fm) * inv
+        half_h = 0.5 * h
 
-        # Interval i has rows 4 + 4i + k; its unknowns at node i sit in
-        # columns 2 + 4i + m, those at node i + 1 four columns further on.
-        for k in range(4):
-            for m in range(4):
-                coeff = 0.0 - 0.5 * h * Jf[:, k, m]  # structural zeros stay +0.0
-                ab[12 + k - m, 2 + m : -4 : 4] = coeff - (1.0 if k == m else 0.0)
-                ab[8 + k - m, 6 + m :: 4] = coeff + (1.0 if k == m else 0.0)
+        def put(k, m, v):
+            # Entry (k, m) of the right-hand side's 4x4 Jacobian at the
+            # midpoints, v, enters as 0.0 - 0.5 * h * v, with -1 and +1 on the
+            # diagonal.  Interval i has rows 4 + 4i + k; its unknowns at node i
+            # sit in columns 2 + 4i + m, those at node i + 1 four columns on.
+            coeff = 0.0 - half_h * v
+            diag = 1.0 if k == m else 0.0
+            ab[12 + k - m, 2 + m : -4 : 4] = coeff - diag
+            ab[8 + k - m, 6 + m :: 4] = coeff + diag
+
+        put(0, 2, 2.0 * rm * N * q1m)
+        put(0, 3, 2.0 * rm * N * (N - 1.0) * q2m)
+        put(1, 2, rm * q1m)
+        put(1, 3, -rm * q2m)
+        inv = 1.0 / (N * rm)
+        put(2, 0, q1m * inv)
+        put(2, 1, (N - 1.0) * q1m * inv)
+        put(2, 2, ((N - 1.0) * fnam + fm) * inv)
+        put(3, 0, q2m * inv)
+        put(3, 1, -q2m * inv)
+        put(3, 3, (-fnam + fm) * inv)
+        # The structural zeros (0, 0), (0, 1), (1, 0), (1, 1), (2, 3) and
+        # (3, 2) give 0.0 - 0.5 * h * 0.0 = 0.0: -1 and +1 on the diagonal,
+        # and the fill's 0.0 elsewhere.
+        for k in (0, 1):
+            ab[12, 2 + k : -4 : 4] = -1.0
+            ab[8, 6 + k :: 4] = 1.0
 
     # Initial guess: unit-amplitude cores decaying on an O(1) scale.
     sech2 = 1.0 / np.cosh(r) ** 2

@@ -1,11 +1,12 @@
-"""Radial and profile CSVs and verify reports keep their bytes.
+"""Radial, profile and planar CSVs and the benchmark's reports keep their bytes.
 
 ``perfbench/expected_sha256.json`` holds the sha256 of every CSV the
 ``radial_sweep`` workload writes.  This runs each of those commands, with
 the workload's own arguments, through ``cli.main`` and compares digests,
 so a refactor that changes a CSV byte fails here and not only in the
 benchmark.  That file holds no report digests, so those of every
-``verify`` report of the workload are written below.
+``verify`` report of the workload are written below, with the digests of
+the planar CSV and report that the planar workloads write.
 """
 
 import hashlib
@@ -71,3 +72,24 @@ def test_verify_report_sha256(tmp_path, monkeypatch, case):
         assert main(OPERATIONS[label]["argv"]) == 0
     report = tmp_path / OPERATIONS[f"verify {case}"]["out"]
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256[case]
+
+
+#: sha256 of the planar outputs at the size the benchmark runs them: the
+#: ``planar_zero`` CSV (512², quadrant solve, octant writer) and the
+#: ``planar_uniqueness`` report of seed 1 (384², a quadrant and a full-grid
+#: solve), the same with ``OPENBLAS_NUM_THREADS`` set to 1 and to 2.
+PLANAR_SHA256 = {
+    ("planar_zero", 0): "12cc0cca8f12861c0236d3421feeba3994f0223253692dc08979ad103dac40ae",
+    ("planar_uniqueness", 1): "e2cf4d38997104a613aab6752ef300c84cc97f04454025502f8415bec861291d",
+}
+
+
+@pytest.mark.parametrize(
+    "workload, seed", sorted(PLANAR_SHA256), ids=[f"{w} seed={s}" for w, s in sorted(PLANAR_SHA256)]
+)
+def test_planar_output_sha256(tmp_path, monkeypatch, workload, seed):
+    (op,) = workloads.operations(workload, seed)
+    monkeypatch.chdir(tmp_path)
+    assert main(op["argv"]) == 0
+    digest = hashlib.sha256((tmp_path / op["out"]).read_bytes()).hexdigest()
+    assert digest == PLANAR_SHA256[(workload, seed)]

@@ -767,10 +767,37 @@ class TestFoldedCsv:
         assert folds == [(False, False)]
         assert peak < fields[0].nbytes
 
+    def test_solution_output_peak_is_below_the_octant_strings_and_one_full_grid(
+        self, folds, monkeypatch, traced_peak
+    ):
+        # solve-planar formats its output from the solved quadrant, so after
+        # the solve it keeps the octant node strings and quadrant-sized
+        # arrays (0.46 MB above the strings at 256²).  A full-grid w and u,
+        # each one (2, n, n) array, took it to 1.48 MB above the strings.
+        n, m = 256, 128
+        params = ModelParams(N=2, n1=1, n2=1)
+        radial = solve_radial_P(params, radial_mesh())
+        sol = solve_planar(params, PlanarGrid(15.0, n), tol=1e-8, initial=radial)
+        monkeypatch.setattr(cli, "solve_radial_P", lambda *args, **kwargs: radial)
+        monkeypatch.setattr(cli, "solve_planar", lambda *args, **kwargs: sol)
+        fields = [*sol.w, *sol.u]
+        octant = [
+            ",".join(_fmt(float(f[i, j])) for f in fields) for i in range(m) for j in range(i, m)
+        ]
+        kept = sum(sys.getsizeof(node) + 8 for node in octant)
+        del fields, octant
+        argv = ["solve-planar", "--N", "2", "--grid", str(n), "--out", os.devnull]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert peak < kept + 2 * n * n * 8
+        assert folds == [(False, True)]
+
     @staticmethod
     def solution_folds(folds, tmp_path, capsys, monkeypatch, n):
-        # The CSV is written in-process, with the bytes of every node
-        # formatted; os.fork fails if called.
+        # The CSV is written in-process, with the bytes of the same solution
+        # stored on the full grid and written with every node formatted;
+        # os.fork fails if called.
         def no_fork():
             raise AssertionError("a planar CSV was forked")
 
@@ -779,6 +806,13 @@ class TestFoldedCsv:
         folded = tmp_path / "folded.csv"
         assert run(capsys, *argv, str(folded))[0] == 0
         found = list(folds)
+        solve = cli.solve_planar
+
+        def solve_on_the_full_grid(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            return dataclasses.replace(sol, w_solved=sol.w)
+
+        monkeypatch.setattr(cli, "solve_planar", solve_on_the_full_grid)
         monkeypatch.setattr(cli, "_grid_symmetries", lambda grids: (False, False))
         unfolded = tmp_path / "unfolded.csv"
         assert run(capsys, *argv, str(unfolded))[0] == 0
@@ -786,8 +820,10 @@ class TestFoldedCsv:
         return found
 
     def test_even_grid_solution_folds_and_is_not_forked(self, folds, tmp_path, capsys, monkeypatch):
-        # Formatted on one octant.
-        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 32) == [(True, True)]
+        # Formatted on one octant: the writer reads the solved quadrant, whose
+        # mirrors come from the layout, and finds the swap on its block of
+        # distinct nodes, which has no mirrors of its own.
+        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 32) == [(False, True)]
 
     def test_odd_grid_solution_folds_on_one_triangle(self, folds, tmp_path, capsys, monkeypatch):
         assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 33) == [(False, True)]

@@ -511,11 +511,44 @@ class TestBlasThreadCount:
 
 class TestStoredFields:
     def test_only_w_and_metadata_are_stored(self):
+        # w is stored on its solved layout only; the full-grid w, P, u and E
+        # are derived.
         names = {f.name for f in dataclasses.fields(PlanarSolution)}
         assert names == {
-            "params", "grid", "w", "iterations", "cg_iterations",
+            "params", "grid", "w_solved", "iterations", "cg_iterations",
             "final_gradient_norm", "energy_history",
         }
+
+    def test_even_grid_radial_start_stores_the_quadrant(self):
+        params = make(N=3, n2=2)
+        n = 64
+        grid = PlanarGrid(half_width=15.0, points_per_side=n)
+        sol = solve_planar(params, grid, tol=1e-8, initial=solve_radial_P(params, radial_mesh()))
+        assert sol.quadrant and sol.w_solved.shape == (2, n // 2 + 1, n // 2 + 1)
+        w = sol.w
+        np.testing.assert_array_equal(w, planar._unfold(sol.w_solved))
+        assert sol.w is not w  # a new array on each read
+        w[:] = 0.0
+        np.testing.assert_array_equal(sol.w, planar._unfold(sol.w_solved))
+        # Every field derived on the quadrant is bitwise that of the same
+        # solution stored on the full grid, and so are the checks.
+        full = dataclasses.replace(sol, w_solved=sol.w)
+        assert not full.quadrant
+        for name in ("w", "P", "u", "E"):
+            np.testing.assert_array_equal(getattr(sol, name), getattr(full, name))
+        np.testing.assert_array_equal(planar._unfold(sol.u_solved), full.u_solved)
+        for a, b in zip(extract_radial_slice(sol), extract_radial_slice(full)):
+            np.testing.assert_array_equal(a, b)
+        other = solve_planar(params, grid, tol=1e-8)
+        assert uniqueness_check(sol, other) == uniqueness_check(full, other)
+        assert uniqueness_check(other, sol) == uniqueness_check(other, full)
+
+    def test_full_grid_solve_stores_the_full_grid(self):
+        grid = PlanarGrid(half_width=15.0, points_per_side=33)
+        sol = solve_planar(make(), grid, tol=1e-8)
+        assert not sol.quadrant and sol.w_solved.shape == (2, 33, 33)
+        np.testing.assert_array_equal(sol.w, sol.w_solved)
+        assert sol.w is not sol.w_solved  # a copy: writing to it leaves the solution
 
     def test_derived_fields_are_bitwise_those_of_w(self):
         params = make(N=3, n2=2)

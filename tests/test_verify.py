@@ -1,5 +1,6 @@
 """Verification operations: fluxes, decay fits, residuals, cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,11 +161,11 @@ class TestPdeResidual:
         assert pde_residual(planar_case) < 1e-7
 
     def test_perturbation_jump(self, planar_case):
-        import copy
-
-        bumped = copy.deepcopy(planar_case)
-        n = bumped.grid.points_per_side
-        bumped.w[0, n // 2, n // 2] += 1e-3  # P[0] is w[0]
+        # w is derived on each read, so the bumped field is stored on the full grid.
+        w = planar_case.w
+        n = planar_case.grid.points_per_side
+        w[0, n // 2, n // 2] += 1e-3  # P[0] is w[0]
+        bumped = dataclasses.replace(planar_case, w_solved=w)
         h2 = bumped.grid.cell_area
         res = pde_residual(bumped)
         assert res == pytest.approx(1e-3 * 4.0 / h2, rel=0.05)
