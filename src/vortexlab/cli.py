@@ -20,13 +20,14 @@ pairs) and are byte-identical across runs for a fixed configuration.
 Planar CSVs, like radial and profile CSVs and reports, are the same at one
 and two BLAS threads (``tests/test_planar.py::TestBlasThreadCount``;
 ``tests/test_cli.py::TestSolvePlanar::test_csv_sha256`` pins small ones).
-CSV reals are printed to 17 significant digits.  A planar CSV has each
-node formatted once per orbit of the symmetries its fields have bitwise:
-the mirrors of both axes and the swap of ``x`` and ``y``, all of which an
-even grid's solution has (one octant is formatted), and the swap alone,
-which an odd grid's has (one triangle).  Grid rows read the nodes by
-orbit key from one list.  Equal values give equal bytes, so
-the output is the same as with every node formatted.  JSON output (reports
+CSV reals are printed to 17 significant digits.  A planar CSV formats
+each node once per orbit of its fields' symmetries.  The layout gives the
+mirrors of both axes: an even grid's solution arrives as its quadrant.
+The swap of ``x`` and ``y`` is tested by value.  So an even grid's
+solution is formatted on one octant and an odd grid's on one triangle.
+Grid rows read the nodes by orbit key from one list.  Equal values give
+equal bytes, so the output is the same as with every node formatted.
+JSON output (reports
 and ``constants``) is written by the standard ``json`` module: reals in
 their shortest round-trip form and non-finite ones as ``NaN``,
 ``Infinity`` and ``-Infinity``, so parsing an emitted report reproduces it
@@ -50,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonConvergenceError, VortexlabError, check_solver_options
-from .functional import PlanarGrid, symmetries
+from .functional import PlanarGrid
 from .model import (
     ModelParams,
     background,
@@ -108,9 +109,7 @@ def parse_report(text: str) -> VerificationReport:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _csv_writer(
-    meta: dict, columns: dict, coords: Optional[np.ndarray] = None, quadrant: bool = False
-):
+def _csv_writer(meta: dict, columns: dict, coords: Optional[np.ndarray] = None):
     """Writer of a CSV: metadata line, column names, then 17-digit reals.
 
     One row per node; the names are the keys of ``columns``.  Every value
@@ -121,8 +120,8 @@ def _csv_writer(
     With ``coords`` (``n`` reals) the nodes are those of an ``n × n`` grid,
     ``x`` slow and ``y`` fast: two leading columns ``x, y`` take their
     values from ``coords``, each formatted once, and every column of
-    ``columns`` holds the ``n²`` node values in that order, or, with
-    ``quadrant``, the ``(n/2 + 1, n/2 + 1)`` quadrant layout of fields
+    ``columns`` is a 2-D field of one layout, told apart by shape: the full
+    ``(n, n)`` grid, or the ``(n/2 + 1, n/2 + 1)`` quadrant of a field
     mirrored across both axes (:class:`~vortexlab.planar.PlanarSolution`).
     They are written by :func:`_write_grid_rows`.
     """
@@ -135,9 +134,7 @@ def _csv_writer(
     def write(fh) -> None:
         fh.write(header)
         if coords is not None:
-            n = len(coords)
-            grids = fields if quadrant else [f.reshape(n, n) for f in fields]
-            _write_grid_rows(fh, line, coords, grids, quadrant)
+            _write_grid_rows(fh, line, coords, fields)
             return
         for start in range(0, len(fields[0]), _CSV_BLOCK_ROWS):
             values = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in fields]) + 0.0
@@ -146,48 +143,41 @@ def _csv_writer(
     return write
 
 
-def _grid_symmetries(grids: list) -> tuple[bool, bool]:
-    """Whether every array of ``grids`` has both mirrors, and the swap (:func:`symmetries`).
+def _swap_symmetric(blocks: list) -> bool:
+    """Whether every block equals its transpose, compared by value.
 
-    A ``-0.0`` that matches a ``0.0`` prints as ``0`` either way.
+    A ``NaN`` never matches, and a ``-0.0`` that matches a ``0.0`` prints as
+    ``0`` either way.
     """
-    mirrors, swap = zip(*map(symmetries, grids))
-    return all(mirrors), all(swap)
+    return all(np.array_equal(b, b.T) for b in blocks)
 
 
-def _write_grid_rows(
-    fh, line: str, coords: np.ndarray, grids: list, quadrant: bool = False
-) -> None:
+def _write_grid_rows(fh, line: str, coords: np.ndarray, grids: list) -> None:
     """Write the rows of a grid CSV, each node formatted once per symmetry orbit.
 
-    Each field's distinct nodes form the block ``[:m, :m]`` of its full
-    grid.  On the quadrant layout the mirrors come from the layout: the
-    block, with ``m = n/2``, is the view ``quad[m:0:-1, m:0:-1]`` (index 0
-    is no node), and only the swap is tested, on the block.  Full grids
-    are tested for both (:func:`_grid_symmetries`): with the mirrors,
-    ``m = ceil(n/2)``, and without, ``m = n``.  Index ``i`` then folds to
-    the distinct row or column ``fold[i] < m``; with the swap, only the
-    nodes ``(a, b)`` with ``b >= a`` are distinct.  So an even grid's
-    D4-symmetric solution is formatted on one octant, an odd grid's
-    swap-symmetric one on one triangle, and any other field at every node;
-    equal values give equal bytes.  Each distinct row ``a`` is formatted by
-    one ``(line * k) % values`` call into ``nodes``, where its column 0
-    would sit at ``first[a]``.  Grid row ``i`` is written through one ``%s``
-    template, its ``x`` joined with ``",<y_j>,%s\\n"``, and takes node
-    ``(i, j)`` from key ``first[a] + b``, where ``a, b = fold[i], fold[j]``,
-    sorted with the swap.  A field with neither symmetry has no node to
-    share, so each of its grid rows is formatted by one call as it is
+    Each field's distinct nodes form an ``m × m`` block, and the layout
+    alone gives the mirrors: a quadrant field's block is the view
+    ``g[m:0:-1, m:0:-1]`` with ``m = n/2`` (index 0 is no node), the full
+    field's ``[:m, :m]``; a full grid is its own block, ``m = n``.  The swap
+    is tested by value on the blocks (:func:`_swap_symmetric`).  Index ``i``
+    folds to the distinct row or column ``fold[i] < m``; with the swap,
+    only the nodes ``(a, b)`` with ``b >= a`` are distinct.  So an even
+    grid's D4-symmetric solution is formatted on one octant, an odd grid's
+    swap-symmetric one on one triangle, and any other full field at every
+    node; equal values give equal bytes.  Each distinct row ``a`` is
+    formatted by one ``(line * k) % values`` call into ``nodes``, where its
+    column 0 would sit at ``first[a]``.  Grid row ``i`` is written through
+    one ``%s`` template, its ``x`` joined with ``",<y_j>,%s\\n"``, and takes
+    node ``(i, j)`` from key ``first[a] + b``, where ``a, b = fold[i],
+    fold[j]``, sorted with the swap.  A full field without the swap has no
+    node to share, so each of its grid rows is formatted by one call as it is
     written, and no node string outlives its row.
     """
     n = len(coords)
-    if quadrant:
-        m = n // 2
-        blocks = [g[m:0:-1, m:0:-1] for g in grids]
-        mirrors, swap = True, _grid_symmetries(blocks)[1]  # the block itself has no mirrors
-    else:
-        mirrors, swap = _grid_symmetries(grids)
-        m = (n + 1) // 2 if mirrors else n
-        blocks = [g[:m, :m] for g in grids]
+    mirrors = len(grids[0]) != n  # the quadrant layout: n/2 + 1 == n only at n = 2
+    m = n // 2 if mirrors else n
+    blocks = [g[m:0:-1, m:0:-1] for g in grids] if mirrors else grids
+    swap = _swap_symmetric(blocks)
     xs = [_fmt(c) for c in coords.tolist()]
     if not (mirrors or swap):
         slots = ["," + y + "," + line for y in xs]
@@ -258,11 +248,16 @@ def _load_radial_csv(path: str) -> RadialSolution:
         meta = {}
         for item in first[1:].split():
             key, _, value = item.partition("=")
+            if key in meta:
+                raise ValueError(f"repeated metadata key {key}")
             meta[key] = value
         header = fh.readline().strip().split(",")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an empty table is reported below
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    repeated = [name for k, name in enumerate(header) if name in header[:k]]
+    if repeated:
+        raise ValueError(f"repeated column name {repeated[0]}")
     missing = [k for k in ("N", "n1", "n2", "tau") if k not in meta]
     missing += [c for c in ("r", "u1", "u2") if c not in header]
     if missing:
@@ -396,7 +391,7 @@ def _cmd_solve_planar(args):
     w, u = sol.w_solved, sol.u_solved  # on the solved layout: no full-grid copy
     columns = {"w1": w[0], "w2": w[1], "u1": u[0], "u2": u[1]}
     note = f" ({sol.iterations} iterations, residual {sol.final_gradient_norm:.3e})"
-    return _csv_writer(meta, columns, coords=grid.coords, quadrant=sol.quadrant), note
+    return _csv_writer(meta, columns, coords=grid.coords), note
 
 
 def _cmd_verify(args):

@@ -1,12 +1,15 @@
 """Exception types and the option check shared by the solver modules."""
 
 import math
+import numbers
 
 
 def check_solver_options(tol: float, max_iter: int = 0) -> None:
-    """Raise ``ValueError`` unless ``tol`` is positive and finite and ``max_iter >= 0``."""
+    """Raise ``ValueError`` unless ``tol`` is positive and finite and ``max_iter`` an int >= 0."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not isinstance(max_iter, numbers.Integral):  # range() takes no float, even 2.0
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
 

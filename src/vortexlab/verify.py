@@ -24,7 +24,7 @@ each read, so a check binds each once) and compute both species together.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np

@@ -315,11 +315,15 @@ class TestVerify:
         assert err.startswith("error: decay window must have finite ends lo < hi, got [")
 
     @staticmethod
-    def _rewrite(csv, out, drop=(), meta_drop=None, extra_name=False, cell=None, rows=None):
+    def _rewrite(
+        csv, out, drop=(), meta_drop=None, meta_add="", rename=None, extra_name=False, cell=None,
+        rows=None,
+    ):
         """Copy a radial CSV without the named columns or metadata key.
 
-        ``cell = (row, column, text)`` replaces one data cell; ``rows`` keeps
-        only that many data rows.
+        ``meta_add`` is appended to the metadata line, ``rename`` maps old
+        column names to the new header's, ``cell = (row, column, text)``
+        replaces one data cell; ``rows`` keeps only that many data rows.
         """
         meta, header, *data = csv.read_text().splitlines()
         rows = data[:rows]
@@ -327,7 +331,8 @@ class TestVerify:
             meta = " ".join(item for item in meta.split() if not item.startswith(meta_drop + "="))
         names = header.split(",")
         keep = [k for k, name in enumerate(names) if name not in drop]
-        lines = [meta, ",".join(names[k] for k in keep) + (",extra" if extra_name else "")]
+        header = ",".join((rename or {}).get(names[k], names[k]) for k in keep)
+        lines = [meta + meta_add, header + (",extra" if extra_name else "")]
         for i, row in enumerate(rows):
             values = row.split(",")
             if cell is not None and i == cell[0]:
@@ -353,6 +358,10 @@ class TestVerify:
             ),
             ({"rows": 999}, "radial mesh needs at least 1000 nodes"),
             ({"cell": (500, "r", "1e-4")}, "radial nodes must be strictly increasing"),
+            # Read by name, u1 would come from the u2 column and u2 from E1.
+            ({"rename": {"u2": "u1", "E1": "u2"}}, "repeated column name u1"),
+            # Read into a dict, the later N=3 would win.
+            ({"meta_add": " N=3"}, "repeated metadata key N"),
         ],
         ids=[
             "no-u2-column",
@@ -366,6 +375,8 @@ class TestVerify:
             "non-numeric-cell",
             "too-few-rows",
             "r-not-increasing",
+            "repeated-column",
+            "repeated-metadata-key",
         ],
     )
     def test_malformed_csv_exits_2(self, tmp_path, capsys, broken, message):
@@ -633,26 +644,30 @@ def orbit(n, i, j):
 class TestFoldedCsv:
     """Planar CSVs of symmetric fields: each node formatted once per orbit.
 
-    Every output is checked against the per-value reference, and a spy on
-    :func:`cli._grid_symmetries` records which symmetries the writer used.
+    Fields mirrored across both axes are written on the quadrant layout of
+    even grids, whose mirrors the writer takes from the layout; full grids
+    are never folded under the mirrors.  Every output is checked against
+    every node of the full fields formatted, and a spy on
+    :func:`cli._swap_symmetric` records whether the writer found the swap.
     """
 
     @pytest.fixture
     def folds(self, monkeypatch):
         taken = []
-        grid_symmetries = cli._grid_symmetries
+        swap_symmetric = cli._swap_symmetric
 
-        def spy(grids):
-            taken.append(grid_symmetries(grids))
+        def spy(blocks):
+            taken.append(swap_symmetric(blocks))
             return taken[-1]
 
-        monkeypatch.setattr(cli, "_grid_symmetries", spy)
+        monkeypatch.setattr(cli, "_swap_symmetric", spy)
         return taken
 
     @staticmethod
     def symmetric_fields(n, mirrors=True, diagonal=False):
-        # Subnormals and +-inf among wide-range reals, and mirrored or
-        # swapped +-0.0 pairs.
+        # Subnormals and +-inf among wide-range reals, and +-0.0 pairs across
+        # the mirrors and the diagonal: at the corners, and next to the centre,
+        # inside the quadrant.
         rng = np.random.default_rng(n)
         a = rng.standard_normal((4, n, n)) * 10.0 ** rng.integers(-320, 300, (4, n, n))
         special = [5e-324, -2.5e-310, np.inf, -np.inf, 0.0, -0.0]
@@ -660,14 +675,28 @@ class TestFoldedCsv:
         a[:, 0, 0] = a[:, 0, -1] = 0.0
         fields = orbit_fill(a, mirrors, diagonal)
         fields[:, -1, 0] = fields[:, -1, -1] = -0.0  # +-0.0 for either symmetry
+        if n >= 6:
+            k = n // 2
+            for i, j in orbit(n, k, k + 1):
+                fields[:, i, j] = 0.0
+            fields[:, k, k + 1] = -0.0
         return fields
 
     @staticmethod
-    def rows_match_per_value_format(fields, coords):
+    def quadrant(fields):
+        """The quadrant layout ``[n/2 - 1:, n/2 - 1:]`` of fields mirrored across both axes."""
+        m = fields.shape[-1] // 2
+        return fields[:, m - 1 :, m - 1 :]
+
+    @staticmethod
+    def rows_match_per_value_format(fields, coords, written=None):
+        # ``written`` (``fields`` when omitted) goes to the writer; its rows
+        # must be those of every node of ``fields`` formatted.
         n = len(coords)
         names = ("w1", "w2", "u1", "u2")
         fh = io.StringIO()
-        _csv_writer({"grid": n}, dict(zip(names, fields.reshape(4, -1))), coords=coords)(fh)
+        columns = dict(zip(names, fields if written is None else written))
+        _csv_writer({"grid": n}, columns, coords=coords)(fh)
         meta, header, *rows = fh.getvalue().split("\n")
         assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
         nodes = [(x, y) for x in coords for y in coords]
@@ -676,13 +705,23 @@ class TestFoldedCsv:
             for node, values in zip(nodes, fields.reshape(4, -1).T)
         ]
 
+    def write_on_its_layout(self, fields, mirrors):
+        # Even grids with the mirrors take the quadrant layout; at n = 2 a
+        # quadrant would be as wide as the grid, so there is none.
+        n = fields.shape[-1]
+        on_quadrant = mirrors and n % 2 == 0 and n > 2
+        written = self.quadrant(fields) if on_quadrant else fields
+        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n), written)
+
     @pytest.mark.parametrize("n", [2, 3, 6, 7, 32, 33])
     def test_symmetric_fields_fold(self, folds, n):
-        # Odd n: the centre row and column are their own mirrors.
+        # On the quadrant, one quarter is formatted.  An odd grid, mirrored
+        # about its centre row and column, is written in full, every node
+        # formatted; a 2 × 2 grid's mirrors imply the swap.
         fields = self.symmetric_fields(n)
         assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, 0])
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert folds == [(True, n == 2)]  # a 2 × 2 grid's mirrors imply the swap
+        self.write_on_its_layout(fields, mirrors=True)
+        assert folds == [n == 2]
 
     @pytest.mark.parametrize("n", [3, 6, 7, 32, 33])
     @pytest.mark.parametrize(
@@ -691,49 +730,36 @@ class TestFoldedCsv:
         ids=["mirrors-and-diagonal", "diagonal", "neither"],
     )
     def test_fields_fold_on_their_orbits(self, folds, n, mirrors, diagonal):
+        # D4-symmetric fields fold on one octant on the quadrant layout, and
+        # on one triangle on an odd grid, written in full.
         fields = self.symmetric_fields(n, mirrors, diagonal)
-        if diagonal:  # a +-0.0 pair across the diagonal
+        if diagonal:  # +-0.0 pairs across the diagonal, one inside the quadrant
             assert np.signbit(fields[0, -1, 0]) and not np.signbit(fields[0, 0, -1])
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert folds == [(mirrors, diagonal)]
+            if n >= 6:
+                k = n // 2
+                assert np.signbit(fields[0, k, k + 1]) and not np.signbit(fields[0, k + 1, k])
+        self.write_on_its_layout(fields, mirrors)
+        assert folds == [diagonal]
 
-    @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_one_ulp_off_its_mirror_does_not_fold(self, folds, n, axis):
-        # Nodes (1, 1) and their mirror across the other axis move by one ulp,
-        # so only the reflection along ``axis`` is broken.
-        fields = self.symmetric_fields(n)
-        other = [2, 1, 1]
-        other[2 - axis] = n - 2
-        for node in ((2, 1, 1), tuple(other)):
-            fields[node] = np.nextafter(fields[node], np.inf)
-        g = fields[2]
-        assert np.array_equal(g, g[:, ::-1] if axis == 0 else g[::-1])  # the other one holds
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert folds == [(False, False)]
-
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 32])
     def test_one_ulp_off_the_diagonal_folds_on_the_mirrors(self, folds, n):
         # Node (1, 2) and its mirror images move by one ulp; (2, 1) and its
-        # images do not.
+        # images do not.  The quadrant is formatted without the swap.
         fields = self.symmetric_fields(n, diagonal=True)
         for i, j in {(1, 2), (n - 2, 2), (1, n - 3), (n - 2, n - 3)}:
             fields[2, i, j] = np.nextafter(fields[2, i, j], np.inf)
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, n))
-        assert folds == [(True, False)]
-
-    def test_mirrored_nan_pair_does_not_fold(self, folds):
-        fields = self.symmetric_fields(8)
-        fields[3, 1, 2] = fields[3, 6, 2] = fields[3, 1, 5] = fields[3, 6, 5] = np.nan
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
-        assert folds == [(False, False)]
+        self.write_on_its_layout(fields, mirrors=True)
+        assert folds == [False]
 
     def test_nan_pair_on_the_diagonal_does_not_fold(self, folds):
-        fields = self.symmetric_fields(8, diagonal=True)
-        for i, j in orbit(8, 1, 2):
-            fields[3, i, j] = np.nan
-        self.rows_match_per_value_format(fields, np.linspace(-3.0, 3.0, 8))
-        assert folds == [(False, False)]
+        # NaN never equals NaN, so a NaN pair across the diagonal, or a NaN
+        # on it, leaves the quadrant formatted without the swap.
+        for nan_nodes in (orbit(8, 1, 2), orbit(8, 2, 2)):
+            fields = self.symmetric_fields(8, diagonal=True)
+            for i, j in nan_nodes:
+                fields[3, i, j] = np.nan
+            self.write_on_its_layout(fields, mirrors=True)
+        assert folds == [False, False]
 
     def test_write_peak_is_bounded_by_the_octant_strings(self, folds, traced_peak):
         # The writer keeps one string per octant node and works on one row at
@@ -747,11 +773,11 @@ class TestFoldedCsv:
             ",".join(_fmt(float(v)) for v in fields[:, i, j]) for i in range(m) for j in range(i, m)
         ]
         kept = sum(sys.getsizeof(node) + 8 for node in octant)
-        columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
+        columns = dict(zip(("w1", "w2", "u1", "u2"), self.quadrant(fields)))
         write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
         with open(os.devnull, "w") as fh:
             peak = traced_peak(lambda: write(fh))
-        assert folds == [(True, True)]
+        assert folds == [True]
         assert peak < 1.5 * kept
 
     def test_write_peak_without_symmetry_is_below_one_column(self, folds, traced_peak):
@@ -760,11 +786,11 @@ class TestFoldedCsv:
         # at 256²).  Keeping every node string until the end peaked at 9.1 MB.
         n = 256
         fields = np.random.default_rng(3).standard_normal((4, n, n))
-        columns = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, -1)))
+        columns = dict(zip(("w1", "w2", "u1", "u2"), fields))
         write = _csv_writer({"grid": n}, columns, coords=np.linspace(-3.0, 3.0, n))
         with open(os.devnull, "w") as fh:
             peak = traced_peak(lambda: write(fh))
-        assert folds == [(False, False)]
+        assert folds == [False]
         assert peak < fields[0].nbytes
 
     def test_solution_output_peak_is_below_the_octant_strings_and_one_full_grid(
@@ -791,7 +817,7 @@ class TestFoldedCsv:
         peak = traced_peak(lambda: codes.append(main(argv)))
         assert codes == [0]
         assert peak < kept + 2 * n * n * 8
-        assert folds == [(False, True)]
+        assert folds == [True]
 
     @staticmethod
     def solution_folds(folds, tmp_path, capsys, monkeypatch, n):
@@ -813,7 +839,7 @@ class TestFoldedCsv:
             return dataclasses.replace(sol, w_solved=sol.w)
 
         monkeypatch.setattr(cli, "solve_planar", solve_on_the_full_grid)
-        monkeypatch.setattr(cli, "_grid_symmetries", lambda grids: (False, False))
+        monkeypatch.setattr(cli, "_swap_symmetric", lambda blocks: False)
         unfolded = tmp_path / "unfolded.csv"
         assert run(capsys, *argv, str(unfolded))[0] == 0
         assert folded.read_bytes() == unfolded.read_bytes()
@@ -822,11 +848,11 @@ class TestFoldedCsv:
     def test_even_grid_solution_folds_and_is_not_forked(self, folds, tmp_path, capsys, monkeypatch):
         # Formatted on one octant: the writer reads the solved quadrant, whose
         # mirrors come from the layout, and finds the swap on its block of
-        # distinct nodes, which has no mirrors of its own.
-        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 32) == [(False, True)]
+        # distinct nodes.
+        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 32) == [True]
 
     def test_odd_grid_solution_folds_on_one_triangle(self, folds, tmp_path, capsys, monkeypatch):
-        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 33) == [(False, True)]
+        assert self.solution_folds(folds, tmp_path, capsys, monkeypatch, 33) == [True]
 
 
 class TestOutput:
@@ -945,8 +971,9 @@ class TestOutput:
         special = [-0.0, 5e-324, -2.5e-310, np.nan, np.inf, -np.inf]
         fields = rng.standard_normal((4, n * n)) * 10.0 ** rng.integers(-320, 300, (4, n * n))
         fields[:, : len(special)] = special[: n * n]
+        grids = dict(zip(("w1", "w2", "u1", "u2"), fields.reshape(4, n, n)))
         fh = io.StringIO()
-        _csv_writer({"grid": n}, dict(zip(("w1", "w2", "u1", "u2"), fields)), coords=coords)(fh)
+        _csv_writer({"grid": n}, grids, coords=coords)(fh)
         meta, header, *rows = fh.getvalue().split("\n")
         assert (meta, header, rows[-1]) == (f"# grid={n}", "x,y,w1,w2,u1,u2", "")
         nodes = [(x, y) for x in coords for y in coords]
@@ -965,7 +992,7 @@ def test_csv_written_serially_when_fork_fails(monkeypatch):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     columns = {"a": np.arange(3000.0), "b": np.linspace(-1.0, 1.0, 3000)}
-    fields = dict(zip(("w1", "w2", "u1", "u2"), TestFoldedCsv.symmetric_fields(33).reshape(4, -1)))
+    fields = dict(zip(("w1", "w2", "u1", "u2"), TestFoldedCsv.symmetric_fields(33)))
     coords = np.linspace(-3.0, 3.0, 33)
     writers = [_csv_writer({"N": 2}, columns), _csv_writer({"grid": 33}, fields, coords=coords)]
     serial = []

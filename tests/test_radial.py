@@ -11,12 +11,14 @@ import scipy.linalg
 from vortexlab import radial
 from vortexlab.cli import _load_radial_csv, main
 from vortexlab.errors import NonConvergenceError
+from vortexlab.functional import PlanarGrid
 from vortexlab.model import (
     ModelParams,
     component_flux_targets,
     coupling_matrix,
     spectral_constants,
 )
+from vortexlab.planar import solve_planar
 from vortexlab.radial import (
     RadialMesh,
     RadialSolution,
@@ -401,3 +403,17 @@ class TestProfileSolver:
     def test_rejects_negative_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             solve_profile_bps(2, n=2000, max_iter=-1)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, math.nan, math.inf, 2.0])
+@pytest.mark.parametrize("solver", ["radial", "profile", "planar"])
+def test_non_integral_max_iter_is_rejected(solver, max_iter):
+    # Each solver iterates over range(max_iter), which takes no float.
+    params = ModelParams(N=2)
+    solve = {
+        "radial": lambda: solve_radial_P(params, radial_mesh(n=1000), max_iter=max_iter),
+        "profile": lambda: solve_profile_bps(2, n=2000, max_iter=max_iter),
+        "planar": lambda: solve_planar(params, PlanarGrid(15.0, 16), max_iter=max_iter),
+    }[solver]
+    with pytest.raises(ValueError, match=f"max_iter must be an integer, got {max_iter!r}"):
+        solve()
