@@ -1,12 +1,13 @@
 """Discrete convex action functional on a planar grid.
 
-The continuum functional is truncated to the box ``[-L, L]^2`` with the
-fields held fixed on the boundary.  Gradient terms are forward-difference
-edge energies (their first variation is the standard 5-point Laplacian),
-potential and source terms are node sums weighted by the cell area.  The
-gradient and Hessian-vector product returned here are the *exact*
-derivatives of the discrete energy, so finite-difference checks pass at
-machine-level tolerance and strict convexity survives discretization.
+The continuum functional is truncated to the grid's box, ``[-L, L]^2`` on
+an even grid (see :class:`PlanarGrid`), with the fields held fixed on the
+boundary.  Gradient terms are forward-difference edge energies (their
+first variation is the standard 5-point Laplacian), potential and source
+terms are node sums weighted by the cell area.  The gradient and
+Hessian-vector product returned here are the *exact* derivatives of the
+discrete energy, so finite-difference checks pass at machine-level
+tolerance and strict convexity survives discretization.
 
 The field pair ``(w1, w2)`` is one float array of shape ``(2, n, n)``,
 index 0 holding ``w1`` and index 1 ``w2``; the gradient, Hessian
@@ -59,17 +60,18 @@ EXP_CAP = 300.0
 
 @dataclass(frozen=True)
 class PlanarGrid:
-    """Uniform tensor grid on the closed box ``[-L, L]^2``.
+    """Uniform tensor grid of ``n`` nodes per side, spacing ``h = 2L/(n - 1)``.
 
-    ``half_width`` is a positive finite real and ``points_per_side`` an
-    integer (or an integral real) ``>= 16``, such that the spacing
-    ``h = 2 * half_width / (points_per_side - 1)`` and the cell area
-    ``h**2`` are both positive and finite; anything else raises
-    ``ValueError``.  No node sits at the exact origin: for an even
-    ``points_per_side`` the symmetric grid already avoids it, for an odd
-    count every node is shifted by ``h/2`` (which sacrifices the exact
-    negation symmetry of the node set).  Coordinates are built as integer
-    multiples of ``h/2`` so symmetric grids are symmetric to the last bit.
+    For an even ``n`` the nodes span the closed box ``[-L, L]^2``; an odd
+    ``n`` shifts every node by ``h/2``, so they span
+    ``[-L + h/2, L + h/2]^2``.  ``half_width`` is ``L``, a positive finite
+    real, and ``points_per_side`` is ``n``, an integer (or an integral real)
+    ``>= 16``, such that the spacing ``h`` and the cell area ``h**2`` are
+    both positive and finite; anything else raises ``ValueError``.  No node
+    sits at the exact origin: an even grid already avoids it, and the odd
+    shift avoids it at the cost of the exact negation symmetry of the node
+    set.  Coordinates are built as integer multiples of ``h/2`` so
+    symmetric grids are symmetric to the last bit.
     """
 
     half_width: float

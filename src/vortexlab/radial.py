@@ -18,17 +18,25 @@ matching slope so refinement stays second order.
 The species are the leading axis of every field of a radial solution:
 ``P`` and ``u = u0 + P`` are stored and ``E = exp(2u) - 1`` is derived on
 each read, all of shape ``(2, n)``, index 0 holding species 1.
+
+The banded Newton systems are solved by LAPACK's ``dgbsv``, taken from
+scipy's compiled ``scipy.linalg._flapack`` extension without importing
+``scipy.linalg`` (see :func:`solve_banded`); a singular system raises
+numpy's ``LinAlgError``, which ``scipy.linalg`` re-exports.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from numpy.linalg import LinAlgError
 
 from .errors import NonConvergenceError, check_solver_options
 from .model import ModelParams, background, coupling_matrix
@@ -298,9 +306,12 @@ class _RegularizedSystem:
         P = z.reshape(-1, 2).T
         F = np.empty(z.size)
         # ``A @ E`` written out, so each row keeps its order of operations.
-        F.reshape(-1, 2).T[...] = _apply_stencil(self.stencil, P) - (
-            A[:, :1] * E[0] + A[:, 1:] * E[1] + self.phi
-        )
+        # A trial ``E`` near the float maximum overflows here as it does in
+        # ``fields``; the line search rejects the non-finite residual.
+        with np.errstate(over="ignore"):
+            F.reshape(-1, 2).T[...] = _apply_stencil(self.stencil, P) - (
+                A[:, :1] * E[0] + A[:, 1:] * E[1] + self.phi
+            )
         F[-2:] = P[:, -1] + self.u0[:, -1]
         return F
 
@@ -323,6 +334,37 @@ class _RegularizedSystem:
         return 4.0 * np.finfo(float).eps * float(np.max(np.abs(self.dia))) * scale
 
 
+def _load_dgbsv():
+    """LAPACK's ``dgbsv`` from scipy's compiled ``scipy.linalg._flapack``.
+
+    The extension file is loaded under its own name, without importing
+    ``scipy.linalg``, whose array-API layer imports numpy's ``f2py``,
+    ``testing``, ``ma`` and ``random`` packages and costs more than half of
+    the CLI's start-up.  A later ``scipy.linalg`` import reuses the module,
+    so this is the same Fortran wrapper as ``scipy.linalg.lapack.dgbsv``;
+    that public import is the fallback when no extension file is found.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        # find_spec of a top-level name locates scipy without importing it.
+        linalg = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        paths = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            from scipy.linalg.lapack import dgbsv
+
+            return dgbsv
+        loader = ExtensionFileLoader(name, str(path))
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return module.dgbsv
+
+
+dgbsv = _load_dgbsv()
+
+
 def solve_banded(bands, ab, b):
     """Solve a banded system held in LAPACK's band storage, in place.
 
@@ -330,11 +372,13 @@ def solve_banded(bands, ab, b):
     ``ab`` is a Fortran-ordered float array of shape ``(2*kl + ku + 1, n)``
     holding entry ``(i, j)`` of the matrix at ``ab[kl + ku + i - j, j]``;
     its ``kl`` leading rows are zero, room for the fill-in of the pivoted
-    factorization (Anderson et al., *LAPACK Users' Guide*, 1999).  ``dgbsv``
-    overwrites ``ab`` with the factors and ``b`` with the solution, which is
-    returned.  As :func:`scipy.linalg.solve_banded` does, a non-finite
-    ``ab`` or ``b`` raises ``ValueError`` and a singular matrix
-    ``LinAlgError``.
+    factorization (Anderson et al., *LAPACK Users' Guide*, 1999).  LAPACK's
+    ``dgbsv``, the wrapper ``scipy.linalg.lapack.dgbsv`` loaded by
+    :func:`_load_dgbsv`, overwrites ``ab`` with the factors and ``b`` with
+    the solution, which is returned.  As :func:`scipy.linalg.solve_banded`
+    does, a non-finite ``ab`` or ``b`` raises ``ValueError`` and a singular
+    matrix ``numpy.linalg.LinAlgError``, the class ``scipy.linalg``
+    re-exports.
     """
     for a in (ab, b):  # min and max propagate a NaN, and allocate nothing
         if not (np.isfinite(a.min()) and np.isfinite(a.max())):

@@ -137,6 +137,11 @@ class TestPlanarGrid:
         g = PlanarGrid(half_width=2.0, points_per_side=17)
         assert np.min(np.abs(g.coords)) == pytest.approx(g.spacing / 2.0)
 
+    def test_odd_grid_spans_the_box_shifted_by_half_a_spacing(self):
+        # The nodes span [-L + h/2, L + h/2], not [-L, L]; h/2 = 15/512.
+        g = PlanarGrid(half_width=15.0, points_per_side=513)
+        np.testing.assert_array_equal(g.coords[[0, -1]], [-14.970703125, 15.029296875])
+
     def test_spacing(self):
         g = PlanarGrid(half_width=15.0, points_per_side=512)
         assert g.spacing == pytest.approx(30.0 / 511.0)

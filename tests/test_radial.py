@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,9 @@ from vortexlab.radial import (
     solve_profile_bps,
     solve_radial_P,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def solve(params, n=2000, tol=1e-9, r_max=30.0):
@@ -195,6 +202,14 @@ class TestSolveRadial:
         floor = radial._RegularizedSystem(params, sol.mesh).floor(sol.P.T.ravel())
         assert 1e-9 < sol.residual <= floor
 
+    def test_overflowing_line_search_trial_raises_no_warning(self):
+        # A trial E near the float maximum overflows the residual's A @ E;
+        # the trial is rejected, and warnings are errors under pytest.
+        params = ModelParams(N=30, n1=3, n2=8, tau=20.0)
+        sol = solve_radial_P(params, radial_mesh(), tol=1e-9)
+        floor = radial._RegularizedSystem(params, sol.mesh).floor(sol.P.T.ravel())
+        assert np.all(np.isfinite(sol.P)) and sol.residual <= max(1e-9, floor)
+
     def test_nonconvergence_diagnostics(self):
         params = ModelParams(N=2, n1=1, n2=1)
         with pytest.raises(NonConvergenceError) as err:
@@ -243,6 +258,56 @@ class TestSolveBanded:
         ab[:, 5] = 0.0
         with pytest.raises(scipy.linalg.LinAlgError, match="singular matrix"):
             radial.solve_banded((kl, ku), ab, b)
+
+
+class TestLapackWithoutScipyLinalg:
+    """``dgbsv`` comes from scipy's ``_flapack`` extension, not ``scipy.linalg``.
+
+    Each check runs in a fresh interpreter, since this one has imported
+    ``scipy.linalg`` already.
+    """
+
+    @staticmethod
+    def run(script, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        result = self.run("import sys, vortexlab.cli; print('scipy.linalg' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "imports",
+        ["import vortexlab.radial; import scipy.linalg.lapack",
+         "import scipy.linalg.lapack; import vortexlab.radial"],
+        ids=["vortexlab-first", "scipy-first"],
+    )
+    def test_dgbsv_is_scipys_wrapper(self, imports):
+        script = (f"{imports}\nimport scipy, vortexlab\n"
+                  "print(vortexlab.radial.dgbsv is scipy.linalg.lapack.dgbsv)")
+        result = self.run(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
+
+    def test_solve_radial_runs_with_scipy_linalg_refused(self):
+        script = (
+            "import runpy, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.linalg' or name.startswith('scipy.linalg.'):\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "sys.argv = ['vortexlab'] + sys.argv[1:]\n"
+            "runpy.run_module('vortexlab.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        result = self.run(script, "solve-radial", "--N", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("# ")
 
 
 class TestStoredFields:
