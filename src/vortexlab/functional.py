@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -136,15 +137,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _edge_energy_change(w: np.ndarray, step: np.ndarray) -> float:
+def _edge_energy_change(w: Optional[np.ndarray], step: np.ndarray) -> float:
     # Forward-difference edges; h cancels: (d/h)^2 * h^2 = d^2.
-    # (dw + dd)^2 - dw^2 = dd * (2*dw + dd) per edge, with no cancellation.
+    # (dw + dd)^2 - dw^2 = dd * (2*dw + dd) per edge, with no cancellation;
+    # a zero w (None) gives dd * dd, the same sum bit for bit.
     total = 0.0
     for axis in (0, 1):
-        dw = np.diff(w, axis=axis)
-        dd = np.diff(step, axis=axis)
-        dw *= 2.0
-        dw += dd
+        dd = dw = np.diff(step, axis=axis)
+        if w is not None:
+            dw = np.diff(w, axis=axis)
+            dw *= 2.0
+            dw += dd
         total += _dot(dd, dw)
     return total
 
@@ -251,9 +254,9 @@ class DiscreteFunctional:
 
     def energy(self, w: np.ndarray) -> float:
         """Value of the discrete action functional: the change from ``w = 0``."""
-        return self.energy_change(np.zeros_like(w), w)
+        return self.energy_change(None, w)
 
-    def energy_change(self, w: np.ndarray, step: np.ndarray) -> float:
+    def energy_change(self, w: Optional[np.ndarray], step: np.ndarray) -> float:
         """``energy(w + step) - energy(w)``, evaluated without cancellation.
 
         Edge terms are expanded as ``dd * (2*dw + dd)`` and exponentials as
@@ -263,17 +266,24 @@ class DiscreteFunctional:
         exponent cap.  ``step`` is any array of the layout of ``w``: its
         boundary entries enter the edge and node terms as the interior ones
         do; on the quadrant, the mirror entries of both are ignored.
+        ``w = None`` is the zero field, whose terms are skipped bit for bit:
+        ``weight * exp(0)`` is ``weight``, and a sum starting at ``+0.0``
+        ignores the sign of a ``-0.0`` product.
         """
-        s = self._exponents(w)
         ds = 2.0 * step
         ds[1] += self.gamma * ds[0]
-        self._check_cap(s + ds)
-        e = self._weighted_exp(s)
+        if w is None:
+            self._check_cap(ds)
+            e = self.weight
+        else:
+            s = self._exponents(w)
+            self._check_cap(s + ds)
+            e = self._weighted_exp(s)
         pot = _dot(e, np.expm1(ds, out=ds)) + _dot(self.source, step)
         o = int(self.quadrant)  # the quadrant's edge sums skip its mirror
         grad = sum(
-            c * _edge_energy_change(wk[o:, o:], dk[o:, o:])
-            for c, wk, dk in zip(self.c_grad, w, step)
+            c * _edge_energy_change(None if w is None else w[k, o:, o:], step[k, o:, o:])
+            for k, c in enumerate(self.c_grad)
         )
         return grad + self.grid.cell_area * pot
 

@@ -343,6 +343,10 @@ def _load_dgbsv():
     the CLI's start-up.  A later ``scipy.linalg`` import reuses the module,
     so this is the same Fortran wrapper as ``scipy.linalg.lapack.dgbsv``;
     that public import is the fallback when no extension file is found.
+
+    Loaded here first, the module is not bound on the package: ``from
+    scipy.linalg import _flapack`` and ``scipy.linalg.lapack`` find it in
+    ``sys.modules``, but ``scipy.linalg._flapack`` raises ``AttributeError``.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
@@ -395,11 +399,13 @@ def solve_banded(bands, ab, b):
 def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None):
     """Residual-norm damped Newton with a banded Jacobian.
 
-    ``bands = (kl, ku)`` gives the Jacobian's band widths.  One
-    Fortran-ordered workspace of shape ``(2*kl + ku + 1, z.size)`` is
-    allocated per solve; at each step ``jacobian(z, ab)`` writes every entry
-    of it, the Jacobian in :func:`solve_banded`'s layout with the ``kl``
-    leading rows zero, and :func:`solve_banded` factors it in place.
+    ``bands = (kl, ku)`` gives the Jacobian's band widths.  Each step
+    allocates a Fortran-ordered ``(2*kl + ku + 1, z.size)`` workspace;
+    ``jacobian(z, ab)`` writes every entry of it, the Jacobian in
+    :func:`solve_banded`'s layout with the ``kl`` leading rows zero, and
+    :func:`solve_banded` factors it in place and solves for the step in the
+    residual's buffer.  The workspace, a step's largest array, is released
+    before the line search, whose residuals need none of it.
     Each step solves ``J(z) d = -F(z)`` and halves ``t`` from 1 until the
     sup norm of the residual drops below ``(1 - 1e-4 t)`` times its current
     value (Dennis & Schnabel 1983).  When halving reaches ``2**-30`` the
@@ -409,17 +415,21 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
     :class:`NonConvergenceError` carrying the last accepted ``z``.
     """
     kl, ku = bands
-    ab = np.empty((2 * kl + ku + 1, z.size), order="F")
     F = system(z)
     norm = float(np.max(np.abs(F)))
     for iteration in range(1, max_iter + 1):
         if norm < tol:
             return z, iteration - 1, norm
+        ab = np.empty((2 * kl + ku + 1, z.size), order="F")
         jacobian(z, ab)
-        step = solve_banded(bands, ab, -F)
+        step = solve_banded(bands, ab, np.negative(F, out=F))
+        del ab, F  # the factors go before the trials; F's buffer holds the step
+        # One buffer for this step's trials: the accepted one becomes z.
+        trial = np.empty_like(z)
         t = 1.0
         while True:
-            trial = z + t * step
+            np.multiply(step, t, out=trial)
+            trial += z  # bitwise z + t * step
             tF = system(trial)
             tnorm = float(np.max(np.abs(tF)))
             if math.isfinite(tnorm) and tnorm < (1.0 - 1e-4 * t) * norm:
@@ -435,6 +445,7 @@ def _damped_newton(system, jacobian, bands, z, tol, max_iter, label, floor=None)
                     last_iterate=z,
                 )
         z, F, norm = trial, tF, tnorm
+        del step, trial, tF  # the step goes before the next workspace
 
     if norm < tol:
         return z, max_iter, norm
@@ -497,6 +508,20 @@ def _profile_rhs(N: int, r, f, fna, q1, q2):
     dq1 = q1 * ((N - 1.0) * fna + f) / (N * r)
     dq2 = q2 * (-fna + f) / (N * r)
     return df, dfna, dq1, dq2
+
+
+def _profile_start(r, size):
+    """Packed initial guess: unit-amplitude cores decaying on an O(1) scale."""
+    sech2 = 1.0 / np.cosh(r) ** 2
+    z = np.empty(size)
+    z[0] = 0.8
+    z[1] = 0.8
+    y = z[2:].reshape(r.size, 4)
+    y[:, 0] = sech2
+    y[:, 1] = sech2
+    y[:, 2] = np.tanh(0.8 * r)
+    y[:, 3] = 1.0 - 0.2 * sech2
+    return z
 
 
 def solve_profile_bps(
@@ -573,8 +598,6 @@ def solve_profile_bps(
         ):
             ab[10 + row - col, col] = value
 
-        fm, fnam, q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (f, fna, q1, q2))
-
         half_h = 0.5 * h
 
         def put(k, m, v):
@@ -582,11 +605,16 @@ def solve_profile_bps(
             # midpoints, v, enters as 0.0 - 0.5 * h * v, with -1 and +1 on the
             # diagonal.  Interval i has rows 4 + 4i + k; its unknowns at node i
             # sit in columns 2 + 4i + m, those at node i + 1 four columns on.
-            coeff = 0.0 - half_h * v
+            # The coefficient overwrites v, the caller's temporary.
+            v *= half_h
+            np.subtract(0.0, v, out=v)
             diag = 1.0 if k == m else 0.0
-            ab[12 + k - m, 2 + m : -4 : 4] = coeff - diag
-            ab[8 + k - m, 6 + m :: 4] = coeff + diag
+            np.subtract(v, diag, out=ab[12 + k - m, 2 + m : -4 : 4])
+            np.add(v, diag, out=ab[8 + k - m, 6 + m :: 4])
 
+        # The Q midpoints' entries first, the f ones after, so at most two
+        # midpoint arrays are live at once.
+        q1m, q2m = (0.5 * (v[1:] + v[:-1]) for v in (q1, q2))
         put(0, 2, 2.0 * rm * N * q1m)
         put(0, 3, 2.0 * rm * N * (N - 1.0) * q2m)
         put(1, 2, rm * q1m)
@@ -594,9 +622,11 @@ def solve_profile_bps(
         inv = 1.0 / (N * rm)
         put(2, 0, q1m * inv)
         put(2, 1, (N - 1.0) * q1m * inv)
-        put(2, 2, ((N - 1.0) * fnam + fm) * inv)
         put(3, 0, q2m * inv)
         put(3, 1, -q2m * inv)
+        del q1m, q2m
+        fm, fnam = (0.5 * (v[1:] + v[:-1]) for v in (f, fna))
+        put(2, 2, ((N - 1.0) * fnam + fm) * inv)
         put(3, 3, (-fnam + fm) * inv)
         # The structural zeros (0, 0), (0, 1), (1, 0), (1, 1), (2, 3) and
         # (3, 2) give 0.0 - 0.5 * h * 0.0 = 0.0: -1 and +1 on the diagonal,
@@ -605,18 +635,10 @@ def solve_profile_bps(
             ab[12, 2 + k : -4 : 4] = -1.0
             ab[8, 6 + k :: 4] = 1.0
 
-    # Initial guess: unit-amplitude cores decaying on an O(1) scale.
-    sech2 = 1.0 / np.cosh(r) ** 2
-    z = np.empty(size)
-    z[0] = 0.8
-    z[1] = 0.8
-    y = z[2:].reshape(n, 4)
-    y[:, 0] = sech2
-    y[:, 1] = sech2
-    y[:, 2] = np.tanh(0.8 * r)
-    y[:, 3] = 1.0 - 0.2 * sech2
-
-    z, iterations, norm = _damped_newton(system, jacobian, (5, 5), z, tol, max_iter, "profile")
+    # Built in the call, the start is not kept past the first step.
+    z, iterations, norm = _damped_newton(
+        system, jacobian, (5, 5), _profile_start(r, size), tol, max_iter, "profile"
+    )
     c1, c2, f, fna, q1, q2 = unpack(z)
     return ProfileSet(
         mesh=mesh,

@@ -310,6 +310,29 @@ class TestEnergyChange:
         w[:, 1:-1, 1:-1] += np.random.default_rng(41).uniform(-0.5, 0.5, w[:, 1:-1, 1:-1].shape)
         assert func.energy(w) == func.energy_change(np.zeros_like(w), w)
 
+    @pytest.mark.parametrize("field", ["noisy", "signed-zeros"])
+    def test_energy_is_the_change_from_zero_bitwise_rank2_odd_grid(self, field):
+        # energy skips the zero field's terms; a -0.0 edge difference or
+        # product must not change the sums either.
+        params = ModelParams(N=2, n1=1, n2=1)
+        grid = PlanarGrid(half_width=15.0, points_per_side=33)
+        func = DiscreteFunctional(params, grid)
+        rng = np.random.default_rng(43)
+        w = _start(params, grid, False)
+        if field == "noisy":
+            w[:, 1:-1, 1:-1] += rng.uniform(-0.5, 0.5, w[:, 1:-1, 1:-1].shape)
+        else:
+            w[:, 1:-1, 1:-1] = np.where(rng.uniform(size=w[:, 1:-1, 1:-1].shape) < 0.5, -0.0, 0.0)
+            assert np.any(np.signbit(np.diff(w, axis=1)) & (np.diff(w, axis=1) == 0.0))
+        assert func.energy(w) == func.energy_change(np.zeros_like(w), w)
+
+    def test_energy_of_an_overflowing_field_raises(self):
+        func, grid, _ = make_problem()
+        w = zeros(grid)
+        w[0, 5, 5] = 200.0
+        with pytest.raises(FieldOverflowError):
+            func.energy(w)
+
 
 def per_mode_inverse_reference(func):
     """The far-field inverse as one explicit 2x2 solve per mode, all in float64.

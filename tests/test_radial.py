@@ -217,6 +217,16 @@ class TestSolveRadial:
         assert err.value.residual is not None
         assert err.value.last_iterate is not None
 
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_nonconvergence_iterate_has_the_reported_residual(self, max_iter):
+        # The reported iterate is the accepted one, in no buffer a later
+        # trial or step solve wrote to.
+        params, mesh = ModelParams(N=2, n1=1, n2=1), radial_mesh(n=1000)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_radial_P(params, mesh, tol=1e-9, max_iter=max_iter)
+        P = err.value.last_iterate.reshape(-1, 2).T
+        assert float(np.max(np.abs(radial_system_residual(params, mesh, P)))) == err.value.residual
+
     def test_rejects_bad_tolerance(self):
         params = ModelParams(N=2, n1=1, n2=1)
         with pytest.raises(ValueError):
@@ -290,6 +300,17 @@ class TestLapackWithoutScipyLinalg:
     def test_dgbsv_is_scipys_wrapper(self, imports):
         script = (f"{imports}\nimport scipy, vortexlab\n"
                   "print(vortexlab.radial.dgbsv is scipy.linalg.lapack.dgbsv)")
+        result = self.run(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
+
+    def test_private_flapack_imports_after_vortexlab(self):
+        # vortexlab loads the module without binding it on scipy.linalg;
+        # both import paths still reach the same module and wrapper.
+        script = ("import vortexlab.radial\n"
+                  "from scipy.linalg import _flapack\n"
+                  "import scipy.linalg.lapack\n"
+                  "print(_flapack.dgbsv is scipy.linalg.lapack.dgbsv is vortexlab.radial.dgbsv)")
         result = self.run(script)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "True\n"
@@ -459,6 +480,16 @@ class TestProfileSolver:
         solve_profile_bps(2, n=2000)  # first-call allocations outside the trace
         peak = traced_peak(lambda: solve_profile_bps(2, n=n))
         assert peak < 2 * workspace
+
+    def test_traced_peak_is_below_one_band_workspace_and_seven_vectors(self, traced_peak):
+        # The workspace and its factors are released before each line search,
+        # so the trials' residuals never coexist with them: 15.6 MB, where
+        # keeping the workspace through the line search peaked at 19.8 MB.
+        n = 24000
+        vector = (4 * n + 2) * 8
+        solve_profile_bps(2, n=2000)  # first-call allocations outside the trace
+        peak = traced_peak(lambda: solve_profile_bps(2, n=n))
+        assert peak < 16 * vector + 7 * vector
 
     def test_rejects_bad_rank(self):
         for N in (1, 2.5, math.inf, math.nan):
